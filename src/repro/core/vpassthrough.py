@@ -82,7 +82,7 @@ def assign_virtual_device(
     device: VirtioDevice,
     leaf_vm,
     posted_interrupts: bool = False,
-    pfns: Optional[List[int]] = None,
+    pfns: Optional[List[range]] = None,
 ) -> VirtualPassthroughAssignment:
     """Perform the virtual-passthrough assignment (setup time).
 
@@ -124,12 +124,11 @@ def assign_virtual_device(
     # Each guest hypervisor programs the vIOMMU it was given with the
     # next level's mappings; the composed result is the shadow table.
     shadow = PageTable(name=f"vp-shadow:{device.name}")
-    levels = leaf_vm.level
-    shadow.map_many_pairs(
-        pfns, resolve_many_through_chain(leaf_vm, pfns), Perm.RW
-    )
+    for pfn, npages, host_pfn, _perm in resolve_many_through_chain(leaf_vm, pfns):
+        shadow.map(pfn, host_pfn, Perm.RW, npages)
+    pages = sum(len(run) for run in pfns)
     machine.metrics.charge(
-        "setup", costs.shadow_iommu_map_page * (levels - 1) * len(pfns)
+        "setup", costs.shadow_iommu_map_page * (leaf_vm.level - 1) * pages
     )
     if viommus:
         viommus[0].shadow_tables[device.bdf] = shadow
@@ -143,28 +142,17 @@ def assign_virtual_device(
     return VirtualPassthroughAssignment(device, leaf_vm, viommus, shadow)
 
 
-def populate_chain_epts(leaf_vm, pfns: List[int]) -> None:
+def populate_chain_epts(leaf_vm, pfns: List[range]) -> None:
     """Map pool pages at every level: level-m pfn p maps to parent pfn
-    p + m * stride (distinct per level, so translation bugs surface)."""
+    p + m * stride (distinct per level, so translation bugs surface).
+    Each page's target depends only on the page and the level, so
+    mapping the same pages again changes nothing."""
     stride = 1 << 8
     vm = leaf_vm
     while vm is not None:
-        # The leaf-pfn -> level-m-pfn offset depends only on the levels,
-        # not on the pfn: compute it once per level, not once per page.
-        offset = _chain_pfn(leaf_vm, vm, 0, stride)
-        if offset:
-            keys = [pfn + offset for pfn in pfns]
-        else:
-            keys = pfns
-        vm.ept.map_many_if_absent(keys, vm.level * stride, Perm.RW)
+        # What leaf pfn p looks like at this level: p + offset.
+        offset = stride * sum(range(vm.level + 1, leaf_vm.level + 1))
+        for run in pfns:
+            pfn = run.start + offset
+            vm.ept.map(pfn, pfn + vm.level * stride, Perm.RW, len(run))
         vm = vm.manager.vm if vm.manager is not None else None
-
-
-def _chain_pfn(leaf_vm, vm, pfn: int, stride: int) -> int:
-    """What leaf pfn ``pfn`` looks like at level ``vm.level``."""
-    offset = 0
-    level = leaf_vm.level
-    while level > vm.level:
-        offset += level * stride
-        level -= 1
-    return pfn + offset

@@ -15,10 +15,9 @@ is exactly the same as what it does with the regular passthrough model",
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
-from repro.hw.ept import PageTable, Perm
+from repro.hw.ept import PageTable, Perm, Run
 from repro.hw.iommu import Irte, IrteMode
 from repro.hw.mem import PAGE_SHIFT
 from repro.hw.pci import PciDevice
@@ -40,33 +39,28 @@ class MigrationNotSupported(RuntimeError):
     the key limitation DVH removes (§1, §3.6)."""
 
 
-@lru_cache(maxsize=16)
-def _dma_pool_pfns_cached(
-    buffers: int, buf_size: int, queues: int
-) -> Tuple[int, ...]:
-    pfns = set()
+def dma_pool_pfns(
+    buffers: int = 128, buf_size: int = 65536, queues: int = 4
+) -> List[range]:
+    """Guest page frames of the standard driver DMA pools (covering every
+    multiqueue pool stride), as sorted, disjoint, non-adjacent runs."""
+    spans = []
     for base in (RX_POOL_BASE, TX_POOL_BASE):
         for q in range(queues):
             qbase = base + q * QUEUE_POOL_STRIDE
             for i in range(buffers):
                 addr = qbase + i * buf_size
-                start = addr >> PAGE_SHIFT
-                end = (addr + buf_size - 1) >> PAGE_SHIFT
-                pfns.update(range(start, end + 1))
-    return tuple(sorted(pfns))
-
-
-def dma_pool_pfns(
-    buffers: int = 128, buf_size: int = 65536, queues: int = 4
-) -> List[int]:
-    """Guest page frames of the standard driver DMA pools (covering every
-    multiqueue pool stride).
-
-    The pool layout is a pure function of its parameters and this is
-    called for every stack build, so the computed frame set is cached;
-    callers get a fresh list they are free to mutate.
-    """
-    return list(_dma_pool_pfns_cached(buffers, buf_size, queues))
+                spans.append(
+                    (addr >> PAGE_SHIFT, ((addr + buf_size - 1) >> PAGE_SHIFT) + 1)
+                )
+    runs: List[range] = []
+    for start, stop in sorted(spans):
+        if runs and start <= runs[-1].stop:
+            if stop > runs[-1].stop:
+                runs[-1] = range(runs[-1].start, stop)
+        else:
+            runs.append(range(start, stop))
+    return runs
 
 
 def resolve_through_chain(leaf_vm, pfn: int) -> int:
@@ -75,36 +69,37 @@ def resolve_through_chain(leaf_vm, pfn: int) -> int:
     vm = leaf_vm
     current = pfn
     while vm is not None:
-        pte = vm.ept.lookup(current)
-        if pte is None:
+        entry = vm.ept.lookup(current)
+        if entry is None:
             raise KeyError(
                 f"{vm.name}: pfn {current:#x} not mapped in its EPT"
             )
-        current = pte.target_pfn
+        current = entry[0]
         vm = vm.manager.vm if vm.manager is not None else None
     return current
 
 
-def resolve_many_through_chain(leaf_vm, pfns: Iterable[int]) -> List[int]:
-    """Batch :func:`resolve_through_chain`: one pass per nesting level,
-    with the radix walk amortized over pfns sharing a leaf node."""
-    current = list(pfns)
+def resolve_many_through_chain(leaf_vm, pfns: Iterable[range]) -> List[Run]:
+    """Batch :func:`resolve_through_chain` over runs of leaf page frames:
+    the runs are composed through one EPT per nesting level.  Returns
+    ``(leaf_pfn, npages, host_pfn, perm)`` runs in input order; raises
+    KeyError naming the first unmapped pfn, in input order, at the first
+    level whose EPT lacks one."""
+    runs: List[Run] = [(r.start, len(r), r.start, Perm.RWX) for r in pfns]
     vm = leaf_vm
     while vm is not None:
-        ptes = vm.ept.lookup_many(current)
-        if None in ptes:
-            pfn = current[ptes.index(None)]
-            raise KeyError(f"{vm.name}: pfn {pfn:#x} not mapped in its EPT")
-        current = [pte.target_pfn for pte in ptes]
+        runs, missing = vm.ept.compose_runs(runs)
+        if missing is not None:
+            raise KeyError(f"{vm.name}: pfn {missing:#x} not mapped in its EPT")
         vm = vm.manager.vm if vm.manager is not None else None
-    return current
+    return runs
 
 
 def assign_physical_device(
     machine,
     device: PciDevice,
     leaf_vm,
-    pfns: Iterable[int],
+    pfns: List[range],
 ) -> PageTable:
     """Assign a physical device (e.g. an SR-IOV VF) to ``leaf_vm``.
 
@@ -120,13 +115,11 @@ def assign_physical_device(
         if bar.base is not None:
             leaf_vm.map_mmio_no_trap(bar.base, bar.size)
     domain = machine.iommu.attach(device)
-    levels = leaf_vm.level
-    pfn_list = list(pfns)
-    domain.map_many(
-        zip(pfn_list, resolve_many_through_chain(leaf_vm, pfn_list)), Perm.RW
-    )
+    for pfn, npages, host_pfn, _perm in resolve_many_through_chain(leaf_vm, pfns):
+        domain.map(pfn, host_pfn, Perm.RW, npages)
+    pages = sum(len(run) for run in pfns)
     machine.metrics.charge(
-        "setup", costs.shadow_iommu_map_page * levels * len(pfn_list)
+        "setup", costs.shadow_iommu_map_page * leaf_vm.level * pages
     )
     # VT-d posted interrupts straight to the leaf's first vCPU.
     if leaf_vm.vcpus:

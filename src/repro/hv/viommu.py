@@ -80,8 +80,7 @@ class VirtualIommu(PciDevice):
         if provider_vm is not None:
             resolved = provider_vm.ept.lookup(target_pfn)
             if resolved is not None:
-                shadow.map(iova_pfn, resolved.target_pfn, perm)
-                return None
+                target_pfn = resolved[0]
         shadow.map(iova_pfn, target_pfn, perm)
         return None
 

@@ -52,12 +52,12 @@ def test_shadow_table_composition_is_exact():
     from repro.hv.passthrough import resolve_through_chain
 
     checked = 0
-    for pfn, pte in assignment.shadow.entries():
-        assert pte.target_pfn == resolve_through_chain(stack.leaf_vm, pfn)
-        checked += 1
-        if checked >= 64:
-            break
-    assert checked > 0
+    for pfn, npages, target_pfn, perm in assignment.shadow.extents():
+        assert perm == Perm.RW
+        for i in range(npages):
+            assert target_pfn + i == resolve_through_chain(stack.leaf_vm, pfn + i)
+            checked += 1
+    assert checked == len(assignment.shadow) > 0
 
 
 def test_shadow_translate_enforces_permissions():
@@ -90,10 +90,12 @@ def test_nested_vm_unmodified():
 
 def test_populate_chain_epts_idempotent():
     stack = build_stack(StackConfig(levels=2, io_model="virtio"))
-    populate_chain_epts(stack.leaf_vm, [0x100, 0x101])
+    populate_chain_epts(stack.leaf_vm, [range(0x100, 0x102)])
     size_before = len(stack.leaf_vm.ept)
-    populate_chain_epts(stack.leaf_vm, [0x100, 0x101])
+    before = [vm.ept.extents() for vm in stack.vms]
+    populate_chain_epts(stack.leaf_vm, [range(0x100, 0x102)])
     assert len(stack.leaf_vm.ept) == size_before
+    assert [vm.ept.extents() for vm in stack.vms] == before
 
 
 def test_scalability_many_devices_one_host():
@@ -104,6 +106,6 @@ def test_scalability_many_devices_one_host():
         dev = VirtioDevice(f"extra{i}", provider_level=0)
         stack.machine.bus.plug(dev)
         assignment = assign_virtual_device(
-            stack.machine, dev, stack.leaf_vm, pfns=[0x2000 + i]
+            stack.machine, dev, stack.leaf_vm, pfns=[range(0x2000 + i, 0x2001 + i)]
         )
         assert assignment.shadow is not None

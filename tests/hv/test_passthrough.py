@@ -8,9 +8,11 @@ from repro.hv.passthrough import (
     MigrationNotSupported,
     assign_physical_device,
     dma_pool_pfns,
+    resolve_many_through_chain,
     resolve_through_chain,
 )
 from repro.hv.stack import StackConfig, build_stack
+from repro.hw.ept import Perm
 from repro.hw.iommu import IrteMode
 from repro.hw.ops import Op
 
@@ -22,11 +24,15 @@ def make(levels=2, io="passthrough"):
 
 
 def test_dma_pool_covers_all_queue_strides():
-    pfns = dma_pool_pfns(buffers=4, buf_size=65536, queues=2)
+    runs = dma_pool_pfns(buffers=4, buf_size=65536, queues=2)
     from repro.hv.virtio_backend import QUEUE_POOL_STRIDE, RX_POOL_BASE
 
-    assert (RX_POOL_BASE >> 12) in pfns
-    assert ((RX_POOL_BASE + QUEUE_POOL_STRIDE) >> 12) in pfns
+    assert any((RX_POOL_BASE >> 12) in run for run in runs)
+    assert any(((RX_POOL_BASE + QUEUE_POOL_STRIDE) >> 12) in run for run in runs)
+    # Sorted, disjoint and non-adjacent: one run per queue pool here.
+    assert all(a.stop < b.start for a, b in zip(runs, runs[1:]))
+    # 2 pools x 2 queues x 4 buffers x 16 pages.
+    assert len(runs) == 4 and sum(len(run) for run in runs) == 2 * 2 * 4 * 16
 
 
 def test_assignment_maps_bar_without_trapping():
@@ -83,6 +89,24 @@ def test_resolve_through_chain_missing_mapping_raises():
     stack = build_stack(StackConfig(levels=2, io_model="virtio"))
     with pytest.raises(KeyError):
         resolve_through_chain(stack.leaf_vm, 0xDEADBEEF)
+
+
+def test_resolve_many_through_chain_names_first_missing_pfn_and_vm():
+    stack = build_stack(StackConfig(levels=2, io_model="virtio"))
+    populate_chain_epts(stack.leaf_vm, [range(0x100, 0x104)])
+    mapped = [range(0x100, 0x104)]
+    # 0x300 comes first in input order, although 0x200 is the lower pfn.
+    with pytest.raises(KeyError, match=r"L2: pfn 0x300 not mapped"):
+        resolve_many_through_chain(
+            stack.leaf_vm, mapped + [range(0x300, 0x302), range(0x200, 0x201)]
+        )
+    # Mapped in the leaf's EPT but not in L1's: L1 and the L1-level pfn
+    # are named.
+    stack.leaf_vm.ept.map(0x500, 0x900, Perm.RW)
+    with pytest.raises(KeyError, match=r"L1: pfn 0x900 not mapped"):
+        resolve_many_through_chain(stack.leaf_vm, mapped + [range(0x500, 0x501)])
+    runs = resolve_many_through_chain(stack.leaf_vm, mapped)
+    assert runs == [(0x100, 4, resolve_through_chain(stack.leaf_vm, 0x100), Perm.RW)]
 
 
 def test_vf_exhaustion():

@@ -27,8 +27,9 @@ def test_program_traps_and_builds_both_tables():
     viommu = VirtualIommu("viommu-L1", provider_hv=0)
     stack.vms[0].bus.plug(viommu)
     device = PciDevice("assigned", 0x1AF4, 0x1000)
-    # Give the L1 VM an EPT entry so composition has something to chew.
-    stack.vms[0].ept.map(0x20, 0x99, Perm.RW)
+    # Give the L1 VM an EPT run so composition has something to chew;
+    # the programmed target 0x20 sits inside it.
+    stack.vms[0].ept.map(0x1E, 0x97, Perm.RW, npages=4)
     before = stack.metrics.copy()
 
     def program():
@@ -39,6 +40,9 @@ def test_program_traps_and_builds_both_tables():
     assert viommu.guest_tables[device.bdf].translate(0x10) == 0x20
     # Shadow composed through the L1 EPT: straight to host pfn.
     assert viommu.shadow_tables[device.bdf].translate(0x10) == 0x99
+    # One single-page extent in each table.
+    assert viommu.guest_tables[device.bdf].extents() == [(0x10, 1, 0x20, Perm.RW)]
+    assert viommu.shadow_tables[device.bdf].extents() == [(0x10, 1, 0x99, Perm.RW)]
 
 
 def test_program_without_ept_entry_falls_back_to_identity():
@@ -53,6 +57,7 @@ def test_program_without_ept_entry_falls_back_to_identity():
 
     stack.sim.run_process(program())
     assert viommu.shadow_tables[device.bdf].translate(0x10) == 0x7777
+    assert viommu.shadow_tables[device.bdf].extents() == [(0x10, 1, 0x7777, Perm.RW)]
 
 
 def test_shadow_for_unknown_device():

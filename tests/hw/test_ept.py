@@ -1,4 +1,4 @@
-"""Unit tests for EPT page tables, dirty logging, and composition."""
+"""Unit tests for extent-based EPT page tables and composition."""
 
 import pytest
 
@@ -40,16 +40,6 @@ def test_translate_addr_preserves_offset():
     assert ept.translate_addr(addr) == (0x99 << PAGE_SHIFT) | 0x123
 
 
-def test_unmap():
-    ept = PageTable()
-    ept.map(0x10, 0x99)
-    assert 0x10 in ept
-    assert ept.unmap(0x10)
-    assert 0x10 not in ept
-    assert not ept.unmap(0x10)
-    assert len(ept) == 0
-
-
 def test_remap_overwrites_without_count_growth():
     ept = PageTable()
     ept.map(0x10, 0x99)
@@ -60,7 +50,7 @@ def test_remap_overwrites_without_count_growth():
 
 def test_sparse_pfns_multilevel_walk():
     ept = PageTable()
-    # PFNs that differ in every radix level.
+    # Single pages spread over a 2**28-page space.
     pfns = [0, 1, 1 << 9, 1 << 18, 1 << 27, (1 << 27) | (5 << 9) | 3]
     for i, pfn in enumerate(pfns):
         ept.map(pfn, 1000 + i)
@@ -73,34 +63,48 @@ def test_entries_iteration_sorted():
     ept = PageTable()
     for pfn in [5, 3, 1 << 20, 7]:
         ept.map(pfn, pfn + 1)
-    listed = [pfn for pfn, _ in ept.entries()]
+    listed = [pfn for pfn, _n, _target, _perm in ept.extents()]
     assert listed == sorted(listed)
     assert set(listed) == {5, 3, 1 << 20, 7}
 
 
-def test_dirty_bit_set_on_write_access():
+def test_map_run_translates_every_page():
     ept = PageTable()
-    ept.map(0x10, 0x99, Perm.RW)
-    ept.translate(0x10, Perm.R)
-    assert list(ept.dirty_pages()) == []
-    ept.translate(0x10, Perm.W)
-    assert list(ept.dirty_pages()) == [0x10]
-    ept.clear_dirty()
-    assert list(ept.dirty_pages()) == []
+    ept.map(0x10, 0x100, Perm.RW, npages=8)
+    assert len(ept) == 8
+    assert ept.extents() == [(0x10, 8, 0x100, Perm.RW)]
+    for i in range(8):
+        assert ept.translate(0x10 + i, Perm.W) == 0x100 + i
+    assert 0x10 in ept and 0x17 in ept
+    assert 0x0F not in ept and 0x18 not in ept
 
 
-def test_write_protect_and_unprotect_cycle():
+def test_map_run_rejects_empty_run():
+    with pytest.raises(ValueError):
+        PageTable().map(0x10, 0x99, Perm.RW, npages=0)
+
+
+def test_overlapping_map_splits_extents():
     ept = PageTable()
-    ept.map(0x10, 0x99, Perm.RW)
-    ept.map(0x11, 0x9A, Perm.R)
-    protected = ept.write_protect_all()
-    assert protected == 1  # only the writable page
-    with pytest.raises(EptViolation):
-        ept.translate(0x10, Perm.W)
-    ept.unprotect(0x10)
-    assert ept.translate(0x10, Perm.W) == 0x99
-    # unprotect marks the page dirty (it was about to be written)
-    assert 0x10 in set(ept.dirty_pages())
+    ept.map(0, 100, Perm.RWX, npages=10)
+    ept.map(3, 500, Perm.R, npages=2)
+    assert ept.extents() == [
+        (0, 3, 100, Perm.RWX),
+        (3, 2, 500, Perm.R),
+        (5, 5, 105, Perm.RWX),
+    ]
+    assert len(ept) == 10
+    # A run straddling two extents and a gap trims both and counts the gap.
+    ept.map(4, 900, Perm.RW, npages=10)
+    assert ept.extents() == [
+        (0, 3, 100, Perm.RWX),
+        (3, 1, 500, Perm.R),
+        (4, 10, 900, Perm.RW),
+    ]
+    assert len(ept) == 14
+    # Re-mapping an extent exactly is a no-op.
+    ept.map(4, 900, Perm.RW, npages=10)
+    assert len(ept) == 14 and len(ept.extents()) == 3
 
 
 def test_compose_basic():
@@ -148,3 +152,27 @@ def test_compose_three_levels_associative():
     assert shadow.translate(7, Perm.W) == 7000
     step = t1.translate(t2.translate(t3.translate(7, Perm.W), Perm.W), Perm.W)
     assert step == 7000
+
+
+def test_compose_splits_runs_at_outer_extents():
+    inner = PageTable()
+    outer = PageTable()
+    inner.map(0, 100, Perm.RW, npages=8)
+    outer.map(100, 1000, Perm.RW, npages=3)
+    outer.map(105, 2000, Perm.R, npages=10)
+    shadow = compose(outer, inner)
+    assert shadow.extents() == [
+        (0, 3, 1000, Perm.RW),
+        (5, 3, 2000, Perm.R),
+    ]
+    assert 3 not in shadow and 4 not in shadow
+
+
+def test_compose_runs_reports_first_missing_in_input_order():
+    outer = PageTable()
+    outer.map(100, 1000, Perm.RW, npages=4)
+    runs = [(0, 4, 100, Perm.RW), (4, 2, 300, Perm.RW), (6, 2, 200, Perm.RW)]
+    composed, missing = outer.compose_runs(runs)
+    assert composed == [(0, 4, 1000, Perm.RW)]
+    assert missing == 300
+    assert outer.compose_runs(runs[:1]) == ([(0, 4, 1000, Perm.RW)], None)
