@@ -123,6 +123,7 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
 
     from repro.core.features import DvhFeatures
     from repro.hv.stack import StackConfig, build_stack
+    from repro.hw.machine import Machine
     from repro.workloads.apps import NETPERF_RR
     from repro.workloads.engines import run_rr
 
@@ -130,12 +131,8 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
 
     def one(capture: bool) -> float:
         stack = build_stack(
-            StackConfig(
-                levels=2,
-                io_model="vp",
-                dvh=DvhFeatures.full(),
-                fast_forward=False,
-            )
+            StackConfig(levels=2, io_model="vp", dvh=DvhFeatures.full()),
+            machine=Machine(sim=Simulator(fast_forward=False)),
         )
         if capture:
             stack.machine.enable_request_capture(series="bench")

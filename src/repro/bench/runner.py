@@ -7,8 +7,6 @@ paper's row/series format.  Everything is deterministic.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,7 +36,6 @@ __all__ = [
     "run_figure10",
     "run_figure",
     "run_migration_experiment",
-    "fast_forward_override",
     "DEFAULT_SCALES",
 ]
 
@@ -46,27 +43,6 @@ __all__ = [
 #: converges in a handful of transactions; deep-nesting paravirtual
 #: configurations simulate fewer to bound wall-clock time.
 DEFAULT_SCALES: Dict[int, float] = {0: 0.4, 1: 0.4, 2: 0.4, 3: 0.15}
-
-
-@contextmanager
-def fast_forward_override(value: Optional[bool]):
-    """Force steady-state fast-forward on/off for every stack built in
-    the block (None = leave the ambient default alone).  Implemented via
-    the ``REPRO_FAST_FORWARD`` env var so ``map_cells`` worker processes
-    inherit it — results are byte-identical either way, this only picks
-    micro-stepping vs macro-events."""
-    if value is None:
-        yield
-        return
-    prev = os.environ.get("REPRO_FAST_FORWARD")
-    os.environ["REPRO_FAST_FORWARD"] = "1" if value else "0"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_FAST_FORWARD", None)
-        else:
-            os.environ["REPRO_FAST_FORWARD"] = prev
 
 
 @dataclass
@@ -105,38 +81,34 @@ def run_table3(
     benches: Optional[List[str]] = None,
     jobs: int = 1,
     seed: int = 0,
-    fast_forward: Optional[bool] = None,
 ) -> Table3Result:
     """Regenerate Table 3: microbenchmark cycle costs.
 
     ``jobs`` fans the (bench, config) cells over worker processes
     (0 = one per CPU); results are identical to a serial run.  ``seed``
     reseeds every cell's stack (same seed, same table).
-    ``fast_forward`` forces epoch skipping on/off for every cell (None =
-    ambient default); the cycle numbers are identical either way.
     """
-    with fast_forward_override(fast_forward):
-        benches = list(benches) if benches is not None else list(MICROBENCHMARKS)
-        result = Table3Result(configs=[name for name, _ in TABLE3_CONFIGS])
-        if jobs != 1:
-            tasks = [
-                (bench, i, iterations, seed)
-                for bench in benches
-                for i in range(len(TABLE3_CONFIGS))
-            ]
-            values = iter(map_cells(table3_cell, tasks, jobs))
-            for bench in benches:
-                result.cells[bench] = {
-                    name: next(values) for name, _ in TABLE3_CONFIGS
-                }
-            return result
+    benches = list(benches) if benches is not None else list(MICROBENCHMARKS)
+    result = Table3Result(configs=[name for name, _ in TABLE3_CONFIGS])
+    if jobs != 1:
+        tasks = [
+            (bench, i, iterations, seed)
+            for bench in benches
+            for i in range(len(TABLE3_CONFIGS))
+        ]
+        values = iter(map_cells(table3_cell, tasks, jobs))
         for bench in benches:
-            row: Dict[str, float] = {}
-            for config_name, factory in TABLE3_CONFIGS:
-                stack = build_stack(replace(factory(), seed=seed))
-                row[config_name] = run_microbenchmark(stack, bench, iterations)
-            result.cells[bench] = row
+            result.cells[bench] = {
+                name: next(values) for name, _ in TABLE3_CONFIGS
+            }
         return result
+    for bench in benches:
+        row: Dict[str, float] = {}
+        for config_name, factory in TABLE3_CONFIGS:
+            stack = build_stack(replace(factory(), seed=seed))
+            row[config_name] = run_microbenchmark(stack, bench, iterations)
+        result.cells[bench] = row
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +120,6 @@ def _run_app_figure(
     jobs: int = 1,
     configs_key: Optional[str] = None,
     seed: int = 0,
-    fast_forward: Optional[bool] = None,
 ) -> FigureResult:
     scales = scales or DEFAULT_SCALES
     apps = list(apps) if apps is not None else app_names()
@@ -160,20 +131,19 @@ def _run_app_figure(
     # elapsed-time workloads compare equal transaction counts and warmup
     # edge effects cancel in the overhead ratio.
     uniform_scale = min(scales.get(config.levels, 0.3) for _name, config in built)
-    with fast_forward_override(fast_forward):
-        if jobs != 1 and configs_key is not None:
-            tasks = [
-                (configs_key, i, app, uniform_scale, seed)
-                for app in apps
-                for i in range(len(configs))
-            ]
-            cells = map_cells(app_cell, tasks, jobs)
-        else:
-            cells = [
-                run_app(build_stack(config), app, scale=uniform_scale)
-                for app in apps
-                for _name, config in built
-            ]
+    if jobs != 1 and configs_key is not None:
+        tasks = [
+            (configs_key, i, app, uniform_scale, seed)
+            for app in apps
+            for i in range(len(configs))
+        ]
+        cells = map_cells(app_cell, tasks, jobs)
+    else:
+        cells = [
+            run_app(build_stack(config), app, scale=uniform_scale)
+            for app in apps
+            for _name, config in built
+        ]
     it = iter(cells)
     for app in apps:
         native_result: Optional[AppResult] = None
@@ -191,8 +161,7 @@ def _run_app_figure(
     return result
 
 
-def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
+def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Application performance, six configurations (Figure 7)."""
     return _run_app_figure(
         "Figure 7: Application performance",
@@ -202,12 +171,10 @@ def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0,
         jobs=jobs,
         configs_key="7",
         seed=seed,
-        fast_forward=fast_forward,
     )
 
 
-def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
+def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Incremental DVH breakdown (Figure 8)."""
     return _run_app_figure(
         "Figure 8: Application performance breakdown",
@@ -217,12 +184,10 @@ def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0,
         jobs=jobs,
         configs_key="8",
         seed=seed,
-        fast_forward=fast_forward,
     )
 
 
-def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
+def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Application performance in an L3 VM (Figure 9)."""
     return _run_app_figure(
         "Figure 9: Application performance in L3 VM",
@@ -232,12 +197,10 @@ def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0,
         jobs=jobs,
         configs_key="9",
         seed=seed,
-        fast_forward=fast_forward,
     )
 
 
-def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0,
-                fast_forward: Optional[bool] = None) -> FigureResult:
+def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Xen as guest hypervisor on KVM (Figure 10)."""
     return _run_app_figure(
         "Figure 10: Application performance, Xen on KVM",
@@ -247,13 +210,11 @@ def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0,
         jobs=jobs,
         configs_key="10",
         seed=seed,
-        fast_forward=fast_forward,
     )
 
 
 def run_figure(
     which: str, apps=None, scales=None, jobs: int = 1, seed: int = 0,
-    fast_forward: Optional[bool] = None,
 ) -> FigureResult:
     """Dispatch by figure number ("7", "8", "9", "10")."""
     runners = {
@@ -265,7 +226,6 @@ def run_figure(
     try:
         return runners[str(which)](
             apps=apps, scales=scales, jobs=jobs, seed=seed,
-            fast_forward=fast_forward,
         )
     except KeyError:
         raise ValueError(f"no such figure: {which}") from None

@@ -739,8 +739,7 @@ def _run_scenarios(args) -> int:
         return 0
 
     if args.mode == "run":
-        jobs = args.jobs if args.jobs != 1 else None
-        results = run_scenarios(specs, jobs=jobs, audit=args.audit)
+        results = run_scenarios(specs, jobs=args.jobs, audit=args.audit)
         if args.json:
             print(json.dumps(results, indent=2, sort_keys=True))
         else:

@@ -94,16 +94,6 @@ class Fabric:
         self.admin_down: set = set()
         #: Frames dropped because the destination was unknown or lost.
         self.undeliverable = 0
-        # Fast-forward: the fabric's counters (cross_host bytes, frame
-        # counts) join every epoch fingerprint on the shared simulator,
-        # so a skipped pre-copy cadence scales them exactly.
-        sim.ff.register_metrics(self.metrics)
-        sim.ff.add_veto(self._ff_veto)
-
-    def _ff_veto(self):
-        # Fabric fault windows (partitions, host loss, degrade) open and
-        # close on absolute schedules a macro-event could jump past.
-        return "fabric_faults" if self.faults is not None else None
 
     # ------------------------------------------------------------------
     # Topology
@@ -244,24 +234,6 @@ class Fabric:
             + 2 * self.costs.fabric_latency
             + self.costs.fabric_switch_latency
         )
-
-    # ------------------------------------------------------------------
-    # Fast-forward compensation
-    # ------------------------------------------------------------------
-    def ff_precopy_compensate(
-        self, src: str, dst: str, n: int, chunk_bytes: int
-    ) -> None:
-        """A fast-forward macro-event just skipped ``n`` full pre-copy
-        chunks src -> dst.  The fabric's :class:`Metrics` were scaled by
-        the skip machinery; the plain per-port / per-wire tallies along
-        the path are the fabric's to compensate here.  Subclasses with
-        more tiers (spine trunks) extend this."""
-        src_port = self.port(src)
-        dst_port = self.port(dst)
-        src_port.frames["tx"] += n
-        dst_port.frames["rx"] += n
-        src_port.wire.bytes_carried["out"] += n * chunk_bytes
-        dst_port.wire.bytes_carried["in"] += n * chunk_bytes
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -222,9 +222,8 @@ class ClusterHost:
     def shutdown(self) -> None:
         """Tear the system stack down (the power-off half of a kernel
         upgrade).  Only a tenant-free host may shut down.  The machine's
-        Metrics and fast-forward veto are unregistered so a fleet of
-        upgraded-and-idle hosts stops contributing to every epoch
-        fingerprint — same invalidation discipline as registration."""
+        Metrics and fast-forward veto are unregistered so the shared
+        simulator stops holding on to the dead machine."""
         if self.tenants:
             raise ValueError(
                 f"{self.name}: cannot shut down with "

@@ -26,37 +26,7 @@ __all__ = [
     "enable_virtual_idle",
     "update_virtual_idle_policy",
     "register_ownership",
-    "run_poll_idle_loop",
 ]
-
-
-def run_poll_idle_loop(stack, window_s: float = 0.0005, polls: int = 200) -> float:
-    """The poll-in-the-guest idle alternative §3.4 rejects: instead of
-    halting, the guest spins for a fixed window, checks for work, and
-    spins again — burning real CPU the whole time (charged to the
-    ``guest_work`` cycle category so the waste is visible in reports).
-
-    Each window is one epoch of the ``vidle:poll`` fast-forward source:
-    the loop is perfectly periodic, so the engine macro-skips it after
-    the confirmation window.  Returns total polled cycles.
-    """
-    sim = stack.sim
-    metrics = stack.machine.metrics
-    window = sim.cycles(window_s)
-
-    def main():
-        src = sim.ff.source("vidle:poll")
-        start = sim.now
-        left = polls
-        while left > 0:
-            metrics.charge("guest_work", window)
-            yield window
-            left -= 1
-            if left:
-                left -= src.observe(left)
-        return sim.now - start
-
-    return sim.run_process(main(), "poll-idle")
 
 
 def register_ownership(registry) -> None:

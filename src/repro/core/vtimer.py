@@ -27,7 +27,6 @@ __all__ = [
     "save_virtual_timer",
     "restore_virtual_timer",
     "register_ownership",
-    "run_tick_loop",
 ]
 
 
@@ -65,39 +64,6 @@ def enable_virtual_timers(hv_stack: List, leaf_vm) -> bool:
             enabled_all = False
         vm = manager.vm
     return enabled_all
-
-
-def run_tick_loop(stack, interval_s: float = 0.001, ticks: int = 200) -> float:
-    """A guest periodic-timer tick loop (the classic 1 kHz guest tick):
-    program the LAPIC timer one interval ahead, halt until it fires,
-    repeat.  Exercises the full §3.2 programming path each tick — on a
-    DVH stack one L0 exit per programming, on a trap-forward stack the
-    whole forwarding chain.
-
-    The loop registers itself as the ``vtimer:tick`` fast-forward
-    source: ticks are strictly periodic with an identical counter delta,
-    so after the confirmation window the engine collapses the remaining
-    ticks into macro-events.  Returns average cycles per tick.
-    """
-    from repro.hw.lapic import TIMER_VECTOR
-
-    ctx = stack.ctx(0)
-    sim = stack.sim
-    interval = sim.cycles(interval_s)
-
-    def main():
-        src = sim.ff.source("vtimer:tick")
-        start = sim.now
-        left = ticks
-        while left > 0:
-            yield from ctx.program_timer(ctx.read_tsc() + interval, TIMER_VECTOR)
-            yield from ctx.wait_for_interrupt()
-            left -= 1
-            if left:
-                left -= src.observe(left)
-        return (sim.now - start) / ticks
-
-    return sim.run_process(main(), "vtimer-tick")
 
 
 def save_virtual_timer(vcpu) -> Optional[int]:

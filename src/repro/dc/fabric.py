@@ -21,10 +21,9 @@ Generalizes the single-ToR :class:`~repro.cluster.fabric.Fabric`:
   ``hash()`` would break run-to-run determinism), so one flow always
   takes one path and different flows spread across spines.
 
-The ``cross_host`` metrics table, fault classes, and fast-forward
-compensation all keep working: per-link faults target hosts as before,
-and trunks are addressable as ``rack{r}:spine{s}`` in
-``fabric_partition`` mechanisms.
+The ``cross_host`` metrics table and fault classes keep working:
+per-link faults target hosts as before, and trunks are addressable as
+``rack{r}:spine{s}`` in ``fabric_partition`` mechanisms.
 """
 
 from __future__ import annotations
@@ -192,21 +191,6 @@ class SpineLeafFabric(Fabric):
             + 2 * self.costs.spine_latency
             + self.costs.spine_switch_latency
         )
-
-    # ------------------------------------------------------------------
-    # Fast-forward compensation
-    # ------------------------------------------------------------------
-    def ff_precopy_compensate(
-        self, src: str, dst: str, n: int, chunk_bytes: int
-    ) -> None:
-        super().ff_precopy_compensate(src, dst, n, chunk_bytes)
-        src_rack = self.rack_of.get(src)
-        dst_rack = self.rack_of.get(dst)
-        if src_rack is None or dst_rack is None or src_rack == dst_rack:
-            return
-        spine = self.spine_for(src, dst)
-        self.trunks[(src_rack, spine)].bytes_carried["out"] += n * chunk_bytes
-        self.trunks[(dst_rack, spine)].bytes_carried["in"] += n * chunk_bytes
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.host import ClusterHost, Tenant
 from repro.cluster.orchestrator import Orchestrator
@@ -52,12 +52,11 @@ class Datacenter:
         seed: int = 0,
         quiescent: bool = True,
         costs=None,
-        fast_forward: Optional[bool] = None,
     ) -> None:
         self.spec = spec
         self.seed = seed
         self.quiescent = quiescent
-        self.sim = Simulator(seed=seed, fast_forward=fast_forward)
+        self.sim = Simulator(seed=seed)
         self.costs = costs if costs is not None else default_costs()
         topo = spec.topology
         self.fabric = SpineLeafFabric(

@@ -182,10 +182,9 @@ def run_dc(
     spec: DCSpec,
     seed: int = 0,
     quiescent: bool = True,
-    fast_forward: Optional[bool] = None,
 ) -> Datacenter:
     """Build the fleet, start the control plane, run to completion."""
-    dc = Datacenter(spec, seed=seed, quiescent=quiescent, fast_forward=fast_forward)
+    dc = Datacenter(spec, seed=seed, quiescent=quiescent)
     ControlPlane(dc).start()
     dc.sim.run()
     return dc

@@ -64,12 +64,6 @@ class KvmHypervisor:
     #: The registry exits are routed and dispatched through.
     registry: ClassVar[ExitHandlerRegistry] = DEFAULT_REGISTRY
 
-    #: Legacy aliases into the profile (kept for tests and callers that
-    #: predate hv.profiles).
-    OP_COUNTS: ClassVar[Dict[ExitReason, Tuple[int, int]]] = KVM_PROFILE.op_counts
-    SHADOWED_ACCESSES: ClassVar[int] = KVM_PROFILE.shadowed_accesses
-    WAKE_OPS: ClassVar[Tuple[int, int]] = KVM_PROFILE.wake_ops
-
     def __init__(
         self,
         machine,

@@ -86,10 +86,6 @@ class StackConfig:
     #: (S3/S4: DVH-VP measured on ARM too) or "riscv" (H-extension;
     #: ROADMAP item 4).  I/O models are platform-agnostic.
     arch: str = "x86"
-    #: Steady-state fast-forward (epoch skipping): None = follow the
-    #: ``REPRO_FAST_FORWARD`` env default, True/False force it for this
-    #: stack.  Simulated results are byte-identical either way.
-    fast_forward: object = None
     #: OoH feature grants to the L1 guest hypervisor (see repro.ooh), or
     #: None = the grant layer is absent entirely (byte-identical to a
     #: pre-OoH build).  An empty GrantSet installs the layer with no
@@ -185,9 +181,7 @@ def build_stack(config: StackConfig, machine: Machine = None) -> Stack:
         from repro.sim.costs import costs_for_arch
 
         costs = None if config.arch == "x86" else costs_for_arch(config.arch)
-        machine = Machine(
-            seed=config.seed, costs=costs, fast_forward=config.fast_forward
-        )
+        machine = Machine(seed=config.seed, costs=costs)
     if config.ooh is not None:
         machine.ooh = GrantTable(config.ooh, machine.metrics)
     stack = Stack(config, machine)

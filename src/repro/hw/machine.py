@@ -35,13 +35,8 @@ class Machine:
         num_cpus: int = 20,
         memory_bytes: int = 192 * GB,
         seed: int = 0,
-        fast_forward: Optional[bool] = None,
     ) -> None:
-        self.sim = (
-            sim
-            if sim is not None
-            else Simulator(seed=seed, fast_forward=fast_forward)
-        )
+        self.sim = sim if sim is not None else Simulator(seed=seed)
         self.costs = costs if costs is not None else default_costs()
         self.metrics = Metrics()
         self.memory = MemorySpace(memory_bytes, name="host-ram")

@@ -1,14 +1,21 @@
 """Steady-state fast-forward: epoch-skipping macro-events.
 
-The reproduction's workloads spend most of their simulated time in
-strictly periodic phases — netperf RR round trips, timer re-arm ticks,
-idle poll loops, pre-copy chunk cadences.  The engine normally replays
-every micro-event of every epoch.  This module detects steady state and
-collapses runs of identical epochs into one *macro-event*: the clock
-jumps N periods and the fingerprinted per-epoch :class:`Metrics` deltas
-are applied N times.  The contract is strict equivalence — a run with
-fast-forward enabled produces **byte-identical** metrics, digests, and
-final simulated time as a run without it.
+The engine normally replays every micro-event of every epoch.  This
+module detects steady state and collapses runs of identical epochs into
+one *macro-event*: the clock jumps N periods and the fingerprinted
+per-epoch :class:`Metrics` deltas are applied N times.  The contract is
+strict equivalence — a run with fast-forward enabled produces
+**byte-identical** metrics, digests, and final simulated time as a run
+without it.
+
+Two kinds of loop pay for that obligation and are the only sources:
+the Table 3 microbenchmark loops (``micro:hypercall``,
+``micro:devnotify``, ``micro:program-timer``) and the netperf RR round
+trips behind Figure 7 (``rr:<app>``).  A new source must show a measured host-time saving
+first (see ``docs/performance.md``).  The switch lives in one place:
+:class:`~repro.sim.engine.Simulator`'s ``fast_forward`` argument, which
+defaults to the ``REPRO_FAST_FORWARD`` environment variable (the CLI's
+``--no-fast-forward`` sets it).
 
 How a source earns a skip
 -------------------------
@@ -25,11 +32,13 @@ after each completed transaction).  The source walks a state machine:
 2. **Fingerprint** — with the cycle locked, the per-block deltas of
    every registered :class:`~repro.metrics.counters.Metrics` object
    (plus the caller-supplied ``extra`` observables, e.g. the transaction
-   latencies) must be identical for ``confirm`` consecutive blocks.
+   latencies) must be identical for ``CONFIRM_BLOCKS`` consecutive
+   blocks.
 3. **Skip** — with a confirmed fingerprint, ``observe`` may collapse
-   whole future blocks: it advances the clock via
-   :meth:`Simulator.fast_advance` and applies the fingerprint deltas
-   scaled by the skip count.  The *last* epoch is always executed
+   whole future blocks: it finds the window with
+   :meth:`Simulator.ff_scan`, moves the clock and the mid-cycle sleepers
+   forward with :meth:`Simulator.ff_shift`, and applies the fingerprint
+   deltas scaled by the skip count.  The *last* epoch is always executed
    micro-step so terminal state (armed timers, final events) is
    re-established identically to the slow path.
 
@@ -44,7 +53,7 @@ identity cannot be proven:
   migration starting): the generation counter bump invalidates every
   source's fingerprint;
 * the **window** is too small: anything live on the event heap before
-  ``now + n * period`` (a fabric packet in flight, another process's
+  ``now + n * period`` (a NIC packet in flight, another process's
   delay, a *live* armed timer) bounds the jump — only cancelled
   :class:`~repro.sim.engine.TimerHandle` entries may be jumped over;
 * the simulator's **rng state** changed since the fingerprint was
@@ -106,10 +115,6 @@ class PeriodicSource:
     __slots__ = (
         "ff",
         "name",
-        "confirm",
-        "max_skip",
-        "shift_carriers",
-        "veto_exempt",
         "skipped_extras",
         "_generation",
         "_last_now",
@@ -132,29 +137,9 @@ class PeriodicSource:
         "epochs_skipped",
     )
 
-    def __init__(
-        self,
-        ff: "FastForward",
-        name: str,
-        confirm: int = CONFIRM_BLOCKS,
-        max_skip: Optional[int] = None,
-        shift_carriers: bool = True,
-        veto_exempt: tuple = (),
-    ) -> None:
+    def __init__(self, ff: "FastForward", name: str) -> None:
         self.ff = ff
         self.name = name
-        self.confirm = confirm
-        #: Optional cap on epochs skipped per macro-event.
-        self.max_skip = max_skip
-        #: Whether mid-cycle sleeper processes may be displaced across a
-        #: skip (see :meth:`Simulator.ff_shift`).  Sources whose epochs
-        #: must not elide *any* concurrent activity (e.g. pre-copy chunk
-        #: streams racing a dirtying workload) set this False, making an
-        #: empty window the only skippable state.
-        self.shift_carriers = shift_carriers
-        #: Veto causes this source may ignore (e.g. the migration veto,
-        #: for the migration's own chunk-cadence source).
-        self.veto_exempt = frozenset(veto_exempt)
         #: After a skip: the ``extra`` observables of the skipped epochs,
         #: in order, for the caller to replay its own bookkeeping.
         self.skipped_extras: List[Any] = []
@@ -270,7 +255,7 @@ class PeriodicSource:
         # ---- vetoes (checked before paying for snapshots) ---------
         for veto in ff._vetoes:
             cause = veto()
-            if cause and cause not in self.veto_exempt:
+            if cause:
                 if cause != self._veto_active:
                     self._veto_active = cause
                     ff.invalidate(cause)
@@ -285,10 +270,6 @@ class PeriodicSource:
             # Runnable work at the boundary: not a quiescent point.
             self._drop_fingerprint()
             return 0
-        if carriers and not self.shift_carriers:
-            near = carriers[0][0]
-            window = near if window is None or near < window else window
-            carriers = []
         # The heap profile joins the fingerprint: the mid-cycle sleepers
         # (cycle carriers) must sit at the same offsets every block, and
         # near-term *non*-carrier work (a live timer, a pending callable)
@@ -342,13 +323,13 @@ class PeriodicSource:
             self._float_log = logs
             self._rng_state = sim.rng.getstate()
             return 0
-        if self._delta_streak == self.confirm:
+        if self._delta_streak == CONFIRM_BLOCKS:
             self.detections += 1
             ff.detections += 1
 
         # ---- 3. skip (whole blocks) -------------------------------
         max_epochs = remaining - 1
-        if self._delta_streak < self.confirm or max_epochs < stride:
+        if self._delta_streak < CONFIRM_BLOCKS or max_epochs < stride:
             return 0
         rng_state = sim.rng.getstate()
         if rng_state != self._rng_state:
@@ -378,10 +359,6 @@ class PeriodicSource:
                 return 0
             if n_window < n:
                 n = n_window
-        if self.max_skip is not None and n > self.max_skip // stride:
-            n = self.max_skip // stride
-        if n <= 0:
-            return 0
         sim.ff_shift(carriers, n * block_period)
         for metrics, d, flog in zip(ff._metrics, self._delta, self._float_log):
             metrics.apply_scaled(d, n, flog)
@@ -439,8 +416,8 @@ class FastForward:
     # ------------------------------------------------------------------
     def register_metrics(self, metrics) -> None:
         """Track a :class:`Metrics` object: its per-epoch deltas join
-        every fingerprint and are scaled on every skip.  Machines and
-        the cluster fabric register theirs at construction."""
+        every fingerprint and are scaled on every skip.  Machines
+        register theirs at construction."""
         if metrics not in self._metrics:
             self._metrics.append(metrics)
 
@@ -467,21 +444,11 @@ class FastForward:
         except ValueError:
             pass
 
-    def source(
-        self,
-        name: str,
-        confirm: int = CONFIRM_BLOCKS,
-        max_skip: Optional[int] = None,
-        shift_carriers: bool = True,
-        veto_exempt: tuple = (),
-    ) -> PeriodicSource:
+    def source(self, name: str) -> PeriodicSource:
         """Get-or-create the named periodic source."""
         src = self.sources.get(name)
         if src is None:
-            src = PeriodicSource(
-                self, name, confirm, max_skip, shift_carriers, veto_exempt
-            )
-            self.sources[name] = src
+            src = self.sources[name] = PeriodicSource(self, name)
         return src
 
     # ------------------------------------------------------------------

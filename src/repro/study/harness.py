@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.parallel import map_cells
-from repro.bench.runner import fast_forward_override
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig
 from repro.ooh.grants import GrantSet
@@ -375,17 +374,13 @@ def run_study(
     spec: Optional[StudySpec] = None,
     seed: int = 0,
     jobs: int = 1,
-    fast_forward: Optional[bool] = None,
 ) -> StudyResult:
     """Run the whole matrix.  ``jobs`` fans cells over worker processes
-    (0 = one per CPU); ``fast_forward`` forces epoch skipping on/off for
-    every cell (None = ambient default).  The result — including its
-    digest — is byte-identical across jobs counts and either
-    fast-forward mode."""
+    (0 = one per CPU).  The result — including its digest — is
+    byte-identical across jobs counts and with fast-forward on or off."""
     spec = spec if spec is not None else StudySpec()
     tasks = study_tasks(spec, seed)
-    with fast_forward_override(fast_forward):
-        rows = map_cells(study_cell, tasks, jobs)
+    rows = map_cells(study_cell, tasks, jobs)
     return StudyResult(
         spec_name=spec.name, seed=seed, rows=rows, digest=_digest(rows)
     )

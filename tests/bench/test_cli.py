@@ -204,3 +204,20 @@ def test_study_command_renders_report(capsys):
 def test_study_command_rejects_bad_spec(capsys):
     assert main(["study", "--spec", "/nonexistent/spec.json"]) == 1
     assert "spec error" in capsys.readouterr().out
+
+
+def test_scenarios_run_default_jobs_is_serial(monkeypatch, capsys):
+    """`--jobs 1` (the default) must take the serial path even on a
+    multi-CPU host: no worker pool may be created."""
+    import json as json_mod
+
+    import repro.bench.parallel as parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs 1 started a worker pool")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    assert main(["scenarios", "run", "--count", "2", "--seed", "1", "--json"]) == 0
+    rows = json_mod.loads(capsys.readouterr().out)
+    assert [r["index"] for r in rows] == [0, 1]

@@ -73,8 +73,9 @@ def test_summary_carries_slo_sections(study):
     json.dumps(summary)  # JSON-friendly end to end
 
 
-def test_slo_study_deterministic_across_fast_forward(study):
-    again = run_dc(load_spec("slo"), seed=0, fast_forward=False)
+def test_slo_study_deterministic_across_fast_forward(study, monkeypatch):
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "0")
+    again = run_dc(load_spec("slo"), seed=0)
     assert again.digest() == study.digest()
     assert [r.as_dict() for r in again.control.slo_reports] == [
         r.as_dict() for r in study.control.slo_reports

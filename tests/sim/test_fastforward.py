@@ -13,8 +13,6 @@ stop macro-events from engaging or drop the locked fingerprint.
 import pytest
 
 from repro.core.features import DvhFeatures
-from repro.core.vidle import run_poll_idle_loop
-from repro.core.vtimer import run_tick_loop
 from repro.hv.stack import StackConfig, build_stack
 from repro.workloads.apps import run_app
 from repro.workloads.microbench import run_microbenchmark
@@ -29,21 +27,27 @@ def _digest(stack):
     )
 
 
-def _stack(ff, **kw):
+def _set_ff(monkeypatch, ff):
+    """Flip the one fast-forward switch every Simulator reads."""
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "1" if ff else "0")
+
+
+def _stack(monkeypatch, ff, **kw):
+    _set_ff(monkeypatch, ff)
     kw.setdefault("levels", 2)
     kw.setdefault("io_model", "virtio")
     kw.setdefault("dvh", DvhFeatures.full())
-    return build_stack(StackConfig(fast_forward=ff, **kw))
+    return build_stack(StackConfig(**kw))
 
 
 # ----------------------------------------------------------------------
 # Equivalence: byte-identical digests with fast-forward on vs off
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", ["Hypercall", "DevNotify", "ProgramTimer"])
-def test_table3_micro_ops_byte_identical(bench):
+def test_table3_micro_ops_byte_identical(bench, monkeypatch):
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff)
+        stack = _stack(monkeypatch, ff)
         cycles = run_microbenchmark(stack, bench, iterations=40)
         runs[ff] = (cycles, _digest(stack), stack.sim.ff.epochs_skipped)
     assert runs[True][:2] == runs[False][:2]
@@ -60,10 +64,10 @@ def test_table3_micro_ops_byte_identical(bench):
         (1, "virtio", DvhFeatures.none()),
     ],
 )
-def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh):
+def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh, monkeypatch):
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff, levels=levels, io_model=io_model, dvh=dvh)
+        stack = _stack(monkeypatch, ff, levels=levels, io_model=io_model, dvh=dvh)
         r = run_app(stack, "netperf_rr", scale=0.3)
         runs[ff] = (
             (r.value, r.elapsed_s, r.txns, tuple(r.latencies)),
@@ -74,8 +78,8 @@ def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh):
     assert runs[False][2] == 0
 
 
-def test_netperf_rr_steady_state_actually_skips():
-    stack = _stack(True)
+def test_netperf_rr_steady_state_actually_skips(monkeypatch):
+    stack = _stack(monkeypatch, True)
     run_app(stack, "netperf_rr", scale=0.5)
     ff = stack.sim.ff
     assert ff.detections >= 1
@@ -86,41 +90,20 @@ def test_netperf_rr_steady_state_actually_skips():
     assert stats["ff_macro_events"] == ff.macro_events
 
 
-def test_vtimer_tick_loop_byte_identical():
-    runs = {}
-    for ff in (False, True):
-        stack = _stack(ff)
-        per_tick = run_tick_loop(stack, ticks=300)
-        runs[ff] = (per_tick, _digest(stack), stack.sim.ff.epochs_skipped)
-    assert runs[True][:2] == runs[False][:2]
-    assert runs[True][2] > 250
-
-
-def test_poll_idle_loop_byte_identical():
-    runs = {}
-    for ff in (False, True):
-        stack = _stack(ff)
-        polled = run_poll_idle_loop(stack, polls=300)
-        runs[ff] = (polled, _digest(stack), stack.sim.ff.epochs_skipped)
-    assert runs[True][:2] == runs[False][:2]
-    assert runs[True][2] > 250
-
-
-def test_fuzz_campaign_digests_identical():
+def test_fuzz_campaign_digests_identical(monkeypatch):
     """100 episodes, every digest identical with fast-forward on vs off.
 
     Fault injection vetoes skipping, so this doubles as the guard that
     the fast-forward machinery never perturbs a run it cannot skip.
     """
-    from repro.bench.runner import fast_forward_override
     from repro.faults.fuzz import TrapChainFuzzer
 
     outcomes = {}
     for ff in (False, True):
-        with fast_forward_override(ff):
-            campaign = TrapChainFuzzer(
-                seed=11, episodes=100, replay_every=0, ops_per_worker=6
-            ).run()
+        _set_ff(monkeypatch, ff)
+        campaign = TrapChainFuzzer(
+            seed=11, episodes=100, replay_every=0, ops_per_worker=6
+        ).run()
         outcomes[ff] = [
             (e.digest, e.config_desc, tuple(e.violations))
             for e in campaign.episodes
@@ -128,12 +111,17 @@ def test_fuzz_campaign_digests_identical():
     assert outcomes[True] == outcomes[False]
 
 
-def test_cluster_migrate_byte_identical():
+def test_cluster_migrate_byte_identical(monkeypatch):
+    """Fleet simulators carry no fast-forward source: a cross-host
+    migration and a whole datacenter run observe no epoch at all, so
+    the on/off runs are identical by construction."""
     from repro.cluster import Cluster, TenantSpec
+    from repro.dc import load_spec, run_dc
 
     runs = {}
     for ff in (False, True):
-        cluster = Cluster(num_hosts=2, seed=7, fast_forward=ff)
+        _set_ff(monkeypatch, ff)
+        cluster = Cluster(num_hosts=2, seed=7)
         cluster.place(TenantSpec(name="t0", io_model="vp", memory_gb=4))
         record = cluster.migrate("t0", "host1")
         runs[ff] = (
@@ -151,32 +139,36 @@ def test_cluster_migrate_byte_identical():
             ],
             {h.name: dict(h.port.frames) for h in cluster.hosts},
             {h.name: dict(h.port.wire.bytes_carried) for h in cluster.hosts},
-            cluster.sim.ff.epochs_skipped,
         )
-    assert runs[True][:6] == runs[False][:6]
-    # The pre-copy chunk cadence skipped on the fast-forward run.
-    assert runs[True][6] > 0
-    assert runs[False][6] == 0
+        assert cluster.sim.ff.enabled is ff
+        assert cluster.sim.ff.sources == {}
+        assert cluster.sim.ff.epochs_observed == 0
+    assert runs[True] == runs[False]
+
+    dc = run_dc(load_spec("small"), seed=1)
+    assert dc.sim.ff.enabled
+    assert dc.sim.ff.sources == {}
+    assert dc.sim.ff.epochs_observed == 0
 
 
 # ----------------------------------------------------------------------
 # Invalidation: observers and aperiodic events stop macro-events
 # ----------------------------------------------------------------------
-def test_fault_injector_attached_vetoes_skipping():
+def test_fault_injector_attached_vetoes_skipping(monkeypatch):
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
 
-    stack = _stack(True)
+    stack = _stack(monkeypatch, True)
     FaultInjector(stack.machine, FaultPlan.empty(), seed=3).attach()
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.epochs_skipped == 0
     assert stack.sim.ff.invalidations.get("faults", 0) > 0
 
 
-def test_audit_attached_vetoes_skipping():
+def test_audit_attached_vetoes_skipping(monkeypatch):
     from repro.audit import Auditor
 
-    stack = _stack(True)
+    stack = _stack(monkeypatch, True)
     auditor = Auditor()
     auditor.attach_stack(stack)
     run_microbenchmark(stack, "Hypercall", iterations=40)
@@ -185,15 +177,15 @@ def test_audit_attached_vetoes_skipping():
     assert auditor.finish().ok
 
 
-def test_span_tracing_attached_vetoes_skipping():
-    stack = _stack(True)
+def test_span_tracing_attached_vetoes_skipping(monkeypatch):
+    stack = _stack(monkeypatch, True)
     stack.machine.enable_span_tracing()
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.epochs_skipped == 0
     assert stack.sim.ff.invalidations.get("spans", 0) > 0
 
 
-def test_hist_capture_rides_fast_forward_byte_identical():
+def test_hist_capture_rides_fast_forward_byte_identical(monkeypatch):
     """Histogram-only request capture joins the fingerprint and scales
     across skipped epochs: same tables, same latency list, byte for
     byte — and skipping really happened."""
@@ -204,7 +196,7 @@ def test_hist_capture_rides_fast_forward_byte_identical():
 
     runs = {}
     for ff in (False, True):
-        stack = _stack(ff, io_model="vp")
+        stack = _stack(monkeypatch, ff, io_model="vp")
         stack.machine.enable_request_capture(series="rr")
         result = run_rr(stack, dataclasses.replace(NETPERF_RR, txns=200))
         runs[ff] = (
@@ -218,7 +210,7 @@ def test_hist_capture_rides_fast_forward_byte_identical():
     assert runs[False][3] == 0
 
 
-def test_record_retention_vetoes_skipping():
+def test_record_retention_vetoes_skipping(monkeypatch):
     """keep_records observes individual requests, so it must veto
     macro-events — with the 'request_records' cause on the books."""
     import dataclasses
@@ -226,7 +218,7 @@ def test_record_retention_vetoes_skipping():
     from repro.workloads.apps import NETPERF_RR
     from repro.workloads.engines import run_rr
 
-    stack = _stack(True, io_model="vp")
+    stack = _stack(monkeypatch, True, io_model="vp")
     cap = stack.machine.enable_request_capture(series="rr", keep_records=True)
     run_rr(stack, dataclasses.replace(NETPERF_RR, txns=60))
     assert stack.sim.ff.epochs_skipped == 0
@@ -234,7 +226,7 @@ def test_record_retention_vetoes_skipping():
     assert len(cap.records) == 60
 
 
-def test_open_loop_arrivals_not_skipped():
+def test_open_loop_arrivals_not_skipped(monkeypatch):
     """Poisson arrival gaps are RNG-drawn, never periodic: the engine
     must not treat an open-loop run as a steady state."""
     import dataclasses
@@ -242,7 +234,7 @@ def test_open_loop_arrivals_not_skipped():
     from repro.workloads.apps import NETPERF_RR
     from repro.workloads.engines import run_rr
 
-    stack = _stack(True, io_model="vp")
+    stack = _stack(monkeypatch, True, io_model="vp")
     run_rr(
         stack,
         dataclasses.replace(
@@ -252,14 +244,14 @@ def test_open_loop_arrivals_not_skipped():
     assert stack.sim.ff.epochs_skipped == 0
 
 
-def test_trace_digest_identical_under_span_veto():
+def test_trace_digest_identical_under_span_veto(monkeypatch):
     """An attached tracer sees the identical timeline either way (the
     veto forces micro-stepping, so no trace event is ever macro-hidden)."""
     from repro.sim.trace import Tracer
 
     digests = {}
     for ff in (False, True):
-        stack = _stack(ff)
+        stack = _stack(monkeypatch, ff)
         tracer = Tracer(stack.sim, capacity=100_000)
         stack.machine.enable_span_tracing(tracer=tracer)
         run_microbenchmark(stack, "ProgramTimer", iterations=30)
@@ -267,12 +259,12 @@ def test_trace_digest_identical_under_span_veto():
     assert digests[True] == digests[False]
 
 
-def test_migration_start_perturbs_and_vetoes():
+def test_migration_start_perturbs_and_vetoes(monkeypatch):
     """A live migration mid-run bumps the generation (dropping locked
     fingerprints) and vetoes workload skipping until it completes."""
     from repro.core.migration import LiveMigration
 
-    stack = _stack(True, io_model="vp")
+    stack = _stack(monkeypatch, True, io_model="vp")
     generation_before = stack.sim.ff.generation
     migration = LiveMigration(stack.machine, stack.leaf_vm)
     result = stack.sim.run_process(migration.run(), "migration")
@@ -316,8 +308,8 @@ def test_mid_epoch_perturbation_drops_fingerprint():
     assert sum(skipped) > 0
 
 
-def test_disabled_simulator_never_skips():
-    stack = _stack(False)
+def test_disabled_simulator_never_skips(monkeypatch):
+    stack = _stack(monkeypatch, False)
     run_microbenchmark(stack, "Hypercall", iterations=40)
     assert stack.sim.ff.enabled is False
     assert stack.sim.ff.epochs_skipped == 0

@@ -104,10 +104,12 @@ def test_tasks_are_plain_tuples_in_report_order():
     ]
 
 
-def test_digest_identical_across_jobs_and_fast_forward():
+def test_digest_identical_across_jobs_and_fast_forward(monkeypatch):
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "1")
     serial = run_study(TRIMMED, seed=3, jobs=1)
     fanned = run_study(TRIMMED, seed=3, jobs=2)
-    stepped = run_study(TRIMMED, seed=3, jobs=1, fast_forward=False)
+    monkeypatch.setenv("REPRO_FAST_FORWARD", "0")
+    stepped = run_study(TRIMMED, seed=3, jobs=1)
     assert serial.digest == fanned.digest == stepped.digest
     assert serial.rows == fanned.rows == stepped.rows
     assert serial.to_json()["digest"] == serial.digest
