@@ -8,15 +8,20 @@ Two synthetic workloads bracket the engine's behavior:
 * **delay chain** — one process sleeping in a tight loop with nothing
   else scheduled (exercises the inline clock-advance fast path).
 
+A third case, **exit path**, measures the trap path above the engine:
+simulated VM exits per host second for the L3 Hypercall microbenchmark,
+where one hypercall multiplies into 332 exits.
+
 Run directly to print and optionally record results::
 
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --out BENCH_engine.json
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
-``--check`` enforces a conservative events/sec floor (for CI smoke).
-With ``--baseline BENCH_engine.json`` the floor is raised to the
-recorded throughput divided by ``--max-slowdown``, so a real engine
-regression trips even on hosts fast enough to clear the absolute floor.
+``--check`` enforces conservative events/sec and exits/sec floors (for
+CI smoke).  With ``--baseline BENCH_engine.json`` each floor is raised
+to the recorded throughput divided by ``--max-slowdown``, so a real
+engine or trap-path regression trips even on hosts fast enough to clear
+the absolute floor.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from repro.sim.engine import Simulator
 #: Conservative floor for CI hosts of unknown speed; the engine manages
 #: well over 10x this on 2020s-era hardware.
 MIN_EVENTS_PER_SEC = 100_000.0
+
+#: Conservative floor for the exit path, again about 10x under what a
+#: 2020s-era core sustains.
+MIN_EXITS_PER_SEC = 10_000.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -153,12 +162,44 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
     }
 
 
+def bench_exit_path(iterations: int = 100) -> Dict[str, float]:
+    """Host cost per simulated VM exit: the L3 Hypercall microbenchmark
+    with fast-forward off, so every iteration's exits are simulated.
+    The stack settles first, so its boot-time HLT exits stay out.
+    ``exits`` is the sum of ``Metrics.exits`` over the run (332 per
+    hypercall); a change that gets faster by simulating fewer exits
+    shows up there."""
+    from time import perf_counter
+
+    from repro.hv.stack import StackConfig, build_stack
+    from repro.hw.machine import Machine
+    from repro.workloads.microbench import run_microbenchmark
+
+    stack = build_stack(
+        StackConfig(levels=3), machine=Machine(sim=Simulator(fast_forward=False))
+    )
+    stack.settle()
+    exits = stack.metrics.exits
+    before = sum(exits.values())
+    t0 = perf_counter()
+    run_microbenchmark(stack, "Hypercall", iterations)
+    wall = perf_counter() - t0
+    simulated = sum(exits.values()) - before
+    return {
+        "iterations": float(iterations),
+        "exits": float(simulated),
+        "wall_s": wall,
+        "exits_per_host_s": simulated / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
         "delay_chain": bench_delay_chain(),
         "periodic_phase": bench_periodic_phase(),
         "request_capture": bench_request_capture(),
+        "exit_path": bench_exit_path(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -172,13 +213,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s",
+        help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s "
+        f"and the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
-        help="with --check: also require ping-pong throughput within "
+        help="with --check: also require ping-pong and exit-path throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -212,6 +254,13 @@ def main(argv=None) -> int:
         f"off {rc['off_wall_s']:.3f}s on {rc['on_wall_s']:.3f}s "
         f"(off/on {rc['off_over_on']:.2f}) = "
         f"{rc['off_txns_per_host_s']:>12,.0f} txns/s capture-off"
+    )
+    ep = results["exit_path"]
+    print(
+        f"{'exit_path':14s} {ep['exits']:>10,.0f} exits "
+        f"({ep['iterations']:,.0f} L3 hypercalls) "
+        f"in {ep['wall_s']:.3f}s = "
+        f"{ep['exits_per_host_s']:>12,.0f} exits/s"
     )
     if args.out:
         with open(args.out, "w") as fh:
@@ -253,23 +302,30 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        rate = results["ping_pong"]["last_run_events_per_sec"]
-        floor = MIN_EVENTS_PER_SEC
+        baseline = None
         if args.baseline:
             with open(args.baseline) as fh:
-                base_rate = json.load(fh)["ping_pong"]["last_run_events_per_sec"]
-            floor = max(floor, base_rate / args.max_slowdown)
-            print(
-                f"baseline {base_rate:,.0f} events/s "
-                f"/ {args.max_slowdown:g} = floor {floor:,.0f}"
-            )
-        if rate < floor:
-            print(
-                f"FAIL: {rate:,.0f} events/s below floor {floor:,.0f}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"OK: above {floor:,.0f} events/s floor")
+                baseline = json.load(fh)
+        floors = (
+            ("ping_pong", "last_run_events_per_sec", MIN_EVENTS_PER_SEC, "events/s"),
+            ("exit_path", "exits_per_host_s", MIN_EXITS_PER_SEC, "exits/s"),
+        )
+        for name, key, floor, unit in floors:
+            rate = results[name][key]
+            if baseline is not None:
+                base_rate = baseline[name][key]
+                floor = max(floor, base_rate / args.max_slowdown)
+                print(
+                    f"{name} baseline {base_rate:,.0f} {unit} "
+                    f"/ {args.max_slowdown:g} = floor {floor:,.0f}"
+                )
+            if rate < floor:
+                print(
+                    f"FAIL: {name} {rate:,.0f} {unit} below floor {floor:,.0f}",
+                    file=sys.stderr,
+                )
+                return 1
+            print(f"OK: {name} above {floor:,.0f} {unit} floor")
     return 0
 
 

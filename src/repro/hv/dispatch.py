@@ -80,6 +80,7 @@ class ExitContext:
         "parent",
         "metrics",
         "span",
+        "charge",
         "handler",
         "granted",
     )
@@ -113,19 +114,22 @@ class ExitContext:
         tracker = machine.chain_tracker
         if tracker is not None:
             tracker.on_exit(self)
+        # ``charge(category, cycles)`` is bound once per frame (its span
+        # never changes): the metrics' own charge, or with tracing on,
+        # one that also attributes the cycles to the frame's span.
         collector = machine.spans
-        self.span = (
-            collector.open(self) if collector is not None and collector.enabled
-            else None
-        )
+        if collector is not None and collector.enabled:
+            self.span = collector.open(self)
+            self.charge = self._charge_with_span
+        else:
+            self.span = None
+            self.charge = self.metrics.charge
 
     # ------------------------------------------------------------------
-    def charge(self, category: str, cycles: float) -> None:
-        """Charge cycles to the machine metrics, attributing them to the
-        open span when tracing is enabled."""
+    def _charge_with_span(self, category: str, cycles: float) -> None:
+        """Charge the machine metrics and the open span."""
         self.metrics.charge(category, cycles)
-        if self.span is not None:
-            self.span.add(category, cycles)
+        self.span.add(category, cycles)
 
     def note_hop(self) -> None:
         self.hops += 1

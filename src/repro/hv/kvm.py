@@ -206,7 +206,8 @@ class KvmHypervisor:
             metrics.record_forward(vcpu.level, reason_name, owner)
             if tracker is not None:
                 tracker.on_forward(ectx, owner)
-            if exit_.reason in self._hv_at(1).profile.delegated_reasons:
+            delegated = self._hv_at(1).profile.delegated_reasons
+            if delegated and exit_.reason in delegated:
                 # Trap delegation (RISC-V hedeleg/hideleg): hardware
                 # vectors the trap straight into the first guest
                 # hypervisor; L0's forwarding software never runs.  The
@@ -218,46 +219,39 @@ class KvmHypervisor:
             else:
                 ectx.charge("l0_emul", c.forward_state_save)
                 yield c.forward_state_save
-            return (yield from self._deliver(vcpu, exit_, owner, 1, ectx))
+            return (yield from self._deliver(vcpu, exit_, owner, ectx))
         finally:
             if ectx.span is not None and self.machine.spans is not None:
                 self.machine.spans.close(ectx)
 
     def _deliver(
-        self, vcpu: VCpu, exit_: Exit, owner: int, via: int, ectx: ExitContext
+        self, vcpu: VCpu, exit_: Exit, owner: int, ectx: ExitContext
     ) -> Generator:
-        """Reflect an exit into the guest hypervisor at ``via``; recurse
-        one level at a time until the owner handles it (§2: "the L0
-        hypervisor ... will forward it to the L1 hypervisor, which will
-        forward it to the L2 hypervisor via the L0 hypervisor")."""
-        c = self.costs
-        ectx.charge("hw_switch", c.hw_entry)
-        yield c.hw_entry  # enter the via-level hypervisor's context
-        hv = self._hv_at(via)
-        ctx = vcpu.chain_vcpu(via)
-        ectx.note_hop()
-        # The via-level handler runs as guest code on ``ctx`` while this
-        # frame is live: its trapping ops become child frames of this
-        # exit chain.
-        saved = ctx.exit_context
-        ctx.exit_context = ectx
-        try:
-            if via == owner:
-                ectx.handler = hv.name
-                return (yield from hv.handle_guest_exit(ctx, exit_, ectx))
-            yield from hv.reinject_exit(ctx, exit_, ectx)
-        finally:
-            ctx.exit_context = saved
-        return (yield from self._deliver(vcpu, exit_, owner, via + 1, ectx))
-
-    # ------------------------------------------------------------------
-    # Routing: who owns this exit?
-    # ------------------------------------------------------------------
-    def _route(self, vcpu: VCpu, exit_: Exit) -> int:
-        """Return the level of the hypervisor that must handle the exit
-        (0 = L0 handles directly).  Thin shim over the registry, whose
-        ownership claims were registered by the DVH feature modules."""
-        return self.registry.route(vcpu, exit_)
+        """Reflect an exit into the guest hypervisors one level at a time,
+        from L1 up, until the owner handles it (§2: "the L0 hypervisor
+        ... will forward it to the L1 hypervisor, which will forward it
+        to the L2 hypervisor via the L0 hypervisor")."""
+        hw_entry = self.costs.hw_entry
+        via = 1
+        while True:
+            ectx.charge("hw_switch", hw_entry)
+            yield hw_entry  # enter the via-level hypervisor's context
+            hv = self._hv_at(via)
+            ctx = vcpu.chain_vcpu(via)
+            ectx.note_hop()
+            # The via-level handler runs as guest code on ``ctx`` while
+            # this frame is live: its trapping ops become child frames of
+            # this exit chain.
+            saved = ctx.exit_context
+            ctx.exit_context = ectx
+            try:
+                if via == owner:
+                    ectx.handler = hv.name
+                    return (yield from hv.handle_guest_exit(ctx, exit_, ectx))
+                yield from hv.reinject_exit(ctx, exit_, ectx)
+            finally:
+                ctx.exit_context = saved
+            via += 1
 
     # ==================================================================
     # L0: timer plumbing (shared by the L0 and guest timer handlers)

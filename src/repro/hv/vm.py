@@ -30,6 +30,42 @@ from repro.hw.vmx import Vmcs, VmcsField
 
 __all__ = ["VirtualMachine", "VCpu"]
 
+#: The exit reason each trapping op raises.  WRMSR is decoded further by
+#: MSR index (:data:`_WRMSR_EXIT_REASON`); VMREAD/VMWRITE that VMCS
+#: shadowing absorbs never get here.
+_OP_EXIT_REASON = {
+    Op.VMREAD: ExitReason.VMX_INSTRUCTION,
+    Op.VMWRITE: ExitReason.VMX_INSTRUCTION,
+    Op.VMPTRLD: ExitReason.VMX_INSTRUCTION,
+    Op.VMRESUME: ExitReason.VMX_INSTRUCTION,
+    Op.VMLAUNCH: ExitReason.VMX_INSTRUCTION,
+    Op.INVEPT: ExitReason.VMX_INSTRUCTION,
+    Op.VMCALL: ExitReason.VMCALL,
+    Op.CPUID: ExitReason.CPUID,
+    Op.HLT: ExitReason.HLT,
+    Op.RDMSR: ExitReason.MSR_READ,
+    Op.WRMSR: ExitReason.MSR_WRITE,
+    Op.MMIO_READ: ExitReason.MMIO,
+    Op.MMIO_WRITE: ExitReason.MMIO,
+    Op.PIO_WRITE: ExitReason.IO_INSTRUCTION,
+}
+
+#: x2APIC registers live in MSR space: writes to them exit with their
+#: own reasons; any other WRMSR is a plain MSR write.
+_WRMSR_EXIT_REASON = {
+    MSR_TSC_DEADLINE: ExitReason.APIC_TIMER,
+    MSR_X2APIC_ICR: ExitReason.APIC_ICR,
+}
+
+
+def _exit_reason(op: Op, info: dict) -> ExitReason:
+    if op is Op.WRMSR:
+        return _WRMSR_EXIT_REASON.get(info.get("msr"), ExitReason.MSR_WRITE)
+    reason = _OP_EXIT_REASON.get(op)
+    if reason is None:
+        raise ValueError(f"unhandled op {op}")
+    return reason
+
 
 class VirtualMachine:
     """A VM at virtualization level ``level`` (1 = runs on the host)."""
@@ -208,9 +244,13 @@ class VCpu(ExecutionContext):
         from the shadow VMCS without any exit; MMIO to passthrough-mapped
         windows goes straight to the device.  Everything else takes a full
         hardware exit to L0 (single-level virtualization support, §2).
+
+        Returns the generator to drive with ``yield from``: for a single
+        trapping op that is L0's dispatch generator itself, so each yield
+        of the trap resumes one generator frame fewer.
         """
         # --- VMCS shadowing fast path -------------------------------
-        if op in (Op.VMREAD, Op.VMWRITE):
+        if op is Op.VMREAD or op is Op.VMWRITE:
             vmcs: Optional[Vmcs] = info.get("vmcs")
             fieldname: Optional[VmcsField] = info.get("field")
             if (
@@ -218,20 +258,11 @@ class VCpu(ExecutionContext):
                 and fieldname is not None
                 and vmcs.is_shadowed(fieldname)
             ):
-                yield self.costs.vmcs_shadowed_access * count
-                if op is Op.VMWRITE:
-                    vmcs.write(fieldname, info.get("value"))
-                    return None
-                return vmcs.read(fieldname)
+                return self._shadowed_access(op, count, vmcs, fieldname, info)
 
         # --- Passthrough MMIO fast path -----------------------------
         if op is Op.MMIO_WRITE and not self.vm.traps_mmio(info.get("addr", 0)):
-            yield self.costs.ring_access * count
-            device: Optional[PciDevice] = info.get("device")
-            if device is not None:
-                for _ in range(count):
-                    device.mmio_write(info.get("addr", 0), info.get("value"))
-            return None
+            return self._passthrough_mmio(count, info)
 
         # --- Full trap path -----------------------------------------
         # The trap site: each trapping operation gets a trap frame
@@ -239,47 +270,49 @@ class VCpu(ExecutionContext):
         # dispatch, forwarding, and guest-hypervisor re-entry.  A frame
         # created while a handler's frame is live on this vCPU is a child
         # of the same exit chain.
+        reason = _exit_reason(op, info)
+        if count == 1:
+            machine = self.vm.machine
+            exit_ = Exit(reason, op, self.level, info, self)
+            ectx = ExitContext(exit_, self, self.exit_context, machine)
+            return machine.host_hv.dispatch_exit(self, exit_, ectx)
+        return self._trap_each(op, reason, count, info)
+
+    def _trap_each(
+        self, op: Op, reason: ExitReason, count: int, info: dict
+    ) -> Generator:
+        """``count`` trapping ops, one exit and trap frame each."""
         result = None
         machine = self.vm.machine
+        level = self.level
         for _ in range(count):
-            exit_ = self._make_exit(op, info)
+            exit_ = Exit(reason, op, level, info, self)
             ectx = ExitContext(exit_, self, self.exit_context, machine)
-            result = yield from self.host_hv.dispatch_exit(self, exit_, ectx)
+            result = yield from machine.host_hv.dispatch_exit(self, exit_, ectx)
         return result
 
+    def _shadowed_access(
+        self, op: Op, count: int, vmcs: Vmcs, fieldname: VmcsField, info: dict
+    ) -> Generator:
+        yield self.costs.vmcs_shadowed_access * count
+        if op is Op.VMWRITE:
+            vmcs.write(fieldname, info.get("value"))
+            return None
+        return vmcs.read(fieldname)
+
+    def _passthrough_mmio(self, count: int, info: dict) -> Generator:
+        yield self.costs.ring_access * count
+        device: Optional[PciDevice] = info.get("device")
+        if device is not None:
+            for _ in range(count):
+                device.mmio_write(info.get("addr", 0), info.get("value"))
+        return None
+
     def _make_exit(self, op: Op, info: dict) -> Exit:
-        if op is Op.WRMSR:
-            msr = info.get("msr")
-            if msr == MSR_TSC_DEADLINE:
-                reason = ExitReason.APIC_TIMER
-            elif msr == MSR_X2APIC_ICR:
-                reason = ExitReason.APIC_ICR
-            else:
-                reason = ExitReason.MSR_WRITE
-        elif op is Op.RDMSR:
-            reason = ExitReason.MSR_READ
-        elif op in (
-            Op.VMREAD,
-            Op.VMWRITE,
-            Op.VMPTRLD,
-            Op.VMRESUME,
-            Op.VMLAUNCH,
-            Op.INVEPT,
-        ):
-            reason = ExitReason.VMX_INSTRUCTION
-        elif op is Op.VMCALL:
-            reason = ExitReason.VMCALL
-        elif op is Op.HLT:
-            reason = ExitReason.HLT
-        elif op is Op.CPUID:
-            reason = ExitReason.CPUID
-        elif op in (Op.MMIO_READ, Op.MMIO_WRITE):
-            reason = ExitReason.MMIO
-        elif op is Op.PIO_WRITE:
-            reason = ExitReason.IO_INSTRUCTION
-        else:  # pragma: no cover - exhaustive over Op
-            raise ValueError(f"unhandled op {op}")
-        return Exit(reason=reason, op=op, from_level=self.level, info=info, vcpu=self)
+        return Exit(
+            reason=_exit_reason(op, info), op=op, from_level=self.level,
+            info=info, vcpu=self,
+        )
 
     # ------------------------------------------------------------------
     # ExecutionContext: timers / IPIs / idle

@@ -19,6 +19,12 @@ __all__ = ["Op", "ExitReason", "Exit", "NUM_EXIT_REASONS"]
 class Op(enum.Enum):
     """Operations guest code can execute."""
 
+    # Members are singletons compared by identity, so identity hashing
+    # keeps dict and set lookups correct without Enum's Python-level
+    # name hash.  A set of members then iterates in address order: no
+    # output may depend on that order.
+    __hash__ = object.__hash__
+
     # VMX instructions (only meaningful for hypervisor code)
     VMREAD = "vmread"
     VMWRITE = "vmwrite"
@@ -42,6 +48,8 @@ class Op(enum.Enum):
 
 class ExitReason(enum.Enum):
     """VM-exit reasons (subset of the Intel SDM list that matters here)."""
+
+    __hash__ = object.__hash__  # identity, as for Op
 
     VMCALL = "vmcall"
     CPUID = "cpuid"

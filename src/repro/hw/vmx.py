@@ -35,6 +35,10 @@ VCIMT_ENTRY_SIZE = 16
 class VmcsField(enum.Enum):
     """VMCS fields the simulation models (subset of the Intel SDM set)."""
 
+    # Identity hashing (as for repro.hw.ops.Op): every field access
+    # indexes a Vmcs.fields dict.
+    __hash__ = object.__hash__
+
     # Guest state
     GUEST_RIP = "guest_rip"
     GUEST_RSP = "guest_rsp"

@@ -8,7 +8,13 @@ from repro.hv.dispatch import DEFAULT_REGISTRY, ExitContext, ExitHandlerRegistry
 from repro.hv.kvm import KvmHypervisor
 from repro.hv.profiles import KVM_PROFILE, PROFILES, XEN_PROFILE
 from repro.hv.stack import StackConfig, build_stack
-from repro.hw.ops import MSR_X2APIC_ICR, ExitReason, Op
+from repro.hw.ops import (
+    MSR_TSC_DEADLINE,
+    MSR_X2APIC_EOI,
+    MSR_X2APIC_ICR,
+    ExitReason,
+    Op,
+)
 from repro.workloads.microbench import run_microbenchmark
 
 
@@ -39,6 +45,53 @@ def test_child_frames_inherit_chain_and_deepen():
     assert mid.chain_id == root.chain_id == deep.chain_id
     assert (root.depth, mid.depth, deep.depth) == (0, 1, 2)
     assert deep.chain() == [root, mid, deep]
+
+
+def test_make_exit_reason_for_every_op():
+    """The Op -> ExitReason table covers every op; a WRMSR without an
+    x2APIC MSR index is a plain MSR write."""
+    leaf = build_stack(StackConfig(levels=1)).ctx(0)
+    vmx = ExitReason.VMX_INSTRUCTION
+    expected = {
+        Op.VMREAD: vmx,
+        Op.VMWRITE: vmx,
+        Op.VMPTRLD: vmx,
+        Op.VMRESUME: vmx,
+        Op.VMLAUNCH: vmx,
+        Op.INVEPT: vmx,
+        Op.VMCALL: ExitReason.VMCALL,
+        Op.CPUID: ExitReason.CPUID,
+        Op.HLT: ExitReason.HLT,
+        Op.RDMSR: ExitReason.MSR_READ,
+        Op.WRMSR: ExitReason.MSR_WRITE,
+        Op.MMIO_READ: ExitReason.MMIO,
+        Op.MMIO_WRITE: ExitReason.MMIO,
+        Op.PIO_WRITE: ExitReason.IO_INSTRUCTION,
+    }
+    assert set(expected) == set(Op)
+    for op, reason in expected.items():
+        exit_ = leaf._make_exit(op, {})
+        assert (exit_.reason, exit_.op, exit_.from_level, exit_.vcpu) == (
+            reason, op, 1, leaf
+        ), op
+    with pytest.raises(ValueError, match="unhandled op"):
+        leaf._make_exit("not-an-op", {})
+
+
+def test_make_exit_decodes_wrmsr_by_msr_index():
+    leaf = build_stack(StackConfig(levels=1)).ctx(0)
+
+    def reason(msr):
+        return leaf._make_exit(Op.WRMSR, {"msr": msr}).reason
+
+    assert reason(MSR_TSC_DEADLINE) is ExitReason.APIC_TIMER
+    assert reason(MSR_X2APIC_ICR) is ExitReason.APIC_ICR
+    assert reason(MSR_X2APIC_EOI) is ExitReason.MSR_WRITE
+    # RDMSR of an x2APIC register is an MSR read, whatever the index.
+    assert (
+        leaf._make_exit(Op.RDMSR, {"msr": MSR_TSC_DEADLINE}).reason
+        is ExitReason.MSR_READ
+    )
 
 
 def test_forwarded_exit_multiplies_into_one_chain():

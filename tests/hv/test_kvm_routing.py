@@ -179,3 +179,39 @@ def test_exit_multiplication_counts_match_structure():
     )
     assert delta.exits_from_level(1) == reads + writes + 1  # +1 VMRESUME
     assert delta.exits_from_level(2) == 1
+
+
+def _l3_exits_by_level(dvh, op):
+    """Exits per guest level caused by one op of the L3 vCPU, measured
+    when the op returns (not after the timer it arms fires)."""
+    stack = make(levels=3, io="vp" if dvh.virtual_passthrough else "virtio", dvh=dvh)
+    ctx = stack.ctx(0)
+    before = stack.metrics.copy()
+    by_level = {}
+
+    def one():
+        if op == "hypercall":
+            yield from ctx.execute(Op.VMCALL)
+        else:
+            yield from ctx.program_timer(ctx.read_tsc() + 10**7)
+        delta = stack.metrics.diff(before)
+        by_level.update({lvl: delta.exits_from_level(lvl) for lvl in (1, 2, 3)})
+
+    stack.sim.run_process(one())
+    return by_level
+
+
+@pytest.mark.parametrize(
+    "dvh, op, expected",
+    [
+        (DvhFeatures.none(), "hypercall", {3: 1, 2: 17, 1: 314}),
+        (DvhFeatures.none(), "timer", {3: 1, 2: 20, 1: 370}),
+        (DvhFeatures.full(), "timer", {3: 1, 2: 0, 1: 0}),
+    ],
+    ids=["hypercall", "timer-no-dvh", "timer-dvh"],
+)
+def test_l3_exit_multiplication_matches_docs(dvh, op, expected):
+    """The per-level counts README and docs/architecture.md quote (one L3
+    hypercall is 332 hardware exits); a host-time optimisation of the
+    trap path must not merge or skip any of them."""
+    assert _l3_exits_by_level(dvh, op) == expected

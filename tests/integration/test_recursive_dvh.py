@@ -23,7 +23,7 @@ def timer_owner(stack):
         info={"deadline": 10**9},
         vcpu=leaf,
     )
-    return stack.machine.host_hv._route(leaf, exit_)
+    return stack.machine.host_hv.registry.route(leaf, exit_)
 
 
 def test_all_enabled_routes_to_l0():

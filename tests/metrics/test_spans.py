@@ -4,6 +4,7 @@ simulation, and chain rendering."""
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig, build_stack
 from repro.sim.trace import Tracer
+from repro.workloads.apps import run_app
 from repro.workloads.microbench import run_microbenchmark
 
 
@@ -16,16 +17,52 @@ def _run(config, name="ProgramTimer", iterations=2, trace=False, tracer=None):
     return stack, collector, cycles
 
 
+def _stack_config(levels, dvh, io=None):
+    if io is None:
+        io = "vp" if dvh.virtual_passthrough and levels >= 2 else "virtio"
+    return StackConfig(levels=levels, io_model=io, dvh=dvh)
+
+
+def _micro(name, iterations=2):
+    return lambda stack: run_microbenchmark(stack, name, iterations)
+
+
+#: Every trap shape: direct L0 handling, one and two forwarding hops,
+#: DVH short-circuits, the reinject hops of SendIPI and DevNotify at L3,
+#: and an application's mix of all of them.
+_INVISIBILITY_CASES = [
+    (
+        f"ProgramTimer-L{levels}-{label}",
+        _stack_config(levels, dvh),
+        _micro("ProgramTimer"),
+    )
+    for levels in (1, 2, 3)
+    for label, dvh in (("none", DvhFeatures.none()), ("full", DvhFeatures.full()))
+] + [
+    (f"{name}-L3", _stack_config(3, DvhFeatures.none()), _micro(name))
+    for name in ("SendIPI", "DevNotify")
+] + [
+    (
+        "memcached-L2",
+        _stack_config(2, DvhFeatures.none()),
+        lambda stack: run_app(stack, "memcached", scale=0.05),
+    ),
+]
+
+
 def test_tracing_changes_nothing_observable():
-    """Same seed, tracing on vs off: identical clock, cycles/op, and
+    """Same seed, tracing on vs off: identical clock, result, and
     metrics snapshot (spans live entirely outside Metrics)."""
-    cfg = StackConfig(levels=2, io_model="virtio")
-    plain_stack, _, plain_cycles = _run(cfg, trace=False)
-    traced_stack, collector, traced_cycles = _run(cfg, trace=True)
-    assert traced_cycles == plain_cycles
-    assert traced_stack.sim.now == plain_stack.sim.now
-    assert traced_stack.metrics.snapshot() == plain_stack.metrics.snapshot()
-    assert collector.spans_closed > 0
+    for case, config, work in _INVISIBILITY_CASES:
+        plain_stack = build_stack(config)
+        plain_result = work(plain_stack)
+        traced_stack = build_stack(config)
+        collector = traced_stack.machine.enable_span_tracing()
+        traced_result = work(traced_stack)
+        assert traced_result == plain_result, case
+        assert traced_stack.sim.now == plain_stack.sim.now, case
+        assert traced_stack.metrics.snapshot() == plain_stack.metrics.snapshot(), case
+        assert collector.spans_closed > 0, case
 
 
 def test_dispatch_only_categories_reconcile_exactly():
