@@ -22,17 +22,23 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Trap-chain fuzzing (see docs/faults.md).  The smoke run is wired into
-# CI; the full campaign is the documented 500-episode sweep.
+# Trap-chain fuzzing (see docs/faults.md).  The full campaign is the
+# documented 500-episode sweep; the smoke run is wired into CI and checks
+# that the same campaign is byte-identical serial, under --jobs, and with
+# fast-forward disabled.
 fuzz:
 	PYTHONPATH=src python -m repro faults fuzz --episodes 500 --seed 1
 
 fuzz-smoke:
-	PYTHONPATH=src python -m repro faults fuzz --episodes 25 --seed 1
+	PYTHONPATH=src python -m repro faults fuzz --episodes 25 --seed 1 --json > /tmp/fuzz_serial.json
+	PYTHONPATH=src python -m repro faults fuzz --episodes 25 --seed 1 --json --jobs 2 > /tmp/fuzz_jobs.json
+	diff /tmp/fuzz_serial.json /tmp/fuzz_jobs.json
+	REPRO_FAST_FORWARD=0 PYTHONPATH=src python -m repro faults fuzz --episodes 25 --seed 1 --json > /tmp/fuzz_noff.json
+	diff /tmp/fuzz_serial.json /tmp/fuzz_noff.json
 
 # Runtime invariant audit (see docs/faults.md): the migration/cluster
-# fault matrix plus a fuzz campaign with every lifecycle/conservation
-# check armed.  Wired into CI; reverting the migration-teardown fixes
+# fault matrix plus generated and fuzz scenario specs with every
+# lifecycle/conservation check armed.  Wired into CI; reverting the migration-teardown fixes
 # turns it red.
 audit:
 	PYTHONPATH=src python -m repro audit --episodes 500 --seed 1

@@ -8,6 +8,7 @@ recovery paths — virtio requeue, DMA abort, DVH fallback, migration
 retry — must actually fire somewhere in the matrix.
 """
 
+from repro.audit import check_invariants
 from repro.core.features import DvhFeatures
 from repro.core.migration import LiveMigration
 from repro.faults import (
@@ -16,7 +17,6 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     build_faulted_stack,
-    check_invariants,
     run_fault_workload,
 )
 from repro.hv.stack import StackConfig, build_stack
@@ -77,7 +77,7 @@ def _sweep_workload():
             plan = FaultPlan([spec])
             stack, injector = build_faulted_stack(factory(), plan, seed=SEED)
             ops = run_fault_workload(stack, ops_per_worker=25, seed=SEED)
-            violations = check_invariants(stack, injector)
+            violations = check_invariants(stack)
             assert not violations, (
                 f"{spec.kind} x {stack_name}: {violations}"
             )

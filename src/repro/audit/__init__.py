@@ -19,12 +19,14 @@ This package is the machinery that *finds* such bugs at runtime:
   attached, no backend left paused), fabric byte conservation
   (tx = rx + undeliverable; ``cross_host`` table vs
   ``Wire.bytes_carried``), and span-vs-Metrics cycle reconciliation.
-  The trap-chain fuzzer folds the lifecycle checks into its per-episode
-  invariants.
+  :func:`~repro.audit.checks.check_invariants` is the per-run invariant
+  set the scenarios runner checks after every faulted machine run
+  (exit and cycle conservation, lost wakeups, the lifecycle audits).
 * :mod:`~repro.audit.runner` — ``python -m repro audit`` / ``make
   audit``: drives the migration fault matrix, the cluster failure
-  scenarios, a traced microbenchmark, and a fuzz campaign with the
-  auditor enabled, and exits non-zero on any violation.
+  scenarios, a traced microbenchmark, and two scenario-spec lists
+  (generated scenarios and a fuzz campaign) with the auditor enabled,
+  and exits non-zero on any violation.
 
 Everything here observes; nothing mutates simulated state, so enabling
 the auditor never changes what a run computes — only whether it is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from repro.audit.auditor import AuditReport, Auditor, AuditViolation
 from repro.audit.checks import (
+    check_invariants,
     fabric_conservation_violations,
     lifecycle_violations,
     span_reconciliation_violations,
@@ -44,6 +47,7 @@ __all__ = [
     "Auditor",
     "AuditReport",
     "AuditViolation",
+    "check_invariants",
     "lifecycle_violations",
     "fabric_conservation_violations",
     "span_reconciliation_violations",

@@ -4,21 +4,20 @@ Every function here only *reads* state and returns a list of violation
 strings (empty = green), so the same checks serve three callers:
 
 * the :class:`~repro.audit.auditor.Auditor`'s finish pass,
-* the trap-chain fuzzer's per-episode invariants
-  (:func:`repro.faults.fuzz.check_invariants` folds
-  :func:`lifecycle_violations` in),
+* the scenarios runner's per-run invariants
+  (:func:`check_invariants`, which folds :func:`lifecycle_violations`
+  in),
 * ad-hoc test assertions.
-
-This module must stay import-light: :mod:`repro.faults.fuzz` imports it,
-so importing anything from :mod:`repro.faults` here would cycle.  Fault
-classes are referenced by their literal string names instead.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from repro.faults.plan import FaultClass
+
 __all__ = [
+    "check_invariants",
     "lifecycle_violations",
     "fabric_conservation_violations",
     "span_reconciliation_violations",
@@ -26,14 +25,112 @@ __all__ = [
 ]
 
 #: Fault classes that legitimately break fabric byte equalities (see
-#: :func:`fabric_conservation_violations`).  Literal strings — importing
-#: ``repro.faults.plan`` here would create an import cycle through the
-#: fuzzer.
-_FABRIC_DEGRADE = "fabric_degrade"
-_FABRIC_LOSSY = ("fabric_partition", "fabric_host_loss")
+#: :func:`fabric_conservation_violations`).
+_FABRIC_LOSSY = (FaultClass.FABRIC_PARTITION, FaultClass.FABRIC_HOST_LOSS)
 
 #: Tolerance for float cycle accumulation in span reconciliation.
 _CYCLE_EPS = 1e-6
+
+
+def check_invariants(stack) -> List[str]:
+    """Check one finished machine run; returns a list of violation
+    strings (empty = all green).
+
+    * **Exit conservation** — every hardware exit is either handled by
+      L0 or forwarded to exactly one guest hypervisor (preemption-timer
+      ticks are L0-internal bookkeeping), machine-wide *and* per exit
+      chain (:class:`repro.faults.chains.ChainTracker`);
+    * **No lost wakeup** — no halted physical CPU has a vCPU with
+      pending interrupts parked on it;
+    * **Resource lifecycle** — :func:`lifecycle_violations`;
+    * **Cycle conservation** — charged cycles are non-negative and
+      bounded by wall-cycles times the CPU count.
+    """
+    violations: List[str] = []
+    metrics = stack.metrics
+    machine = stack.machine
+
+    # Exit conservation across levels.  Preemption-timer ticks are
+    # L0-internal bookkeeping (recorded, never handled/forwarded), and a
+    # vCPU parked inside L0's HLT emulation at drain time has its exit
+    # recorded but completes the handled side only on wake — so the only
+    # legal slack is up to one in-flight ``hlt`` per halted pCPU.
+    total = metrics.total_exits()
+    handled = sum(metrics.l0_handled.values())
+    forwarded = sum(metrics.forwards.values())
+    preempt = metrics.exits_for_reason("preemption_timer")
+    slack = total - handled - forwarded - preempt
+    halted = sum(1 for cpu in machine.cpus if cpu.halted)
+    if not 0 <= slack <= halted:
+        violations.append(
+            f"exit conservation: {total} exits != {handled} L0-handled + "
+            f"{forwarded} forwarded + {preempt} preemption ticks "
+            f"(slack {slack} outside [0, {halted} halted pCPUs])"
+        )
+    else:
+        # The slack must be entirely in-flight HLTs, nothing else.
+        hlt_slack = (
+            metrics.exits_for_reason("hlt")
+            - metrics.l0_handled.get("hlt", 0)
+            - sum(n for (_l, r, _o), n in metrics.forwards.items() if r == "hlt")
+        )
+        if slack != hlt_slack:
+            violations.append(
+                f"exit conservation: non-hlt imbalance "
+                f"(total slack {slack}, hlt slack {hlt_slack})"
+            )
+
+    # Per-chain exit conservation: the same balance must hold within
+    # every individual exit chain, not just machine-wide — an exit
+    # mis-attributed between chains cancels in the aggregate but not here.
+    tracker = machine.chain_tracker
+    if tracker is not None:
+        violations.extend(tracker.violations())
+        total_chain_slack = sum(
+            tracker.chain_slack(cid) for cid in tracker.exits
+        )
+        if total_chain_slack != slack:
+            violations.append(
+                f"chain conservation: per-chain slack {total_chain_slack} "
+                f"!= machine-wide slack {slack}"
+            )
+
+    # No lost wakeup: a halted pCPU must not be parking a vCPU with
+    # pending interrupts.
+    for vm in stack.vms:
+        for vcpu in vm.vcpus:
+            pcpu = getattr(vcpu, "pcpu", None)
+            if pcpu is not None and pcpu.halted and vcpu.lapic.irr:
+                violations.append(
+                    f"lost wakeup: pcpu{pcpu.idx} halted while "
+                    f"{vcpu.name if hasattr(vcpu, 'name') else vcpu} has "
+                    f"pending irr {sorted(vcpu.lapic.irr)}"
+                )
+
+    # Resource lifecycle: nothing may leak a migration-held resource —
+    # no dirty log left attached to any VM's memory, no backend left
+    # paused or still dirty-logging.  Campaigns fail on the leaked-state
+    # bug class even when no invariant above notices the corruption.
+    violations.extend(lifecycle_violations(stack))
+
+    # Cycle conservation: charges non-negative, and the total bounded by
+    # wall-cycles across all CPUs.  Boot-time work ("setup": IOMMU
+    # page-pinning at device assignment) is charged while the stack is
+    # *built* — before the clock ever runs — so it lies outside the
+    # wall-cycle budget; a short run over a big passthrough domain would
+    # otherwise flag a false violation.
+    for category, cycles in metrics.cycles.items():
+        if cycles < 0:
+            violations.append(f"negative cycle charge: {category}={cycles}")
+    wall_budget = machine.sim.now * len(machine.cpus)
+    charged = sum(metrics.cycles.values()) - metrics.cycles.get("setup", 0)
+    if machine.sim.now > 0 and charged > wall_budget:
+        violations.append(
+            f"cycle conservation: {charged} charged > "
+            f"{wall_budget} wall-cycle budget"
+        )
+
+    return violations
 
 
 def lifecycle_violations(stack) -> List[str]:
@@ -112,7 +209,7 @@ def fabric_conservation_violations(fabric) -> List[str]:
     lossless = (
         drained
         and undeliverable == 0
-        and faults.get(_FABRIC_DEGRADE, 0) == 0
+        and faults.get(FaultClass.FABRIC_DEGRADE, 0) == 0
         and all(faults.get(kind, 0) == 0 for kind in _FABRIC_LOSSY)
     )
     if lossless and metered != in_bytes:

@@ -14,11 +14,11 @@ attached (and therefore every lifecycle/conservation invariant armed):
    fault plan.  Fabric byte conservation is checked at the end of each;
 3. **Traced microbenchmark** — span-level cycle attribution reconciled
    against Metrics (cycle conservation per exit chain);
-4. **Generated scenarios** — a slice of the constrained-random
-   scenario generator's output (:mod:`repro.scenarios`), covering both
-   topologies and all three modeled architectures, audited end to end;
-5. **Fuzz campaign** — the NecoFuzz-style trap-chain fuzzer, whose
-   per-episode invariants now include the resource-lifecycle audits.
+4. **Scenario specs** — two spec lists run through
+   :func:`repro.scenarios.run_scenarios` with the auditor armed: a slice
+   of the constrained-random generator's output (both topologies, all
+   three modeled architectures) and a ``faults fuzz`` campaign
+   (:func:`repro.scenarios.fuzz_specs`).
 
 Reverting the migration-lifecycle fixes in
 :mod:`repro.core.migration` turns scenario families 1 and 2 red (leaked
@@ -29,13 +29,24 @@ tripwire that keeps those bugs fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.audit.auditor import Auditor
+from repro.cluster import Cluster, TenantSpec
 from repro.core.features import DvhFeatures
 from repro.core.migration import LiveMigration, MigrationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
 from repro.hw.mem import PAGE_SIZE
 from repro.hv.stack import StackConfig, build_stack
+from repro.ooh.grants import GrantSet
+from repro.scenarios import (
+    ScenarioSpec,
+    fuzz_specs,
+    generate_specs,
+    run_scenarios,
+)
+from repro.workloads.microbench import run_microbenchmark
 
 __all__ = ["AuditScenario", "AuditRun", "run_audit", "render_audit"]
 
@@ -85,8 +96,6 @@ _STACKS = (
 
 
 def _migration_wire_specs(now: int):
-    from repro.faults.plan import FaultClass, FaultSpec
-
     return (
         ("clean", None),
         ("mig_bandwidth", FaultSpec(kind=FaultClass.MIG_BANDWIDTH, param=0.5)),
@@ -114,9 +123,6 @@ def _spawn_firehose(stack, proc) -> None:
 
 
 def _run_migration_matrix(seed: int) -> List[AuditScenario]:
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
-
     scenarios: List[AuditScenario] = []
     for stack_name, factory in _STACKS:
         # Probe run: flap windows are anchored at the settled clock.
@@ -179,10 +185,6 @@ def _run_migration_matrix(seed: int) -> List[AuditScenario]:
     # dirty_logging grant active, loses it to an ooh_grant_revoke fault
     # while rounds are still draining, and must finish on the forwarded
     # path with the fallback counted — and nothing leaked.
-    from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
-    from repro.faults.injector import FaultInjector
-    from repro.ooh.grants import GrantSet
-
     auditor = Auditor()
     stack = build_stack(
         StackConfig(
@@ -229,9 +231,6 @@ def _run_migration_matrix(seed: int) -> List[AuditScenario]:
 # Scenario family 2: cluster failure matrix
 # ----------------------------------------------------------------------
 def _cluster_scenarios(seed: int) -> List[AuditScenario]:
-    from repro.cluster import Cluster, TenantSpec
-    from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
-
     scenarios: List[AuditScenario] = []
 
     def other_host(cluster, tenant_name):
@@ -316,10 +315,8 @@ def _cluster_scenarios(seed: int) -> List[AuditScenario]:
         ),
     )
     auditor = Auditor().attach_cluster(cluster)
-    from repro.cluster import TenantSpec as _Spec
-
-    cluster.place(_Spec(name="a", io_model="vp", memory_gb=8))
-    cluster.place(_Spec(name="b", io_model="virtio", memory_gb=8))
+    cluster.place(TenantSpec(name="a", io_model="vp", memory_gb=8))
+    cluster.place(TenantSpec(name="b", io_model="virtio", memory_gb=8))
     for name in ("a", "b"):
         if cluster.host_of(name).name != "host0":
             tenant = cluster.host_of(name).evict(name)
@@ -341,8 +338,6 @@ def _cluster_scenarios(seed: int) -> List[AuditScenario]:
 # Scenario family 3: traced microbenchmark (cycle conservation)
 # ----------------------------------------------------------------------
 def _traced_scenario(seed: int) -> AuditScenario:
-    from repro.workloads.microbench import run_microbenchmark
-
     stack = build_stack(
         StackConfig(
             levels=2, io_model="vp", dvh=DvhFeatures.full(), seed=seed
@@ -359,32 +354,9 @@ def _traced_scenario(seed: int) -> AuditScenario:
 
 
 # ----------------------------------------------------------------------
-# Scenario family 4: fuzz campaign with lifecycle invariants
+# Scenario family 4: scenario-spec lists (generated scenarios, fuzz)
 # ----------------------------------------------------------------------
-def _fuzz_scenario(seed: int, episodes: int) -> AuditScenario:
-    from repro.faults.fuzz import TrapChainFuzzer
-
-    fuzzer = TrapChainFuzzer(seed=seed, episodes=episodes)
-    campaign = fuzzer.run()
-    violations = [
-        f"episode {e.index} (seed {e.seed}): {v}"
-        for e in campaign.failures
-        for v in e.violations
-    ]
-    return AuditScenario(
-        name=f"fuzz/{episodes}-episodes",
-        violations=violations,
-        detail=f"{len(campaign.episodes)} episodes",
-    )
-
-
-# ----------------------------------------------------------------------
-# Scenario family 5: generated scenarios (constrained-random stimulus)
-# ----------------------------------------------------------------------
-def _generated_scenarios(seed: int, count: int = 8) -> AuditScenario:
-    from repro.scenarios import generate_specs, run_scenarios
-
-    specs = generate_specs(seed=seed, count=count)
+def _spec_scenario(name: str, specs: Sequence[ScenarioSpec]) -> AuditScenario:
     results = run_scenarios(specs, audit=True)
     violations = [
         f"scenario {r['index']} ({r['desc']}, seed {r['seed']}): {v}"
@@ -397,7 +369,7 @@ def _generated_scenarios(seed: int, count: int = 8) -> AuditScenario:
     ]
     archs = ",".join(sorted({s.arch for s in specs}))
     return AuditScenario(
-        name=f"scenarios/{count}-generated",
+        name=name,
         violations=violations,
         detail=f"{len(results)} scenarios across {archs}",
     )
@@ -422,9 +394,9 @@ def run_audit(
     for scenario in _cluster_scenarios(seed):
         add(scenario)
     add(_traced_scenario(seed))
-    add(_generated_scenarios(seed))
+    add(_spec_scenario("scenarios/8-generated", generate_specs(seed, count=8)))
     if episodes > 0:
-        add(_fuzz_scenario(seed, episodes))
+        add(_spec_scenario(f"fuzz/{episodes}-episodes", fuzz_specs(seed, episodes)))
     return run
 
 

@@ -659,55 +659,73 @@ def _run_trace(args) -> int:
 
 
 def _run_faults(args) -> int:
-    """The ``faults`` subcommand: fuzz campaigns and single plan runs."""
-    if args.mode == "fuzz":
-        from repro.faults import TrapChainFuzzer, render_campaign
+    """The ``faults`` subcommand: fuzz campaigns and single plan runs,
+    both machine scenario specs run by :mod:`repro.scenarios.runner`."""
+    import json
 
-        fuzzer = TrapChainFuzzer(
+    from repro.faults import render_campaign, render_plan_run
+    from repro.scenarios import (
+        MACHINE_FAULT_CLASSES,
+        ScenarioSpec,
+        fuzz_specs,
+        run_machine,
+        run_scenario,
+        run_scenarios,
+    )
+
+    if args.mode == "fuzz":
+        specs = fuzz_specs(
             seed=args.seed,
-            episodes=args.episodes,
-            levels=tuple(args.levels),
+            count=args.episodes,
+            levels_pool=tuple(args.levels),
             ops_per_worker=args.ops,
             intensity=args.intensity,
-            replay_every=args.replay_every,
-            audit=args.audit,
         )
-        campaign = fuzzer.run()
-        print(render_campaign(campaign, verbose=args.verbose))
-        return 0 if campaign.ok else 1
+        results = run_scenarios(specs, jobs=args.jobs, audit=args.audit)
+        # Every Nth episode runs again in this process; its digest must
+        # match the campaign run's byte for byte.
+        replayed = results[:: args.replay_every] if args.replay_every else []
+        for result in replayed:
+            replay = run_scenario(specs[result["index"]], audit=args.audit)
+            result["replayed"] = True
+            if replay["digest"] != result["digest"]:
+                result["violations"].append(
+                    f"replay divergence: {result['digest'][:16]} != "
+                    f"{replay['digest'][:16]}"
+                )
+        if args.json:
+            print(json.dumps(results, indent=2, sort_keys=True))
+        else:
+            print(render_campaign(args.seed, specs, results, verbose=args.verbose))
+        ok = all(r["outcome"] == "ok" and not r["violations"] for r in results)
+        return 0 if ok else 1
 
     # mode == "plan": one seed-derived plan against one configured stack.
-    from repro.faults import (
-        FaultPlan,
-        build_faulted_stack,
-        check_invariants,
-        render_plan_run,
-        run_fault_workload,
-    )
-    from repro.faults.fuzz import FUZZ_CLASSES
-
     config = _stack_config(args)
-    classes = args.classes if args.classes else FUZZ_CLASSES
-    plan = FaultPlan.random(args.seed, classes=classes, intensity=args.intensity)
-    stack, injector = build_faulted_stack(config, plan, seed=args.seed)
-    auditor = _make_auditor(args)
-    if auditor is not None:
-        auditor.attach_stack(stack)
-    violations = []
-    ops = {}
-    try:
-        ops = run_fault_workload(stack, ops_per_worker=args.ops, seed=args.seed)
-    except RuntimeError as exc:
-        violations.append(f"stranded: {exc}")
-    violations.extend(check_invariants(stack, injector))
-    if auditor is not None:
-        violations.extend(str(v) for v in auditor.finish().violations)
-    print(render_plan_run(stack, injector, ops=ops))
+    spec = ScenarioSpec(
+        seed=args.seed,
+        topology="machine",
+        arch=config.arch,
+        guest_hv=config.guest_hv,
+        levels=config.levels,
+        io_model=config.io_model,
+        dvh=args.dvh,
+        workers=config.workers,
+        ops_per_worker=args.ops,
+        fault_classes=tuple(args.classes or MACHINE_FAULT_CLASSES),
+        fault_seed=args.seed,
+        intensity=args.intensity,
+    )
+    result, stack, injector = run_machine(spec, audit=args.audit)
+    print(render_plan_run(stack, injector, ops=result["ops"]))
     if args.report:
         from repro.metrics.report import full_report
 
         print()
         print(full_report(stack.metrics, stack.machine.freq_hz, sim=stack.sim))
+    violations = result["violations"]
+    if result["outcome"] != "ok":
+        violations = [result["outcome"]] + violations
     if violations:
         print()
         print(f"INVARIANT VIOLATIONS ({len(violations)}):")

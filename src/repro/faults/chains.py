@@ -1,9 +1,9 @@
-"""Per-chain exit accounting for the fuzzer's invariants.
+"""Per-chain exit accounting for the faulted-run invariants.
 
 The dispatch core threads a chain id through every exit a single guest
 operation ultimately causes (see :class:`repro.hv.dispatch.ExitContext`).
 The :class:`ChainTracker` hangs off ``machine.chain_tracker`` and hears
-about every trap frame, letting :func:`repro.faults.fuzz.check_invariants`
+about every trap frame, letting :func:`repro.audit.checks.check_invariants`
 tighten exit conservation from a machine-wide sum to **per-chain**
 conservation: within one chain, every hardware exit must be either
 handled by L0 or forwarded to exactly one guest hypervisor, with at most
@@ -12,8 +12,8 @@ merely *moves* an exit between chains — invisible to the aggregate
 check — trips this one.
 
 The tracker deliberately lives outside :class:`repro.metrics.Metrics`:
-fuzz replay digests hash the metrics snapshot, and attaching a tracker
-must not change any episode's digest.
+run digests hash the metrics snapshot, and attaching a tracker must not
+change any run's digest.
 """
 
 from __future__ import annotations

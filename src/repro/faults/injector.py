@@ -31,14 +31,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.features import fallback_io_model, negotiate
+from repro.faults.chains import ChainTracker
 from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
 from repro.hw.lapic import VIRTIO_VECTOR_BASE
+from repro.hv.stack import build_stack
 from repro.hv.virtio_backend import KICK_VECTOR, NOTIFY_TIMEOUT_CYCLES
 
-__all__ = ["FaultInjector", "degrade_config"]
+__all__ = ["FaultInjector", "build_faulted_stack", "degrade_config"]
 
 #: Vectors the irq_drop class may swallow: virtio completion vectors and
 #: backend kick wakeups.  Timer and IPI vectors are exempt so safety
@@ -51,7 +54,7 @@ _DROPPABLE_VECTORS = frozenset(
 _CORRUPT_SIZE = 1
 
 
-def degrade_config(config, plan: FaultPlan, metrics=None):
+def degrade_config(config, plan: FaultPlan):
     """Apply a plan's DVH capability faults to a stack config *before*
     building: capability negotiation drops the faulted mechanisms and the
     I/O model falls back gracefully (virtual-passthrough -> virtio).
@@ -59,22 +62,31 @@ def degrade_config(config, plan: FaultPlan, metrics=None):
     Returns ``(config, dropped_mechanisms)``.  The config is returned
     unchanged when the plan has no ``dvh_cap_fault`` spec.
     """
-    from dataclasses import replace
-
     mechanisms = plan.faulted_mechanisms()
     if not mechanisms:
         return config, []
     granted, dropped = negotiate(config.dvh, mechanisms)
     io_model = fallback_io_model(config.io_model, granted)
+    return replace(config, dvh=granted, io_model=io_model), dropped
+
+
+def build_faulted_stack(config, plan: FaultPlan, seed: int = 0):
+    """Degrade the config per the plan's capability faults, build the
+    stack, and attach an injector.  Returns ``(stack, injector)``."""
+    config, dropped = degrade_config(config, plan)
+    stack = build_stack(config)
+    # Per-chain exit accounting for check_invariants; lives outside
+    # Metrics so run digests are unchanged by its presence.
+    stack.machine.chain_tracker = ChainTracker()
     # Only the faulted mechanisms count as injections: negotiation also
     # prunes dependency-unsatisfied defaults, which is not a fault.
-    faulted_drops = [m for m in dropped if m in mechanisms]
-    if metrics is not None:
-        for _mech in faulted_drops:
-            metrics.record_fault(FaultClass.DVH_CAP_FAULT)
-        if faulted_drops:
-            metrics.record_recovery("dvh_fallback")
-    return replace(config, dvh=granted, io_model=io_model), dropped
+    faulted_drops = [m for m in dropped if m in plan.faulted_mechanisms()]
+    if faulted_drops:
+        for _ in faulted_drops:
+            stack.metrics.record_fault(FaultClass.DVH_CAP_FAULT)
+        stack.metrics.record_recovery("dvh_fallback")
+    injector = FaultInjector(stack.machine, plan, seed=seed).attach(stack)
+    return stack, injector
 
 
 class FaultInjector:
@@ -179,11 +191,7 @@ class FaultInjector:
         if spec is not None and spec.active(now):
             if self.rng.random() < spec.rate:
                 self._record(FaultClass.NIC_CORRUPT)
-                import dataclasses
-
-                return dataclasses.replace(
-                    packet, size=_CORRUPT_SIZE, payload=None
-                )
+                return replace(packet, size=_CORRUPT_SIZE, payload=None)
         return packet
 
     def _irq_hook(self, vector: int) -> bool:

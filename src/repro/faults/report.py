@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List
 
 from repro.metrics.report import _table, fault_report
@@ -33,37 +34,49 @@ def render_plan_run(stack, injector, ops=None) -> str:
     return "\n".join(parts)
 
 
-def render_campaign(campaign, verbose: bool = False) -> str:
-    """Report for a fuzz campaign: per-class totals, episode failures."""
-    episodes = campaign.episodes
-    replayed = sum(1 for e in episodes if e.replay_checked)
+def _totals(results, key: str) -> Counter:
+    totals: Counter = Counter()
+    for result in results:
+        totals.update(result[key])
+    return totals
+
+
+def render_campaign(seed: int, specs, results, verbose: bool = False) -> str:
+    """Report for a fuzz campaign — machine specs and their run results
+    (see :func:`repro.scenarios.run_scenarios`): per-class totals, then
+    every failing episode with the canonical spec line that replays (and
+    shrinks) it."""
+    replayed = sum(1 for r in results if r.get("replayed"))
     parts: List[str] = [
-        f"Fuzz campaign: seed {campaign.seed}, {len(episodes)} episodes, "
+        f"Fuzz campaign: seed {seed}, {len(results)} episodes, "
         f"{replayed} replay-verified",
         "",
     ]
-    rows = [
-        [kind, str(n)] for kind, n in sorted(campaign.injected_totals().items())
-    ] or [["(none)", "0"]]
-    parts += ["Injected faults", _table(["class", "count"], rows), ""]
-    rows = [
-        [kind, str(n)] for kind, n in sorted(campaign.recovery_totals().items())
-    ] or [["(none)", "0"]]
-    parts += ["Recoveries", _table(["class", "count"], rows), ""]
+    for title, key in (("Injected faults", "injected"), ("Recoveries", "recoveries")):
+        rows = [
+            [kind, str(n)] for kind, n in sorted(_totals(results, key).items())
+        ] or [["(none)", "0"]]
+        parts += [title, _table(["class", "count"], rows), ""]
 
-    failures = campaign.failures
-    if failures:
-        parts.append(f"FAILURES ({len(failures)}):")
-        for episode in failures:
-            parts.append(
-                f"  episode {episode.index} (seed {episode.seed}, "
-                f"{episode.config_desc}):"
-            )
-            for violation in episode.violations:
-                parts.append(f"    - {violation}")
-            if verbose:
-                for line in episode.plan_desc.splitlines():
-                    parts.append(f"    plan: {line}")
-    else:
+    failures = [
+        (spec, r)
+        for spec, r in zip(specs, results)
+        if r["outcome"] != "ok" or r["violations"]
+    ]
+    if not failures:
         parts.append("All invariants green.")
+        return "\n".join(parts)
+    parts.append(f"FAILURES ({len(failures)}):")
+    for spec, result in failures:
+        parts.append(
+            f"  episode {result['index']} (seed {spec.seed}, {spec.desc}):"
+        )
+        if result["outcome"] != "ok":
+            parts.append(f"    - {result['outcome']}")
+        for violation in result["violations"]:
+            parts.append(f"    - {violation}")
+        parts.append(f"    spec: {spec.to_json()}")
+        if verbose:
+            for line in spec.fault_plan().describe().splitlines():
+                parts.append(f"    plan: {line}")
     return "\n".join(parts)

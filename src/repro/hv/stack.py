@@ -83,8 +83,8 @@ class StackConfig:
     #: L0 timer-emulation backend: "hrtimer" or "preemption" (S3.2).
     timer_backend: str = "hrtimer"
     #: Platform cost profile: "x86" (the paper's testbed), "arm"
-    #: (S3/S4: DVH-VP measured on ARM too) or "riscv" (H-extension;
-    #: ROADMAP item 4).  I/O models are platform-agnostic.
+    #: (S3/S4: DVH-VP measured on ARM too) or "riscv" (H-extension).
+    #: I/O models are platform-agnostic.
     arch: str = "x86"
     #: OoH feature grants to the L1 guest hypervisor (see repro.ooh), or
     #: None = the grant layer is absent entirely (byte-identical to a

@@ -8,12 +8,11 @@ running it consumes no generator randomness and the same seed always
 yields byte-identical specs (and, through the runner, byte-identical
 run digests).
 
-This module is the single source of stimulus shapes.  The trap-chain
-fuzzer (:mod:`repro.faults.fuzz`) draws its episode stacks from
-:func:`draw_stack_shape`/:func:`draw_grants`, the cluster sweep's
+This module is the single source of stimulus shapes.  A ``faults fuzz``
+campaign is :func:`fuzz_specs` output, the cluster sweep's
 ``standard_tenants`` is :func:`mixed_tenant_specs`, and the ``repro
-audit`` matrix runs :func:`generate_specs` output — three formerly
-hand-written stimulus paths, one generator.
+audit`` matrix runs :func:`generate_specs` and :func:`fuzz_specs`
+output — three formerly hand-written stimulus paths, one generator.
 
 Constraint validation is *reused*, never duplicated: every generated
 spec passes through ``StackConfig.validate`` / ``GrantSet.validate`` /
@@ -22,10 +21,6 @@ it is returned, so the generator can only emit combinations the
 builders themselves accept — e.g. Xen never lands on a RISC-V host, and
 ``vp`` I/O never appears without nesting plus the virtual-passthrough
 feature.
-
-Import discipline: :mod:`repro.faults.fuzz` imports this module at
-module level, so nothing here may import ``repro.faults`` at module
-level (function-level imports only).
 """
 
 from __future__ import annotations
@@ -34,6 +29,9 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.features import DvhFeatures
+from repro.faults.plan import FaultClass
+from repro.hv.stack import StackConfig
+from repro.ooh.grants import GrantSet
 from repro.scenarios.spec import ScenarioSpec, TenantDraw, dvh_name
 
 __all__ = [
@@ -44,6 +42,7 @@ __all__ = [
     "draw_grants",
     "draw_scenario",
     "draw_stack_shape",
+    "fuzz_specs",
     "generate_specs",
     "mixed_tenant_draws",
     "mixed_tenant_specs",
@@ -54,19 +53,20 @@ __all__ = [
 #: this repo models x86 VMX, ARM VHE and the RISC-V H-extension).
 ARCH_POOL: Tuple[str, ...] = ("x86", "arm", "riscv")
 
-#: Fault classes a machine-topology scenario draws from — the fuzzer's
-#: pool: hook/point faults plus capability and grant revocations
-#: (migration-wire classes belong to the migration experiments).
+#: Fault classes a machine-topology scenario draws from — hook/point
+#: faults plus capability and grant revocations (migration-wire classes
+#: belong to the migration experiments).  A fuzz episode's plan and a
+#: default ``faults plan`` run draw from all of them, in this order.
 MACHINE_FAULT_CLASSES: Tuple[str, ...] = (
-    "nic_drop",
-    "nic_corrupt",
-    "virtio_malformed",
-    "virtio_kick_drop",
-    "irq_drop",
-    "irq_spurious",
-    "iommu_fault",
-    "dvh_cap_fault",
-    "ooh_grant_revoke",
+    FaultClass.NIC_DROP,
+    FaultClass.NIC_CORRUPT,
+    FaultClass.VIRTIO_MALFORMED,
+    FaultClass.VIRTIO_KICK_DROP,
+    FaultClass.IRQ_DROP,
+    FaultClass.IRQ_SPURIOUS,
+    FaultClass.IOMMU_FAULT,
+    FaultClass.DVH_CAP_FAULT,
+    FaultClass.OOH_GRANT_REVOKE,
 )
 
 #: Fault classes a cluster-topology scenario may aim at its fabric.
@@ -80,15 +80,15 @@ TENANT_MIX: Tuple[str, ...] = ("virtio", "vp", "virtio", "passthrough")
 
 
 def scenario_seed(campaign_seed: int, index: int) -> int:
-    """Per-scenario seed, mixed exactly like the fuzzer's episode seed
-    so campaigns never collide across adjacent campaign seeds."""
+    """Per-scenario seed: campaigns never collide across adjacent
+    campaign seeds (frozen: every pinned campaign digest derives from
+    it)."""
     return campaign_seed * 1_000_003 + index
 
 
 # ----------------------------------------------------------------------
-# Stack-shape draws (shared verbatim with the trap-chain fuzzer — the
-# rng consumption order here is frozen: changing it would re-shape every
-# pinned fuzz campaign).
+# Stack-shape draws (the rng consumption order here is frozen: changing
+# it would re-shape every pinned fuzz campaign).
 # ----------------------------------------------------------------------
 def draw_stack_shape(
     rng: random.Random,
@@ -97,8 +97,6 @@ def draw_stack_shape(
 ):
     """Draw one stack configuration: depth, DVH feature set, I/O model
     and OoH grants.  Returns a ready-to-build ``StackConfig``."""
-    from repro.hv.stack import StackConfig
-
     levels = rng.choice(tuple(levels_pool))
     if levels == 0:
         return StackConfig(levels=0, workers=workers)
@@ -123,8 +121,6 @@ def draw_grants(
     """Draw an OoH grant set consistent with the stack shape — only
     features the DVH config doesn't already provide, and never the
     dirty-tracking grants on a hardware-coupled (passthrough) stack."""
-    from repro.ooh.grants import GrantSet
-
     if levels < 2 or rng.random() < 0.5:
         return None
     pool: List[str] = []
@@ -167,6 +163,22 @@ def mixed_tenant_specs(count: int) -> List:
 # ----------------------------------------------------------------------
 # Whole-scenario draws
 # ----------------------------------------------------------------------
+def _machine_spec(seed: int, config, **fields) -> ScenarioSpec:
+    """A machine spec carrying a drawn stack shape, after the builder's
+    coercions (e.g. levels=0 -> native I/O)."""
+    config.validate()
+    return ScenarioSpec(
+        seed=seed,
+        topology="machine",
+        levels=config.levels,
+        io_model=config.io_model,
+        dvh=dvh_name(config.dvh),
+        workers=config.workers,
+        grants=config.ooh.names() if config.ooh is not None else (),
+        **fields,
+    )
+
+
 def _draw_machine(
     rng: random.Random,
     seed: int,
@@ -176,8 +188,6 @@ def _draw_machine(
     workers: int,
 ) -> ScenarioSpec:
     config = draw_stack_shape(rng, levels_pool, workers)
-    config.validate()  # apply builder coercions (e.g. levels=0 -> native I/O)
-    grants = config.ooh.names() if config.ooh is not None else ()
     if rng.random() < 0.2:
         fault_classes: Tuple[str, ...] = ()  # a clean-run scenario
     else:
@@ -187,16 +197,13 @@ def _draw_machine(
                 rng.randint(1, 4),
             )
         )
-    return ScenarioSpec(
-        seed=seed,
-        topology="machine",
+    return _machine_spec(
+        seed,
+        config,
         arch=arch,
-        guest_hv=guest_hv if config.levels >= 2 else "kvm" if arch != "riscv" else "hs",
-        levels=config.levels,
-        io_model=config.io_model,
-        dvh=dvh_name(config.dvh),
-        workers=workers,
-        grants=tuple(grants),
+        guest_hv=(
+            guest_hv if config.levels >= 2 else "kvm" if arch != "riscv" else "hs"
+        ),
         ops_per_worker=rng.choice((10, 20, 40)),
         fault_classes=fault_classes,
         fault_seed=rng.randrange(1 << 30),
@@ -275,3 +282,36 @@ def generate_specs(
         )
         for index in range(count)
     ]
+
+
+def fuzz_specs(
+    seed: int = 0,
+    count: int = 50,
+    levels_pool: Sequence[int] = (0, 1, 2, 3),
+    ops_per_worker: int = 20,
+    intensity: float = 0.08,
+) -> List[ScenarioSpec]:
+    """``count`` fuzz episodes for one campaign seed — the stimulus of
+    ``python -m repro faults fuzz`` and of ``repro audit``'s fuzz leg.
+
+    Each episode is a machine spec on x86/KVM with two workers whose
+    fault plan draws from every :data:`MACHINE_FAULT_CLASSES` class.
+    Draw order (frozen: the pinned campaign digests depend on it):
+    stack shape, then the plan's seed.
+    """
+    specs = []
+    for index in range(count):
+        spec_seed = scenario_seed(seed, index)
+        rng = random.Random(spec_seed)
+        config = draw_stack_shape(rng, levels_pool, 2)
+        specs.append(
+            _machine_spec(
+                spec_seed,
+                config,
+                ops_per_worker=ops_per_worker,
+                fault_classes=MACHINE_FAULT_CLASSES,
+                fault_seed=rng.randrange(1 << 30),
+                intensity=intensity,
+            ).validate()
+        )
+    return specs

@@ -1,49 +1,68 @@
-"""Run generated scenarios and digest the outcome.
+"""Run scenarios and digest the outcome — the one engine behind
+``scenarios run``, ``faults plan``, ``faults fuzz`` and ``repro audit``'s
+spec families.
 
 One scenario -> one JSON-friendly result dict with the invariant
 violations found and a sha256 state digest.  Results are pure functions
 of the spec bytes: running the same spec twice — serial or under
 ``--jobs``, fast-forward on or off — produces byte-identical dicts,
 which is what the replay tests pin.
-
-Import discipline: :mod:`repro.faults.fuzz` imports
-:mod:`repro.scenarios.generator` at module level, so the faults layer is
-imported lazily here (inside functions) to keep the package cycle-free.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.audit import Auditor, check_invariants
 from repro.bench.parallel import map_cells
+from repro.cluster import Cluster, PlacementError
+from repro.core.migration import MigrationError, MigrationNotSupported
+from repro.faults.injector import build_faulted_stack
+from repro.faults.plan import FaultPlan
+from repro.faults.workload import run_fault_workload
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_scenario", "run_scenarios", "scenario_cell"]
+__all__ = [
+    "run_machine",
+    "run_scenario",
+    "run_scenarios",
+    "scenario_cell",
+    "state_digest",
+]
 
 
-def _run_machine(spec: ScenarioSpec, audit: bool) -> Dict:
-    from repro.faults.fuzz import (
-        build_faulted_stack,
-        check_invariants,
-        state_digest,
-    )
-    from repro.faults.plan import FaultPlan
-    from repro.faults.workload import run_fault_workload
+def state_digest(stack, injector=None) -> str:
+    """A stable digest of the run's observable outcome: final clock,
+    every counter, and what was injected.  Two runs are *the same run*
+    iff their digests match."""
+    snapshot = stack.metrics.snapshot()
+    payload = {
+        "now": stack.sim.now,
+        "metrics": {
+            table: {str(k): v for k, v in sorted(counters.items(), key=lambda kv: str(kv[0]))}
+            for table, counters in snapshot.items()
+        },
+        "injected": dict(sorted(injector.summary().items())) if injector else {},
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
+
+def run_machine(spec: ScenarioSpec, audit: bool = False):
+    """Run one machine-topology spec: build the faulted stack, drive the
+    op soup, check the invariants, digest.  Returns ``(result, stack,
+    injector)`` so a caller can render the run it just checked."""
     plan = spec.fault_plan() or FaultPlan.empty()
     stack, injector = build_faulted_stack(
         spec.stack_config(), plan, seed=spec.seed
     )
-    auditor = None
-    if audit:
-        from repro.audit import Auditor
-
-        auditor = Auditor().attach_stack(stack)
+    auditor = Auditor().attach_stack(stack) if audit else None
     outcome = "ok"
-    violations: List[str] = []
+    ops: Dict[str, int] = {}
     try:
-        run_fault_workload(
+        ops = run_fault_workload(
             stack,
             ops_per_worker=spec.ops_per_worker,
             seed=spec.seed,
@@ -53,20 +72,21 @@ def _run_machine(spec: ScenarioSpec, audit: bool) -> Dict:
         outcome = f"stranded: {exc}"
     except Exception as exc:  # noqa: BLE001 — a crash IS the finding
         outcome = f"crash: {type(exc).__name__}: {exc}"
-    violations.extend(check_invariants(stack, injector))
+    violations = check_invariants(stack)
     if auditor is not None:
         violations.extend(str(v) for v in auditor.finish().violations)
-    return {
+    result = {
         "outcome": outcome,
         "violations": violations,
         "digest": state_digest(stack, injector),
+        "ops": ops,
+        "injected": dict(injector.summary()),
+        "recoveries": dict(stack.metrics.recoveries),
     }
+    return result, stack, injector
 
 
 def _run_cluster(spec: ScenarioSpec, audit: bool) -> Dict:
-    from repro.cluster import Cluster, PlacementError
-    from repro.core.migration import MigrationError, MigrationNotSupported
-
     cluster = Cluster(
         num_hosts=spec.hosts,
         seed=spec.seed,
@@ -108,7 +128,7 @@ def run_scenario(spec: ScenarioSpec, audit: bool = False) -> Dict:
     if spec.topology == "cluster":
         result = _run_cluster(spec, audit)
     else:
-        result = _run_machine(spec, audit)
+        result = run_machine(spec, audit)[0]
     return {
         "seed": spec.seed,
         "desc": spec.desc,

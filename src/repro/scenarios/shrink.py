@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["default_fails", "shrink_candidates", "shrink_scenario"]
@@ -22,8 +23,6 @@ __all__ = ["default_fails", "shrink_candidates", "shrink_scenario"]
 def default_fails(spec: ScenarioSpec) -> bool:
     """The standard predicate: the scenario crashes, strands a worker,
     or trips an invariant."""
-    from repro.scenarios.runner import run_scenario
-
     result = run_scenario(spec)
     return result["outcome"] != "ok" or bool(result["violations"])
 

@@ -17,7 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
+
+from repro.cluster import POLICIES, TenantSpec
+from repro.core.features import DvhFeatures
+from repro.faults.plan import FaultPlan
+from repro.hv.stack import StackConfig
+from repro.ooh.grants import GrantSet
 
 __all__ = ["DVH_NAMES", "ScenarioSpec", "TenantDraw", "dvh_name"]
 
@@ -28,8 +34,6 @@ DVH_NAMES = ("none", "vp", "full")
 def dvh_name(dvh) -> str:
     """Map a :class:`~repro.core.features.DvhFeatures` value back to its
     preset name.  The generator only ever draws the three presets."""
-    from repro.core.features import DvhFeatures
-
     for name in DVH_NAMES:
         if dvh == _dvh_preset(name):
             return name
@@ -37,8 +41,6 @@ def dvh_name(dvh) -> str:
 
 
 def _dvh_preset(name: str):
-    from repro.core.features import DvhFeatures
-
     return {
         "none": DvhFeatures.none,
         "vp": DvhFeatures.vp_only,
@@ -58,8 +60,6 @@ class TenantDraw:
     dirty_pages: int
 
     def to_tenant_spec(self):
-        from repro.cluster import TenantSpec
-
         return TenantSpec(
             name=self.name,
             io_model=self.io_model,
@@ -76,8 +76,8 @@ class ScenarioSpec:
     ``topology`` selects the runner: ``"machine"`` builds one faulted
     stack and drives the op soup through it; ``"cluster"`` boots a fleet,
     places the tenant mix, streams cross-host traffic and evacuates
-    host0 — the two stimulus shapes the repo previously hand-wrote in
-    three places (the fuzzer, the audit matrix, the cluster sweep).
+    host0 — the two stimulus shapes every campaign is made of (``faults
+    fuzz``/``plan``, the audit matrix, the cluster sweep).
     """
 
     seed: int
@@ -109,14 +109,10 @@ class ScenarioSpec:
     def grant_set(self):
         if not self.grants:
             return None
-        from repro.ooh.grants import GrantSet
-
         return GrantSet.from_names(list(self.grants))
 
     def stack_config(self):
         """The machine-topology stack, rebuilt from spec fields alone."""
-        from repro.hv.stack import StackConfig
-
         return StackConfig(
             levels=self.levels,
             io_model=self.io_model,
@@ -132,8 +128,6 @@ class ScenarioSpec:
         """The seed-derived fault schedule (None when no classes drew)."""
         if not self.fault_classes:
             return None
-        from repro.faults.plan import FaultPlan
-
         return FaultPlan.random(
             self.fault_seed,
             classes=list(self.fault_classes),
@@ -156,15 +150,11 @@ class ScenarioSpec:
         else:
             if self.hosts < 2:
                 raise ValueError("a cluster scenario needs >= 2 hosts")
-            from repro.cluster.placement import POLICIES
-
             if self.policy not in POLICIES:
                 raise ValueError(f"unknown policy {self.policy!r}")
             if not self.tenants:
                 raise ValueError("a cluster scenario needs tenants")
             # Host boot config must itself be valid for this arch/hv.
-            from repro.hv.stack import StackConfig
-
             StackConfig(
                 levels=self.levels,
                 guest_hv=self.guest_hv,

@@ -123,15 +123,11 @@ class CostModel:
     ghv_reinject_sw: int = 620
 
     # ------------------------------------------------------------------
-    # Guest-hypervisor handler op counts (the exit-multiplication factor)
+    # Guest-hypervisor VMCS accesses (the exit-multiplication factor).
+    # How many accesses a handler makes is the guest hypervisor's
+    # profile (repro.hv.profiles: op_counts, shadowed_accesses); these
+    # are their per-access costs and the ablation totals.
     # ------------------------------------------------------------------
-    #: Non-shadowed VMCS accesses a KVM guest hypervisor makes per handled
-    #: exit (these each trap).  With VMCS shadowing most reads/writes are
-    #: absorbed; these are the residual trapping ones.
-    ghv_vmcs_trapped_reads: int = 9
-    ghv_vmcs_trapped_writes: int = 8
-    #: Shadowed VMCS accesses (satisfied by the shadow VMCS, no trap).
-    ghv_vmcs_shadowed: int = 26
     #: Cost of one shadowed access (plain instruction).
     vmcs_shadowed_access: int = 18
     #: Trapping VMCS accesses when re-injecting an exit to a deeper level.
@@ -284,17 +280,14 @@ def arm_costs() -> CostModel:
         l0_dispatch=210,
         emul_vmcs_access=90,
         emul_vmresume_merge=4_100,
-        ghv_vmcs_trapped_reads=16,
-        ghv_vmcs_trapped_writes=14,
-        ghv_vmcs_shadowed=0,
         ghv_reinject_trapped=11,
     )
 
 
 def riscv_costs() -> CostModel:
     """A cost profile for a RISC-V host with the hypervisor (H)
-    extension, run by an HS-mode hypervisor (ROADMAP item 4; the paper's
-    §3 architecture-generality claim exercised on a third ISA).
+    extension, run by an HS-mode hypervisor (the paper's §3
+    architecture-generality claim exercised on a third ISA).
 
     Structural facts the overrides encode:
 
@@ -326,9 +319,6 @@ def riscv_costs() -> CostModel:
         emul_vmptrld=320,
         emul_vmresume_merge=2_900,
         forward_state_save=1_450,
-        ghv_vmcs_trapped_reads=14,
-        ghv_vmcs_trapped_writes=12,
-        ghv_vmcs_shadowed=0,
         ghv_reinject_trapped=10,
         ghv_vmcs_unshadowed_total=36,
         ept_violation_fix=2_700,

@@ -228,16 +228,13 @@ def test_audit_matrix_green_then_red_when_teardown_reverted(monkeypatch):
 
 
 def test_fuzzer_audit_flag_preserves_digests():
-    from repro.faults.fuzz import TrapChainFuzzer
+    from repro.scenarios import fuzz_specs, run_scenarios
 
-    base = TrapChainFuzzer(seed=7, episodes=3, replay_every=0).run()
-    audited = TrapChainFuzzer(
-        seed=7, episodes=3, replay_every=0, audit=True
-    ).run()
-    assert audited.ok
-    assert [e.digest for e in base.episodes] == [
-        e.digest for e in audited.episodes
-    ]
+    specs = fuzz_specs(seed=7, count=3)
+    base = run_scenarios(specs)
+    audited = run_scenarios(specs, audit=True)
+    assert all(r["outcome"] == "ok" and not r["violations"] for r in audited)
+    assert [r["digest"] for r in base] == [r["digest"] for r in audited]
 
 
 def test_cli_audit_subcommand(capsys):

@@ -1,8 +1,9 @@
 """Per-chain exit conservation (ChainTracker) tests."""
 
+from repro.audit import check_invariants
 from repro.core.features import DvhFeatures
 from repro.faults.chains import ChainTracker
-from repro.faults.fuzz import build_faulted_stack, check_invariants
+from repro.faults.injector import build_faulted_stack
 from repro.faults.plan import FaultPlan
 from repro.hv.stack import StackConfig, build_stack
 from repro.workloads.microbench import run_microbenchmark
@@ -78,5 +79,5 @@ def test_fuzz_invariants_include_chain_checks():
     from repro.faults.workload import run_fault_workload
 
     run_fault_workload(stack, ops_per_worker=10, seed=7, workers=2)
-    assert check_invariants(stack, injector) == []
+    assert check_invariants(stack) == []
     assert stack.machine.chain_tracker.chain_count > 0

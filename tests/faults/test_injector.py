@@ -11,9 +11,9 @@ from repro.faults import (
     build_faulted_stack,
     degrade_config,
     run_fault_workload,
-    state_digest,
 )
 from repro.hv.stack import StackConfig, build_stack
+from repro.scenarios import state_digest
 
 
 def l2_config(**overrides):

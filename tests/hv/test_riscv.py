@@ -1,6 +1,6 @@
-"""Tests for the RISC-V H-extension profile (ROADMAP item 4): HS-mode
-cost model, hedeleg/hideleg trap delegation, and the cross-arch seams
-(profile/arch combination validation, per-arch cost selection)."""
+"""Tests for the RISC-V H-extension profile: HS-mode cost model,
+hedeleg/hideleg trap delegation, and the cross-arch seams (profile/arch
+combination validation, per-arch cost selection)."""
 
 import dataclasses
 

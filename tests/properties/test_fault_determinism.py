@@ -3,7 +3,7 @@
 Two properties the whole subsystem rests on:
 
 * same seed => byte-identical outcome, for any plan/stack drawn from the
-  fuzzer's space;
+  machine-scenario fault space;
 * a zero-fault plan is the identity: runs with an empty-plan injector
   attached are byte-identical to runs with no injector at all.
 """
@@ -17,10 +17,9 @@ from repro.faults import (
     FaultPlan,
     build_faulted_stack,
     run_fault_workload,
-    state_digest,
 )
-from repro.faults.fuzz import FUZZ_CLASSES
 from repro.hv.stack import StackConfig, build_stack
+from repro.scenarios import MACHINE_FAULT_CLASSES, state_digest
 
 CONFIGS = [
     StackConfig(levels=1, io_model="virtio", workers=2),
@@ -38,7 +37,7 @@ CONFIGS = [
 def test_same_seed_byte_identical(plan_seed, inj_seed, config_index):
     digests = []
     for _ in range(2):
-        plan = FaultPlan.random(plan_seed, classes=FUZZ_CLASSES, intensity=0.1)
+        plan = FaultPlan.random(plan_seed, classes=MACHINE_FAULT_CLASSES, intensity=0.1)
         stack, injector = build_faulted_stack(
             CONFIGS[config_index], plan, seed=inj_seed
         )

@@ -9,6 +9,8 @@ from repro.scenarios import (
     ScenarioSpec,
     draw_grants,
     draw_stack_shape,
+    dvh_name,
+    fuzz_specs,
     generate_specs,
     mixed_tenant_specs,
     scenario_seed,
@@ -68,26 +70,27 @@ def test_arch_pool_restriction():
 
 
 def test_stack_shape_draws_match_fuzzer_stream():
-    """The fuzzer delegates its episode draws here; the rng consumption
-    must stay stable so campaign seeds keep reproducing old episodes."""
-    from repro.faults.fuzz import TrapChainFuzzer
-
-    fuzzer = TrapChainFuzzer(seed=5)
-    for index in range(20):
-        eseed = fuzzer.episode_seed(index)
-        direct = draw_stack_shape(random.Random(eseed), (0, 1, 2, 3), 2)
-        via_fuzzer = fuzzer._episode_config(random.Random(eseed))
+    """A fuzz episode is one stack-shape draw then the plan seed from
+    the episode's own rng; that consumption order must stay stable so
+    campaign seeds keep reproducing old episodes."""
+    for index, spec in enumerate(fuzz_specs(seed=5, count=20)):
+        rng = random.Random(scenario_seed(5, index))
+        direct = draw_stack_shape(rng, (0, 1, 2, 3), 2)
+        direct.validate()
         assert (
             direct.levels,
             direct.io_model,
-            direct.dvh,
-            direct.ooh.names() if direct.ooh else None,
+            dvh_name(direct.dvh),
+            direct.ooh.names() if direct.ooh else (),
+            rng.randrange(1 << 30),
         ) == (
-            via_fuzzer.levels,
-            via_fuzzer.io_model,
-            via_fuzzer.dvh,
-            via_fuzzer.ooh.names() if via_fuzzer.ooh else None,
+            spec.levels,
+            spec.io_model,
+            spec.dvh,
+            spec.grants,
+            spec.fault_seed,
         )
+        assert (spec.arch, spec.guest_hv, spec.workers) == ("x86", "kvm", 2)
 
 
 def test_grants_never_dirty_on_passthrough():
@@ -118,10 +121,8 @@ def test_mixed_tenant_specs_matches_sweep_fleet():
 
 
 def test_scenario_seed_mixing_matches_fuzzer():
-    from repro.faults.fuzz import TrapChainFuzzer
-
-    fuzzer = TrapChainFuzzer(seed=42)
-    assert scenario_seed(42, 17) == fuzzer.episode_seed(17)
+    assert scenario_seed(42, 17) == 42 * 1_000_003 + 17
+    assert fuzz_specs(seed=42, count=18)[17].seed == scenario_seed(42, 17)
 
 
 def test_pinned_campaign_shape():

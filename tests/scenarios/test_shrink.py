@@ -84,3 +84,21 @@ def test_cluster_shrink_drops_tenants_and_hosts():
     assert len(minimal.tenants) == 2
     assert minimal.hosts == 2
     assert any("drop tenant" in step for step in steps)
+
+
+def test_fuzz_finding_shrinks():
+    """A fuzz episode is a spec, so a finding shrinks like any other."""
+    from repro.scenarios import fuzz_specs
+
+    spec = next(s for s in fuzz_specs(seed=1, count=25) if s.levels >= 2)
+
+    def fails(candidate):
+        return "irq_drop" in candidate.fault_classes and candidate.levels >= 1
+
+    minimal, steps = shrink_scenario(spec, fails=fails)
+    assert minimal.fault_classes == ("irq_drop",)
+    assert minimal.levels == 1
+    assert minimal.ops_per_worker == 1
+    assert minimal.dvh == "none" and minimal.grants == ()
+    assert len(steps) >= len(spec.fault_classes) - 1
+    assert shrink_scenario(spec, fails=fails) == (minimal, steps)

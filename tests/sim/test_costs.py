@@ -1,5 +1,6 @@
 """Tests for the cost model's structural calibration facts."""
 
+from repro.hv.profiles import KVM_PROFILE
 from repro.sim import CostModel, default_costs
 
 
@@ -20,7 +21,7 @@ def test_forwarded_exit_structurally_expensive():
     forwarded exit >10x a direct one (Section 2, exit multiplication)."""
     costs = default_costs()
     direct = costs.l0_roundtrip(costs.emul_hypercall)
-    trapped_ops = costs.ghv_vmcs_trapped_reads + costs.ghv_vmcs_trapped_writes
+    trapped_ops = sum(KVM_PROFILE.default_op_counts)
     forwarded_floor = (
         trapped_ops * costs.l0_roundtrip(costs.emul_vmcs_access)
         + costs.l0_roundtrip(costs.emul_vmresume_merge)

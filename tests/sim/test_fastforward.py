@@ -96,18 +96,13 @@ def test_fuzz_campaign_digests_identical(monkeypatch):
     Fault injection vetoes skipping, so this doubles as the guard that
     the fast-forward machinery never perturbs a run it cannot skip.
     """
-    from repro.faults.fuzz import TrapChainFuzzer
+    from repro.scenarios import fuzz_specs, run_scenarios
 
+    specs = fuzz_specs(seed=11, count=100, ops_per_worker=6)
     outcomes = {}
     for ff in (False, True):
         _set_ff(monkeypatch, ff)
-        campaign = TrapChainFuzzer(
-            seed=11, episodes=100, replay_every=0, ops_per_worker=6
-        ).run()
-        outcomes[ff] = [
-            (e.digest, e.config_desc, tuple(e.violations))
-            for e in campaign.episodes
-        ]
+        outcomes[ff] = run_scenarios(specs)
     assert outcomes[True] == outcomes[False]
 
 
