@@ -253,6 +253,56 @@ class KvmHypervisor:
                 ctx.exit_context = saved
             via += 1
 
+    def repeatable_l0_vmx(self, left: int) -> int:
+        """How many of the ``left`` copies of a level-1 VMREAD/VMWRITE
+        run :meth:`repeat_l0_vmx` may apply now, right after L0 handled
+        the previous copy directly (0 = dispatch the next one in full).
+
+        Nothing is batched while an observer is attached (the machine's
+        fast-forward veto: auditor, fault injector, spans, chain
+        tracker, migration, request records), when the cycle charges
+        are not integers (float addends keep their order-sensitive
+        per-copy replay), or past the ``until`` of the running
+        :meth:`Simulator.run` call.
+        """
+        machine = self.machine
+        if machine._ff_veto() is not None:
+            return 0
+        c = self.costs
+        per_exit = c.hw_exit + c.l0_dispatch + c.emul_vmcs_access + c.hw_entry
+        cycles = self.metrics.cycles
+        if (
+            per_exit.__class__ is not int
+            or cycles["hw_switch"].__class__ is not int
+            or cycles["l0_emul"].__class__ is not int
+        ):
+            return 0
+        sim = machine.sim
+        until = sim._until
+        if until is not None:
+            return max(0, min(left, (until - sim.now) // per_exit))
+        return left
+
+    def repeat_l0_vmx(self, vcpu: VCpu, exit_: Exit, k: int) -> Generator:
+        """``k`` more copies of the level-1 VMREAD/VMWRITE exit L0 just
+        handled directly: the simulated exits, counters, cycles and
+        chain ids of ``k`` full dispatches through :func:`_l0_vmx`, in
+        one delay (see ``docs/performance.md``, "Repeated L0 exits").
+        Only :meth:`repeatable_l0_vmx` decides ``k``.
+        """
+        c = self.costs
+        metrics = self.metrics
+        reason_name = exit_.reason._value_
+        metrics.record_exit(exit_.from_level, reason_name, k)
+        metrics.record_l0_handled(reason_name, count=k)
+        metrics.charge("hw_switch", k * (c.hw_exit + c.hw_entry))
+        metrics.charge("l0_emul", k * (c.l0_dispatch + c.emul_vmcs_access))
+        if vcpu.exit_context is None:
+            # Each copy would have been the root of its own chain.
+            self.machine.new_chain_id(k)
+        yield k * (c.hw_exit + c.l0_dispatch + c.emul_vmcs_access + c.hw_entry)
+        return _vmcs_access(exit_.op, exit_.info)
+
     # ==================================================================
     # L0: timer plumbing (shared by the L0 and guest timer handlers)
     # ==================================================================
@@ -609,6 +659,19 @@ def _l0_ept_violation(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
+def _vmcs_access(op: Op, info: Dict[str, Any]) -> Any:
+    """The vmcs12 access a trapped VMREAD/VMWRITE performs: the value
+    read, or None after a write."""
+    vmcs: Optional[Vmcs] = info.get("vmcs")
+    fieldname: Optional[VmcsField] = info.get("field")
+    if vmcs is None or fieldname is None:
+        return None
+    if op is Op.VMWRITE:
+        vmcs.write(fieldname, info.get("value"))
+        return None
+    return vmcs.read(fieldname)
+
+
 @DEFAULT_REGISTRY.register_l0(ExitReason.VMX_INSTRUCTION)
 def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """Emulate a VMX instruction executed by a guest hypervisor."""
@@ -618,14 +681,7 @@ def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     if op in (Op.VMREAD, Op.VMWRITE):
         ectx.charge("l0_emul", c.emul_vmcs_access)
         yield c.emul_vmcs_access
-        vmcs: Optional[Vmcs] = info.get("vmcs")
-        fieldname: Optional[VmcsField] = info.get("field")
-        if vmcs is not None and fieldname is not None:
-            if op is Op.VMWRITE:
-                vmcs.write(fieldname, info.get("value"))
-                return None
-            return vmcs.read(fieldname)
-        return None
+        return _vmcs_access(op, info)
     if op is Op.VMPTRLD:
         ectx.charge("l0_emul", c.emul_vmptrld)
         yield c.emul_vmptrld

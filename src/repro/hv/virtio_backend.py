@@ -24,7 +24,8 @@ application benchmarks.  The native baseline uses
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.hw.devices.nic import Packet, PhysicalNic, VirtualFunction
 from repro.hw.devices.virtio import VirtioDevice
@@ -82,6 +83,7 @@ class VirtioDriver:
         buf_size: int = 65536,
     ) -> None:
         self.ctx = ctx  # default context (queue 0 owner)
+        self._machine = ctx.machine
         self.device = device
         self.buf_size = buf_size
         device.bound_driver = self
@@ -126,7 +128,7 @@ class VirtioDriver:
 
     @property
     def costs(self):
-        return self.ctx.machine.costs
+        return self._machine.costs
 
     # ------------------------------------------------------------------
     # TX
@@ -143,25 +145,30 @@ class VirtioDriver:
         ``ctx`` overrides the executing context (a worker sending on its
         own queue)."""
         ctx = ctx if ctx is not None else self._queue_dest[queue][0]
-        c = self.costs
+        c = self._machine.costs
         yield from ctx.compute(
             int(c.driver_per_packet + c.guest_per_byte * min(size, 16384))
         )
         # Opportunistically reclaim completed TX descriptors (drivers do
         # this on the send path to avoid TX-completion interrupts).
-        self.device.tx_q(queue).reap_used()
+        txq = self.device.tx_q(queue)
+        if txq.last_used < txq.used_idx:
+            txq.reap_used()
         seq = self._tx_seq.get(queue, 0)
         self._tx_seq[queue] = seq + 1
         addr = self._tx_addr(queue, seq % 128)
         ctx.mem_write(addr, min(size, self.buf_size))
-        self.device.tx_q(queue).add_buffer(addr, size, payload=payload)
+        txq.add_buffer(addr, size, payload)
         yield c.ring_access
         if kick:
             yield from self.kick(queue, ctx=ctx)
 
     def kick(self, queue: int = 0, ctx=None) -> Generator:
+        """Ring queue ``queue``'s doorbell.  Returns the doorbell write's
+        generator to drive with ``yield from`` (no frame of its own, so
+        each yield of the trap it causes resumes one generator fewer)."""
         ctx = ctx if ctx is not None else self._queue_dest[queue][0]
-        yield from ctx.execute(
+        return ctx.execute(
             Op.MMIO_WRITE,
             addr=self.device.notify_addr,
             value=2 * queue + 1,  # tx queue index in the flat layout
@@ -376,7 +383,7 @@ class HostVhost:
         self.flow = flow
         self.translate = translate
         self._wake = self.machine.sim.event("vhost-wake")
-        self._rx_backlog: List[Packet] = []
+        self._rx_backlog: Deque[Packet] = deque()
         self._running = False
         #: DVH migration support (§3.6): pages the device DMAs into, in
         #: user-VM guest-physical frames (drained via the PCI migration
@@ -439,79 +446,70 @@ class HostVhost:
 
     # ------------------------------------------------------------------
     def _run(self) -> Generator:
-        c = self.machine.costs
+        machine = self.machine
+        metrics = machine.metrics
+        c = machine.costs
+        per_packet, per_byte = c.vhost_per_packet, c.vhost_per_byte
+        nic = machine.nic
+        to_client = machine.client.receive
+        device = self.device
+        pairs = device.num_queue_pairs
+        tx_queues = [device.tx_q(pair) for pair in range(pairs)]
+        rx_queues = [device.rx_q(pair) for pair in range(pairs)]
+        backlog = self._rx_backlog
         while True:
             had_work = False
             if not self.paused:
                 # --- TX: guest -> wire (all queues) ----------------
-                for pair in range(self.device.num_queue_pairs):
-                    txq = self.device.tx_q(pair)
-                    while True:
-                        item = txq.pop_avail()
-                        if item is None:
-                            break
-                        desc_id, addr, size, payload = item
+                for txq in tx_queues:
+                    while txq.last_avail < txq.avail_idx:
+                        desc_id, addr, size, payload = txq.pop_avail()
                         had_work = True
                         if not descriptor_ok(addr, size):
                             # Malformed descriptor (guest bug or ring
                             # corruption): complete with zero bytes so
                             # the ring stays consistent, never touch the
                             # bogus address.
-                            self.machine.metrics.record_recovery(
-                                "virtio_malformed_drop"
-                            )
+                            metrics.record_recovery("virtio_malformed_drop")
                             txq.push_used(desc_id, 0)
                             continue
-                        self.machine.metrics.charge(
-                            "vhost", c.vhost_per_packet + c.vhost_per_byte * size
-                        )
-                        yield int(c.vhost_per_packet + c.vhost_per_byte * size)
+                        cost = per_packet + per_byte * size
+                        metrics.charge("vhost", cost)
+                        yield int(cost)
                         if self.translate is not None:
                             try:
                                 self.translate(addr, False)
                             except (EptViolation, IommuFault):
                                 # DMA translation fault: abort this
                                 # request, keep the device alive.
-                                self.machine.metrics.record_recovery(
-                                    "dma_abort"
-                                )
+                                metrics.record_recovery("dma_abort")
                                 txq.push_used(desc_id, 0)
                                 continue
                         txq.push_used(desc_id, size)
-                        self.machine.nic.tx(
-                            Packet(self.flow, size, payload=payload),
-                            self.machine.client.receive,
-                        )
+                        nic.tx(Packet(self.flow, size, payload), to_client)
                 # --- RX: wire -> guest ------------------------------
-                while self._rx_backlog:
-                    packet = self._rx_backlog.pop(0)
-                    pair = (
-                        packet.queue_hint
-                        if packet.queue_hint < self.device.num_queue_pairs
-                        else 0
-                    )
-                    rxq = self.device.rx_q(pair)
+                while backlog:
+                    packet = backlog.popleft()
+                    pair = packet.queue_hint if packet.queue_hint < pairs else 0
+                    rxq = rx_queues[pair]
                     slot = rxq.pop_avail()
                     if slot is None:
-                        self.machine.metrics.count("rx_drops")
+                        metrics.count("rx_drops")
                         continue
                     desc_id, addr, _buflen, _ = slot
                     had_work = True
                     if not descriptor_ok(addr, _buflen):
-                        self.machine.metrics.record_recovery(
-                            "virtio_malformed_drop"
-                        )
+                        metrics.record_recovery("virtio_malformed_drop")
                         rxq.push_used(desc_id, 0)
                         continue
-                    self.machine.metrics.charge(
-                        "vhost", c.vhost_per_packet + c.vhost_per_byte * packet.size
-                    )
-                    yield int(c.vhost_per_packet + c.vhost_per_byte * packet.size)
+                    cost = per_packet + per_byte * packet.size
+                    metrics.charge("vhost", cost)
+                    yield int(cost)
                     if self.translate is not None:
                         try:
                             self.translate(addr, True)
                         except (EptViolation, IommuFault):
-                            self.machine.metrics.record_recovery("dma_abort")
+                            metrics.record_recovery("dma_abort")
                             rxq.push_used(desc_id, 0)
                             continue
                     self.user_vm.memory.write_range(
@@ -521,8 +519,8 @@ class HostVhost:
                         self.dirty_log.pages.update(
                             range(addr >> 12, ((addr + packet.size - 1) >> 12) + 1)
                         )
-                    rxq.push_used(desc_id, packet.size, payload=packet.payload)
-                    driver = self.device.bound_driver
+                    rxq.push_used(desc_id, packet.size, packet.payload)
+                    driver = device.bound_driver
                     if driver is not None:
                         ctx, vector = driver.queue_dest(pair)
                         yield from self.l0.deliver_l0_device_interrupt(ctx, vector)
@@ -588,78 +586,77 @@ class GuestVhost:
 
     # ------------------------------------------------------------------
     def _run(self) -> Generator:
-        c = self.machine.costs
+        machine = self.machine
+        metrics = machine.metrics
+        c = machine.costs
+        per_packet, per_byte = c.vhost_per_packet, c.vhost_per_byte
+        ctx = self.ctx
+        lower = self.lower
+        guest_device = self.guest_device
+        pairs = guest_device.num_queue_pairs
+        tx_queues = [guest_device.tx_q(pair) for pair in range(pairs)]
+        rx_queues = [guest_device.rx_q(pair) for pair in range(pairs)]
+        lower_device = getattr(lower, "device", None)
+        if lower_device is not None:
+            last = lower_device.num_queue_pairs - 1
+            tx_lower = [min(pair, last) for pair in range(pairs)]
+            rx_lower = tx_lower
+            # A lower RX queue with no completions would hand back
+            # nothing: test its used ring instead of polling it.
+            lower_rx = [lower_device.rx_q(lp) for lp in rx_lower]
+        else:
+            tx_lower = [0] * pairs
+            rx_lower = list(range(pairs))
+            lower_rx = None
         while True:
-            yield from self.ctx.wait_for_interrupt()
+            yield from ctx.wait_for_interrupt()
             # --- TX: nested VM -> lower device ---------------------
-            for pair in range(self.guest_device.num_queue_pairs):
-                txq = self.guest_device.tx_q(pair)
-                while True:
-                    item = txq.pop_avail()
-                    if item is None:
-                        break
-                    desc_id, _addr, size, payload = item
+            for pair, txq in enumerate(tx_queues):
+                while txq.last_avail < txq.avail_idx:
+                    desc_id, _addr, size, payload = txq.pop_avail()
                     if not descriptor_ok(_addr, size):
-                        self.machine.metrics.record_recovery(
-                            "virtio_malformed_drop"
-                        )
+                        metrics.record_recovery("virtio_malformed_drop")
                         txq.push_used(desc_id, 0)
                         continue
-                    self.machine.metrics.charge(
-                        "ghv_vhost", c.vhost_per_packet + c.vhost_per_byte * size
-                    )
-                    yield from self.ctx.compute(
-                        int(c.vhost_per_packet + c.vhost_per_byte * size)
-                    )
+                    cost = per_packet + per_byte * size
+                    metrics.charge("ghv_vhost", cost)
+                    yield from ctx.compute(int(cost))
                     txq.push_used(desc_id, size)
-                    yield from self.lower.send(
-                        size, payload=payload, kick=True,
-                        queue=min(pair, self.lower.device.num_queue_pairs - 1)
-                        if hasattr(self.lower, "device") else 0,
-                        ctx=self.ctx,
-                    )
+                    yield from lower.send(size, payload, True, tx_lower[pair], ctx)
             # --- RX: lower device -> nested VM ---------------------
             # Track which guest queues got data so each bound worker is
             # interrupted exactly once per batch.
             touched: Dict[int, int] = {}
-            for pair in range(self.guest_device.num_queue_pairs):
-                lower_pair = (
-                    min(pair, self.lower.device.num_queue_pairs - 1)
-                    if hasattr(self.lower, "device")
-                    else pair
-                )
-                received = yield from self.lower.poll_rx(lower_pair, ctx=self.ctx)
-                rxq = self.guest_device.rx_q(pair)
+            for pair, rxq in enumerate(rx_queues):
+                if lower_rx is not None:
+                    used = lower_rx[pair]
+                    if used.last_used >= used.used_idx:
+                        continue
+                received = yield from lower.poll_rx(rx_lower[pair], ctx=ctx)
                 for packet_size, payload in received:
                     slot = rxq.pop_avail()
                     if slot is None:
-                        self.machine.metrics.count("rx_drops")
+                        metrics.count("rx_drops")
                         break
                     desc_id, addr, _buflen, _ = slot
                     if not descriptor_ok(addr, _buflen):
-                        self.machine.metrics.record_recovery(
-                            "virtio_malformed_drop"
-                        )
+                        metrics.record_recovery("virtio_malformed_drop")
                         rxq.push_used(desc_id, 0)
                         continue
-                    self.machine.metrics.charge(
-                        "ghv_vhost",
-                        c.vhost_per_packet + c.vhost_per_byte * packet_size,
-                    )
-                    yield from self.ctx.compute(
-                        int(c.vhost_per_packet + c.vhost_per_byte * packet_size)
-                    )
+                    cost = per_packet + per_byte * packet_size
+                    metrics.charge("ghv_vhost", cost)
+                    yield from ctx.compute(int(cost))
                     rxq.push_used(desc_id, packet_size, payload=payload)
-                    vm = self.guest_device.bound_driver.irq_dest.vm
+                    vm = guest_device.bound_driver.irq_dest.vm
                     vm.memory.write_range(addr, min(packet_size, PAGE_SIZE * 16))
                     touched[pair] = touched.get(pair, 0) + 1
             for pair in touched:
-                driver = self.guest_device.bound_driver
-                ctx, vector = driver.queue_dest(pair)
-                yield from self.hv.inject_interrupt(self.ctx, ctx, vector)
+                driver = guest_device.bound_driver
+                target, vector = driver.queue_dest(pair)
+                yield from self.hv.inject_interrupt(ctx, target, vector)
                 l0 = self.hv._hv_at(0)
                 # Without posted-interrupt support reaching the nested VM,
                 # the target also pays a guest-hypervisor-mediated
                 # injection exit.
-                l0.charge_injection(ctx, "virtio")
-                l0.wake_target(ctx)
+                l0.charge_injection(target, "virtio")
+                l0.wake_target(target)

@@ -281,14 +281,34 @@ class VCpu(ExecutionContext):
     def _trap_each(
         self, op: Op, reason: ExitReason, count: int, info: dict
     ) -> Generator:
-        """``count`` trapping ops, one exit and trap frame each."""
+        """``count`` trapping ops, one simulated exit each.
+
+        Each copy gets its own trap frame and full dispatch, with one
+        exception: once L0 has handled a copy of a level-1 VMREAD/VMWRITE
+        run directly, the host hypervisor applies as many of the
+        remaining identical copies as it may in one step
+        (:meth:`KvmHypervisor.repeatable_l0_vmx` /
+        :meth:`~KvmHypervisor.repeat_l0_vmx`).  The simulated exits,
+        counters and cycles are those of ``count`` dispatches; only the
+        host work is shared (``docs/performance.md``, "Repeated L0
+        exits").
+        """
         result = None
         machine = self.vm.machine
+        host = machine.host_hv
         level = self.level
-        for _ in range(count):
+        repeatable = level == 1 and (op is Op.VMREAD or op is Op.VMWRITE)
+        left = count
+        while left:
             exit_ = Exit(reason, op, level, info, self)
             ectx = ExitContext(exit_, self, self.exit_context, machine)
-            result = yield from machine.host_hv.dispatch_exit(self, exit_, ectx)
+            result = yield from host.dispatch_exit(self, exit_, ectx)
+            left -= 1
+            if left and repeatable and ectx.handler == "l0":
+                k = host.repeatable_l0_vmx(left)
+                if k:
+                    result = yield from host.repeat_l0_vmx(self, exit_, k)
+                    left -= k
         return result
 
     def _shadowed_access(

@@ -58,16 +58,21 @@ class Wire:
         including protocol headers."""
         direction = "in" if packet.inbound else "out"
         on_wire = wire_size if wire_size is not None else packet.size
-        serialization = int(on_wire * 8 / self.bps * self.sim.freq_hz)
-        start = max(self.sim.now, self._busy_until[direction])
+        sim = self.sim
+        now = sim.now
+        serialization = int(on_wire * 8 / self.bps * sim.freq_hz)
+        busy = self._busy_until
+        start = busy[direction]
+        if start < now:
+            start = now
         done = start + serialization
-        self._busy_until[direction] = done
+        busy[direction] = done
         # Meter what actually occupied the wire (protocol headers
         # included), not the goodput — metering goodput here made the
         # carried-bytes counter drift below the time the wire was busy.
         self.bytes_carried[direction] += on_wire
         arrival = done + self.latency
-        self.sim.call_at(arrival, lambda: deliver(packet))
+        sim.call_at(arrival, lambda: deliver(packet))
         return arrival
 
     def busy_until(self, inbound: bool) -> int:

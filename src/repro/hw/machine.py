@@ -97,6 +97,10 @@ class Machine:
         self.sim.ff.add_veto(self._ff_veto)
 
     def _ff_veto(self) -> Optional[str]:
+        """Why host-side shortcuts must wait (None = nothing observes):
+        an attached observer watches mid-run state that fast-forward
+        skipping and exit batching (``KvmHypervisor.repeatable_l0_vmx``)
+        would hide."""
         if self.audit is not None:
             return "audit"
         if self.faults is not None:
@@ -138,9 +142,10 @@ class Machine:
     # ------------------------------------------------------------------
     # Exit chains and span tracing
     # ------------------------------------------------------------------
-    def new_chain_id(self) -> int:
-        """Allocate the id for a new exit chain (root trap frame)."""
-        self._next_chain_id += 1
+    def new_chain_id(self, count: int = 1) -> int:
+        """Allocate the id for a new exit chain (root trap frame), or
+        ``count`` consecutive ids at once; returns the last one."""
+        self._next_chain_id += count
         return self._next_chain_id
 
     def enable_span_tracing(self, tracer=None, max_chains: int = 4096):

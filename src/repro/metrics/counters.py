@@ -95,10 +95,12 @@ class Metrics:
     ) -> None:
         self.forwards[(from_level, reason, owner_level)] += count
 
-    def record_l0_handled(self, reason: str, dvh: bool = False) -> None:
-        self.l0_handled[reason] += 1
+    def record_l0_handled(
+        self, reason: str, dvh: bool = False, count: int = 1
+    ) -> None:
+        self.l0_handled[reason] += count
         if dvh:
-            self.dvh_handled[reason] += 1
+            self.dvh_handled[reason] += count
 
     def record_interrupt(self, kind: str, mode: str) -> None:
         self.interrupts[(kind, mode)] += 1

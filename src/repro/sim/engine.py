@@ -232,6 +232,12 @@ class Simulator:
         self._inline_hits = 0
         self._last_run_events = 0
         self._last_run_wall_s = 0.0
+        #: ``until`` of the :meth:`run` call in progress (None: unbounded
+        #: or not running).  Work that collapses many delays into one
+        #: (``KvmHypervisor.repeat_l0_vmx``) must not end past it, so
+        #: state read at a ``run(until=)`` boundary is the micro-stepped
+        #: state.
+        self._until: Optional[int] = None
         if fast_forward is None:
             fast_forward = fast_forward_default()
         self.ff = FastForward(self, enabled=bool(fast_forward))
@@ -408,6 +414,7 @@ class Simulator:
         heappush = heapq.heappush
         executed = 0
         ready_hits = heap_hits = inline_hits = 0
+        outer_until, self._until = self._until, until
         wall_start = perf_counter()
         try:
             while True:
@@ -563,6 +570,7 @@ class Simulator:
                         f"{type(yielded).__name__}"
                     )
         finally:
+            self._until = outer_until
             wall = perf_counter() - wall_start
             self._event_count += executed
             self._ready_hits += ready_hits
