@@ -1,7 +1,7 @@
 # Convenience targets for the DVH reproduction.
 
 .PHONY: install test lint bench bench-perf bench-perf-check fuzz fuzz-smoke \
-	audit audit-smoke scenarios scenarios-smoke figures examples clean
+	audit audit-smoke scenarios scenarios-smoke reach figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -63,6 +63,12 @@ scenarios-smoke:
 	diff /tmp/scen_run_serial.json /tmp/scen_run_jobs.json
 	REPRO_FAST_FORWARD=0 PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json > /tmp/scen_run_noff.json
 	diff /tmp/scen_run_serial.json /tmp/scen_run_noff.json
+
+# Reachability report (see tools/reachability.py): the functions of
+# src/repro that no CLI result path calls.  An upper bound on dead code;
+# it reports and never fails.
+reach:
+	PYTHONPATH=src python tools/reachability.py --summary
 
 # Host-performance regression baselines (see docs/performance.md).
 bench-perf:

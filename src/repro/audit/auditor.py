@@ -61,6 +61,14 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def as_dict(self) -> Dict[str, object]:
+        """The ``"audit"`` section of a JSON summary."""
+        return {
+            "ok": self.ok,
+            "checks_run": self.checks_run,
+            "violations": [str(v) for v in self.violations],
+        }
+
     def render(self, verbose: bool = False) -> str:
         lines = [
             f"audit: {self.checks_run} checks, "

@@ -930,32 +930,29 @@ def _run_cluster(args) -> int:
     cluster.place(TenantSpec(name="tenant0", io_model=args.io, memory_gb=8))
     src = cluster.host_of("tenant0")
     dst = [h for h in cluster.hosts if h.name != src.name][0]
+    failure = None
     try:
         record = cluster.migrate(
             "tenant0", dst.name, downtime_limit_s=args.downtime_limit_ms / 1e3
         )
     except MigrationNotSupported as exc:
-        print(f"migration refused (hardware-coupled): {exc}")
-        _finish_audit(auditor)
-        return 1
+        failure = f"migration refused (hardware-coupled): {exc}"
     except MigrationError as exc:
-        print(f"migration failed: {exc}")
+        failure = f"migration failed: {exc}"
+    if args.json:
+        # The refused or failed record is in the summary's migrations.
+        summary = cluster.summary()
+        audit_ok = True
+        if auditor is not None:
+            summary["audit"] = auditor.finish().as_dict()
+            audit_ok = summary["audit"]["ok"]
+        print(json.dumps(summary, indent=2, sort_keys=True))
+        return 0 if audit_ok and not failure else 1
+    if failure:
+        print(failure)
         _finish_audit(auditor)
         return 1
     result = record.result
-    if args.json:
-        summary = cluster.summary()
-        rc = 0
-        if auditor is not None:
-            report = auditor.finish()
-            summary["audit"] = {
-                "ok": report.ok,
-                "checks_run": report.checks_run,
-                "violations": [str(v) for v in report.violations],
-            }
-            rc = 0 if report.ok else 1
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return rc
     print(
         f"migrated tenant0 ({args.io}) {src.name} -> {dst.name}: "
         f"downtime {result.downtime_s * 1e3:.3f} ms, "

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.cluster.fabric import Fabric, FabricFrame, FabricPort, UndeliverableError
 from repro.cluster.host import ClusterHost, Tenant, TenantSpec
@@ -41,6 +41,7 @@ from repro.faults.plan import FaultPlan
 from repro.sim import Simulator, costs_for_arch
 
 __all__ = [
+    "Fleet",
     "Cluster",
     "ClusterHost",
     "Tenant",
@@ -62,69 +63,36 @@ __all__ = [
 ]
 
 
-class Cluster:
-    """N booted hosts, one fabric, one clock, one event trace."""
+class Fleet:
+    """Hosts on one fabric, one clock, one event trace: the fleet state
+    an :class:`Orchestrator` drives.  :class:`Cluster` and
+    :class:`~repro.dc.Datacenter` build it from a host count or from a
+    datacenter spec; each keeps its own ``digest`` and ``summary``."""
 
     def __init__(
-        self,
-        num_hosts: int = 4,
-        seed: int = 0,
-        policy: str = "bin-pack",
-        guest_hv: str = "kvm",
-        arch: str = "x86",
-        stack_levels: int = 2,
-        workers: int = 2,
-        costs=None,
-        fault_plan: Optional[FaultPlan] = None,
+        self, seed: int, costs, policy: str, fabric: Callable[[Simulator], Fabric]
     ) -> None:
-        if num_hosts < 1:
-            raise ValueError("a cluster needs at least one host")
         self.seed = seed
-        self.arch = arch
         self.sim = Simulator(seed=seed)
-        self.costs = costs if costs is not None else costs_for_arch(arch)
-        self.fabric = Fabric(self.sim, self.costs)
+        self.costs = costs
+        self.fabric = fabric(self.sim)
         self.policy = make_policy(policy)
         #: The deterministic event trace: every placement, migration and
         #: fault decision, stamped with the shared simulated clock.
         self.events: List[str] = []
         self.hosts: List[ClusterHost] = []
-        for i in range(num_hosts):
-            host = ClusterHost(
-                f"host{i}",
-                self.sim,
-                self.costs,
-                guest_hv=guest_hv,
-                arch=arch,
-                stack_levels=stack_levels,
-                workers=workers,
-                seed=seed + i,
-            )
-            host.port = self.fabric.attach(host.name)
-            self.hosts.append(host)
         self.orchestrator = Orchestrator(self)
         #: Fabric-level fault injector (or None).  Attached to the
         #: Fabric, which quacks enough like a machine (sim + metrics).
         self.faults = None
         #: Runtime invariant auditor (see repro.audit), or None =
-        #: auditing off.  Set by :meth:`enable_audit` /
-        #: ``Auditor.attach_cluster``; the orchestrator consults it.
+        #: auditing off; the orchestrator consults it.
         self.audit = None
-        if fault_plan is not None and not fault_plan.is_empty:
-            self.faults = FaultInjector(self.fabric, fault_plan, seed=seed).attach()
-        # Drain boot-time backend startup so the trace starts quiet.
-        self.sim.run()
-        # Non-default arches announce themselves; the default keeps the
-        # pre-arch trace (and so every pinned digest) byte-identical.
-        arch_note = f" arch={arch}" if arch != "x86" else ""
-        self.log(
-            f"cluster up hosts={num_hosts} policy={policy} "
-            f"guest_hv={guest_hv}{arch_note} levels={stack_levels} seed={seed}"
-        )
 
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
+    def _arm_faults(self, plan: Optional[FaultPlan]) -> None:
+        if plan is not None and not plan.is_empty:
+            self.faults = FaultInjector(self.fabric, plan, seed=self.seed).attach()
+
     def host(self, name: str) -> ClusterHost:
         for h in self.hosts:
             if h.name == name:
@@ -142,6 +110,77 @@ class Cluster:
         for h in self.hosts:
             out.update(h.tenants)
         return out
+
+    def log(self, message: str) -> None:
+        self.events.append(f"{self.sim.now:>14} {message}")
+
+    def trace(self) -> str:
+        """The full event trace — byte-identical for identical seeds."""
+        return "\n".join(self.events)
+
+    @staticmethod
+    def _host_row(host: ClusterHost) -> Dict[str, object]:
+        """One host's line in a summary."""
+        return {
+            "tenants": sorted(host.tenants),
+            "mem_committed_gb": host.mem_committed >> 30,
+            "cycle_load": host.cycle_load,
+        }
+
+    @staticmethod
+    def _sorted_table(table: Dict) -> Dict[str, object]:
+        """A Metrics table with string keys, in key-string order."""
+        return {str(k): v for k, v in sorted(table.items(), key=lambda kv: str(kv[0]))}
+
+    @staticmethod
+    def _sha256(payload: Dict) -> str:
+        """sha256 over the canonical (key-sorted) JSON of ``payload``."""
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class Cluster(Fleet):
+    """N booted hosts, one fabric, one clock, one event trace."""
+
+    def __init__(
+        self,
+        num_hosts: int = 4,
+        seed: int = 0,
+        policy: str = "bin-pack",
+        guest_hv: str = "kvm",
+        arch: str = "x86",
+        stack_levels: int = 2,
+        workers: int = 2,
+        costs=None,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
+        if num_hosts < 1:
+            raise ValueError("a cluster needs at least one host")
+        costs = costs if costs is not None else costs_for_arch(arch)
+        super().__init__(seed, costs, policy, lambda sim: Fabric(sim, costs))
+        self.arch = arch
+        for i in range(num_hosts):
+            host = ClusterHost(
+                f"host{i}",
+                self.sim,
+                costs,
+                guest_hv=guest_hv,
+                arch=arch,
+                stack_levels=stack_levels,
+                workers=workers,
+                seed=seed + i,
+            )
+            host.port = self.fabric.attach(host.name)
+            self.hosts.append(host)
+        self._arm_faults(fault_plan)
+        # Drain boot-time backend startup so the trace starts quiet.
+        self.sim.run()
+        # Non-default arches announce themselves; the default keeps the
+        # pre-arch trace (and so every pinned digest) byte-identical.
+        arch_note = f" arch={arch}" if arch != "x86" else ""
+        self.log(
+            f"cluster up hosts={num_hosts} policy={policy} "
+            f"guest_hv={guest_hv}{arch_note} levels={stack_levels} seed={seed}"
+        )
 
     # ------------------------------------------------------------------
     # Placement
@@ -203,32 +242,19 @@ class Cluster:
             sent += size
 
     # ------------------------------------------------------------------
-    # Trace / reporting
+    # Reporting
     # ------------------------------------------------------------------
-    def log(self, message: str) -> None:
-        self.events.append(f"{self.sim.now:>14} {message}")
-
-    def trace(self) -> str:
-        """The full event trace — byte-identical for identical seeds."""
-        return "\n".join(self.events)
-
     def digest(self) -> str:
         """sha256 over the trace plus the fabric metrics snapshot."""
-        blob = json.dumps(
+        return self._sha256(
             {
                 "trace": self.events,
-                "fabric": {
-                    str(k): v
-                    for k, v in sorted(
-                        self.fabric.metrics.snapshot()["cross_host"].items(),
-                        key=lambda kv: str(kv[0]),
-                    )
-                },
+                "fabric": self._sorted_table(
+                    self.fabric.metrics.snapshot()["cross_host"]
+                ),
                 "now": self.sim.now,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def summary(self) -> Dict:
         """A JSON-friendly cluster snapshot for the CLI and benchmarks."""
@@ -236,14 +262,7 @@ class Cluster:
             "seed": self.seed,
             "policy": self.policy.name,
             "sim_cycles": self.sim.now,
-            "hosts": {
-                h.name: {
-                    "tenants": sorted(h.tenants),
-                    "mem_committed_gb": h.mem_committed >> 30,
-                    "cycle_load": h.cycle_load,
-                }
-                for h in self.hosts
-            },
+            "hosts": {h.name: self._host_row(h) for h in self.hosts},
             "fabric": self.fabric.stats(),
             "migrations": [
                 {

@@ -167,10 +167,9 @@ class ClusterHost:
             load_capacity if load_capacity is not None else workers * LOAD_PER_WORKER
         )
         #: Capacity reserved for in-flight migrations targeting this
-        #: host (name -> spec): concurrent control-plane migrations
-        #: claim destination room up front so two pre-copies cannot race
-        #: into the same free bytes.  Always empty on the blocking
-        #: orchestrator paths.
+        #: host (name -> spec): every orchestrated migration claims
+        #: destination room up front so two concurrent pre-copies cannot
+        #: race into the same free bytes.
         self._reservations: Dict[str, TenantSpec] = {}
         #: How many times this host's system stack has been built (a
         #: quiescent host that never sees a tenant stays at zero).
@@ -287,7 +286,7 @@ class ClusterHost:
         return self.cycle_load + self.load_reserved + spec.load <= self.load_capacity
 
     # ------------------------------------------------------------------
-    # Migration reservations (async orchestrator paths)
+    # Migration reservations (held by the orchestrator's attempt loop)
     # ------------------------------------------------------------------
     def reserve(self, spec: TenantSpec) -> None:
         """Hold capacity for an inbound migration of ``spec``."""

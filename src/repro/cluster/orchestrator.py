@@ -119,8 +119,23 @@ class MigrationRecord:
     error: str = ""
 
 
+def _run_blocking(gen: Generator):
+    """Run a generator that must never yield and return its value: a
+    blocking path drives the clock itself, so a yielded delay is a bug."""
+    try:
+        step = next(gen)
+    except StopIteration as stop:
+        return stop.value
+    gen.close()
+    raise RuntimeError(f"blocking migration yielded {step!r}")
+
+
 class Orchestrator:
-    """Places and moves tenants across the cluster's hosts."""
+    """Places and moves tenants across the fleet's hosts.  One attempt
+    loop (:meth:`_migrate`) serves the blocking methods, which run the
+    clock themselves, and the ``_async`` generators, for callers that
+    are processes on the shared clock (``record = yield from
+    orch.migrate_async(...)``) and so cannot re-enter ``sim.run()``."""
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
@@ -142,8 +157,48 @@ class Orchestrator:
         tenant's dirtying workload racing it.  A migration killed by a
         fabric partition is re-attempted (fresh pre-copy) after backoff,
         up to ``max_attempts``; :class:`MigrationNotSupported`
-        (hardware-coupled tenant) is terminal immediately.
+        (hardware-coupled tenant) is terminal immediately.  Either
+        terminal failure is recorded, then the attempt's own exception
+        is raised.
         """
+        record, error = _run_blocking(
+            self._migrate(
+                True, tenant_name, dst_host, downtime_limit_s,
+                downtime_target_s, max_attempts, attempt_backoff_cycles,
+            )
+        )
+        if error is not None:
+            raise error
+        return record
+
+    def migrate_async(
+        self,
+        tenant_name: str,
+        dst_host: str,
+        downtime_limit_s: Optional[float] = 0.5,
+        downtime_target_s: float = 0.03,
+        max_attempts: int = 3,
+        attempt_backoff_cycles: int = 2_000_000,
+    ) -> Generator:
+        """:meth:`migrate` from inside the simulation.  It returns
+        "unsupported" and "failed" records instead of raising, so one
+        stuck tenant cannot crash the whole fleet run."""
+        record, _ = yield from self._migrate(
+            False, tenant_name, dst_host, downtime_limit_s,
+            downtime_target_s, max_attempts, attempt_backoff_cycles,
+        )
+        return record
+
+    def _migrate(
+        self, blocking: bool, tenant_name: str, dst_host: str, downtime_limit_s,
+        downtime_target_s=0.03, max_attempts=3, attempt_backoff_cycles=2_000_000,
+    ) -> Generator:
+        """The attempt loop; returns ``(record, error)``, ``error`` being
+        the terminal attempt's exception (None on "ok").  Only running an
+        attempt and waiting out the backoff depend on ``blocking``.
+        Destination capacity is reserved up front, so concurrent
+        evacuations cannot race two pre-copies into the same free bytes
+        and then fail at adopt time."""
         cluster = self.cluster
         src = cluster.host_of(tenant_name)
         dst = cluster.host(dst_host)
@@ -154,105 +209,128 @@ class Orchestrator:
             f"migrate {tenant_name} {src.name}->{dst.name} "
             f"io={tenant.spec.io_model}"
         )
-
-        attempts = 0
-        #: Chunk/wire retries from *failed* attempts: each attempt gets a
-        #: fresh channel, so without carrying the running total here the
-        #: final MigrationResult.retries would silently drop them.
-        carried_retries = 0
-        while True:
-            attempts += 1
-            channel = FabricChannel(cluster.fabric, src.name, dst.name)
-            migration = LiveMigration(
-                src.machine,
-                tenant.vm,
-                devices=tenant.devices,
-                channel=channel,
-                downtime_target_s=downtime_target_s,
-                downtime_limit_s=downtime_limit_s,
-            )
-            try:
-                result = self._drive(migration, tenant)
-            except MigrationNotSupported as exc:
-                record = MigrationRecord(
-                    tenant=tenant_name,
-                    src=src.name,
-                    dst=dst.name,
-                    outcome="unsupported",
-                    attempts=attempts,
-                    error=str(exc),
+        dst.reserve(tenant.spec)
+        try:
+            attempts = 0
+            #: Chunk/wire retries of *failed* attempts, each of which had
+            #: its own channel: carried into the final result's retries.
+            carried_retries = 0
+            while True:
+                attempts += 1
+                channel = FabricChannel(cluster.fabric, src.name, dst.name)
+                migration = LiveMigration(
+                    src.machine,
+                    tenant.vm,
+                    devices=tenant.devices,
+                    channel=channel,
+                    downtime_target_s=downtime_target_s,
+                    downtime_limit_s=downtime_limit_s,
                 )
-                self.records.append(record)
-                cluster.log(f"migrate {tenant_name} unsupported: {exc}")
-                raise
-            except MigrationError as exc:
+                if blocking:
+                    status, payload = self._drive(migration, tenant)
+                else:
+                    status, payload = yield from self._drive_async(migration, tenant)
+                if status != "error":
+                    break
                 carried_retries += channel.retries + migration.retries
                 cluster.fabric.metrics.record_fault("migration_attempt")
                 if attempts >= max_attempts:
-                    record = MigrationRecord(
-                        tenant=tenant_name,
-                        src=src.name,
-                        dst=dst.name,
-                        outcome="failed",
-                        attempts=attempts,
-                        error=str(exc),
-                    )
-                    self.records.append(record)
-                    cluster.log(
-                        f"migrate {tenant_name} failed after "
-                        f"{attempts} attempts: {exc}"
-                    )
-                    raise
+                    status = "failed"
+                    break
                 cluster.log(
                     f"migrate {tenant_name} attempt {attempts} failed "
-                    f"({exc}); backing off"
+                    f"({payload}); backing off"
                 )
-                cluster.sim.run(until=cluster.sim.now + attempt_backoff_cycles)
-                continue
-            break
+                if blocking:
+                    cluster.sim.run(until=cluster.sim.now + attempt_backoff_cycles)
+                else:
+                    yield attempt_backoff_cycles
+        finally:
+            # Released before adopt below — release + adopt run in the
+            # same resume with no yield between them, so the freed
+            # reservation cannot be claimed by a concurrent process.
+            dst.release(tenant_name)
 
-        result.retries += carried_retries
-        src.evict(tenant_name)
-        adopted = dst.adopt(tenant)
-        record = MigrationRecord(
-            tenant=tenant_name,
-            src=src.name,
-            dst=dst.name,
-            outcome="ok",
-            attempts=attempts,
-            result=result,
-        )
+        record = MigrationRecord(tenant_name, src.name, dst.name, status, attempts)
+        if status == "ok":
+            result = record.result = payload
+            result.retries += carried_retries
+            src.evict(tenant_name)
+            dst.adopt(tenant)
+            error = None
+            message = (
+                f"ok downtime_ms={result.downtime_s * 1e3:.3f} "
+                f"rounds={result.rounds} bytes={result.bytes_transferred} "
+                f"retries={result.retries} attempts={attempts}"
+            )
+        else:
+            error = payload
+            record.error = str(error)
+            message = (
+                f"unsupported: {error}"
+                if status == "unsupported"
+                else f"failed after {attempts} attempts: {error}"
+            )
         self.records.append(record)
-        cluster.log(
-            f"migrate {tenant_name} ok downtime_ms="
-            f"{result.downtime_s * 1e3:.3f} rounds={result.rounds} "
-            f"bytes={result.bytes_transferred} retries={result.retries} "
-            f"attempts={attempts}"
-        )
-        return record
+        cluster.log(f"migrate {tenant_name} {message}")
+        return record, error
 
-    def _drive(self, migration: LiveMigration, tenant) -> MigrationResult:
-        """Run one migration attempt to completion on the shared clock,
-        with the tenant's workload dirtying pages underneath it."""
+    def _drive(self, migration: LiveMigration, tenant):
+        """Run one attempt to completion on the shared clock, with the
+        tenant's workload dirtying pages underneath it; report
+        ``("ok", result) | ("unsupported", exc) | ("error", exc)``.
+        The migration runs unguarded, so a failing attempt raises out of
+        ``sim.run()`` and stops the clock where it failed."""
+        proc, dirtier = self._spawn_attempt(migration.run(), tenant)
+        try:
+            self.cluster.sim.run()
+        except MigrationNotSupported as exc:
+            return ("unsupported", exc)
+        except MigrationError as exc:
+            return ("error", exc)
+        finally:
+            self._end_attempt(tenant, proc, dirtier)
+        if not proc.done:
+            return ("error", MigrationError(
+                f"{tenant.name}: migration never completed (deadlock)"
+            ))
+        return ("ok", proc.result)
+
+    def _drive_async(self, migration: LiveMigration, tenant) -> Generator:
+        """:meth:`_drive` from inside the simulation: join the migration
+        process.  Exceptions are folded into its return value — a raise
+        would propagate out of the *caller's* process and tear down the
+        run."""
+
+        def guarded() -> Generator:
+            try:
+                result = yield from migration.run()
+            except MigrationNotSupported as exc:
+                return ("unsupported", exc)
+            except MigrationError as exc:
+                return ("error", exc)
+            return ("ok", result)
+
+        proc, dirtier = self._spawn_attempt(guarded(), tenant)
+        try:
+            yield proc
+        finally:
+            self._end_attempt(tenant, proc, dirtier)
+        return proc.result
+
+    def _spawn_attempt(self, run: Generator, tenant):
         sim = self.cluster.sim
-        proc = sim.spawn(migration.run(), name=f"migrate:{tenant.name}")
-        dirtier = sim.spawn(
+        proc = sim.spawn(run, name=f"migrate:{tenant.name}")
+        return proc, sim.spawn(
             self._dirtier(tenant, proc), name=f"dirtier:{tenant.name}"
         )
-        try:
-            sim.run()
-        finally:
-            # An aborted migration leaves the dirtier mid-loop; cancel it
-            # or it spins forever on every later run of the shared clock.
-            dirtier.cancel()
-            audit = getattr(self.cluster, "audit", None)
-            if audit is not None:
-                audit.on_attempt_end(tenant.name, (proc, dirtier))
-        if not proc.done:
-            raise MigrationError(
-                f"{tenant.name}: migration never completed (deadlock)"
-            )
-        return proc.result
+
+    def _end_attempt(self, tenant, proc, dirtier) -> None:
+        # An aborted migration leaves the dirtier mid-loop; cancel it
+        # or it spins forever on every later run of the shared clock.
+        dirtier.cancel()
+        if self.cluster.audit is not None:
+            self.cluster.audit.on_attempt_end(tenant.name, (proc, dirtier))
 
     def _dirtier(self, tenant, migration_proc) -> Generator:
         """The tenant's workload during migration: re-dirty a window of
@@ -267,7 +345,7 @@ class Orchestrator:
             round_idx += 1
 
     # ------------------------------------------------------------------
-    # Destination selection
+    # Destination selection and host drains
     # ------------------------------------------------------------------
     def pick_destination(self, spec, exclude=()) -> "object":
         """Choose a destination host for ``spec`` through the cluster's
@@ -295,174 +373,9 @@ class Orchestrator:
         destination.  Hardware-coupled tenants cannot move — they are
         recorded and left behind (the operator's problem, exactly as in
         a real fleet)."""
-        cluster = self.cluster
-        src = cluster.host(host_name)
-        records: List[MigrationRecord] = []
-        for name in sorted(src.tenants):
-            tenant = src.tenants[name]
-            try:
-                dst = self.pick_destination(
-                    tenant.spec, exclude={host_name, *exclude}
-                )
-            except PlacementError as exc:
-                cluster.log(f"evacuate {name}: no destination ({exc})")
-                continue
-            try:
-                records.append(
-                    self.migrate(
-                        name, dst.name, downtime_limit_s=downtime_limit_s
-                    )
-                )
-            except MigrationNotSupported:
-                records.append(self.records[-1])
-            except MigrationError:
-                records.append(self.records[-1])
-        return records
-
-    # ------------------------------------------------------------------
-    # In-simulation (generator) paths — for control-plane processes
-    # ------------------------------------------------------------------
-    def migrate_async(
-        self,
-        tenant_name: str,
-        dst_host: str,
-        downtime_limit_s: Optional[float] = 0.5,
-        downtime_target_s: float = 0.03,
-        max_attempts: int = 3,
-        attempt_backoff_cycles: int = 2_000_000,
-    ) -> Generator:
-        """Generator twin of :meth:`migrate` for callers that are
-        *themselves* processes on the shared clock (``record = yield
-        from orch.migrate_async(...)``): a control plane cannot call the
-        blocking path, which re-enters ``sim.run()``.
-
-        Unlike the blocking path it never raises into the simulation:
-        "unsupported" and "failed" outcomes are returned as records so
-        one stuck tenant cannot crash the whole fleet run.  Destination
-        capacity is reserved up front — concurrent evacuations in the
-        same upgrade wave cannot race two pre-copies into the same free
-        bytes and then fail at adopt time.
-        """
-        cluster = self.cluster
-        src = cluster.host_of(tenant_name)
-        dst = cluster.host(dst_host)
-        if src.name == dst.name:
-            raise ValueError(f"{tenant_name} is already on {dst.name}")
-        tenant = src.tenants[tenant_name]
-        cluster.log(
-            f"migrate {tenant_name} {src.name}->{dst.name} "
-            f"io={tenant.spec.io_model}"
+        return _run_blocking(
+            self._evacuate(True, host_name, downtime_limit_s, exclude)
         )
-        dst.reserve(tenant.spec)
-        try:
-            attempts = 0
-            carried_retries = 0
-            while True:
-                attempts += 1
-                channel = FabricChannel(cluster.fabric, src.name, dst.name)
-                migration = LiveMigration(
-                    src.machine,
-                    tenant.vm,
-                    devices=tenant.devices,
-                    channel=channel,
-                    downtime_target_s=downtime_target_s,
-                    downtime_limit_s=downtime_limit_s,
-                )
-                status, payload = yield from self._drive_async(migration, tenant)
-                if status == "unsupported":
-                    record = MigrationRecord(
-                        tenant=tenant_name,
-                        src=src.name,
-                        dst=dst.name,
-                        outcome="unsupported",
-                        attempts=attempts,
-                        error=str(payload),
-                    )
-                    self.records.append(record)
-                    cluster.log(f"migrate {tenant_name} unsupported: {payload}")
-                    return record
-                if status == "error":
-                    carried_retries += channel.retries + migration.retries
-                    cluster.fabric.metrics.record_fault("migration_attempt")
-                    if attempts >= max_attempts:
-                        record = MigrationRecord(
-                            tenant=tenant_name,
-                            src=src.name,
-                            dst=dst.name,
-                            outcome="failed",
-                            attempts=attempts,
-                            error=str(payload),
-                        )
-                        self.records.append(record)
-                        cluster.log(
-                            f"migrate {tenant_name} failed after "
-                            f"{attempts} attempts: {payload}"
-                        )
-                        return record
-                    cluster.log(
-                        f"migrate {tenant_name} attempt {attempts} failed "
-                        f"({payload}); backing off"
-                    )
-                    yield attempt_backoff_cycles
-                    continue
-                result = payload
-                break
-        finally:
-            # Released before adopt below — release + adopt run in the
-            # same resume with no yield between them, so the freed
-            # reservation cannot be claimed by a concurrent process.
-            dst.release(tenant_name)
-
-        result.retries += carried_retries
-        src.evict(tenant_name)
-        dst.adopt(tenant)
-        record = MigrationRecord(
-            tenant=tenant_name,
-            src=src.name,
-            dst=dst.name,
-            outcome="ok",
-            attempts=attempts,
-            result=result,
-        )
-        self.records.append(record)
-        cluster.log(
-            f"migrate {tenant_name} ok downtime_ms="
-            f"{result.downtime_s * 1e3:.3f} rounds={result.rounds} "
-            f"bytes={result.bytes_transferred} retries={result.retries} "
-            f"attempts={attempts}"
-        )
-        return record
-
-    def _drive_async(self, migration: LiveMigration, tenant) -> Generator:
-        """Run one attempt from inside the simulation: spawn the
-        migration and the tenant's dirtier, join the migration, report
-        ``("ok", result) | ("unsupported", exc) | ("error", exc)``.
-        Exceptions are folded into the return value — a raise would
-        propagate out of the *caller's* process and tear down the run.
-        """
-        sim = self.cluster.sim
-
-        def guarded() -> Generator:
-            try:
-                result = yield from migration.run()
-            except MigrationNotSupported as exc:
-                return ("unsupported", exc)
-            except MigrationError as exc:
-                return ("error", exc)
-            return ("ok", result)
-
-        proc = sim.spawn(guarded(), name=f"migrate:{tenant.name}")
-        dirtier = sim.spawn(
-            self._dirtier(tenant, proc), name=f"dirtier:{tenant.name}"
-        )
-        try:
-            yield proc
-        finally:
-            dirtier.cancel()
-            audit = getattr(self.cluster, "audit", None)
-            if audit is not None:
-                audit.on_attempt_end(tenant.name, (proc, dirtier))
-        return proc.result
 
     def evacuate_async(
         self,
@@ -470,12 +383,18 @@ class Orchestrator:
         downtime_limit_s: Optional[float] = 0.5,
         exclude=(),
     ) -> Generator:
-        """Generator twin of :meth:`evacuate` (``records = yield from
-        orch.evacuate_async(...)``), for upgrade waves driven by an
-        in-simulation control plane.  Destinations are re-picked per
-        tenant through the placement policy with the source host and
-        ``exclude`` removed; hosts that filled up mid-wave drop out of
-        the candidate ranking automatically."""
+        """:meth:`evacuate` from inside the simulation (``records =
+        yield from orch.evacuate_async(...)``), for upgrade waves driven
+        by a control plane."""
+        return (
+            yield from self._evacuate(False, host_name, downtime_limit_s, exclude)
+        )
+
+    def _evacuate(
+        self, blocking: bool, host_name: str, downtime_limit_s, exclude
+    ) -> Generator:
+        """Destinations are re-picked per tenant, so hosts that filled
+        up mid-wave drop out of the candidate ranking automatically."""
         cluster = self.cluster
         src = cluster.host(host_name)
         records: List[MigrationRecord] = []
@@ -492,8 +411,8 @@ class Orchestrator:
             except PlacementError as exc:
                 cluster.log(f"evacuate {name}: no destination ({exc})")
                 continue
-            record = yield from self.migrate_async(
-                name, dst.name, downtime_limit_s=downtime_limit_s
+            record, _ = yield from self._migrate(
+                blocking, name, dst.name, downtime_limit_s
             )
             records.append(record)
         return records

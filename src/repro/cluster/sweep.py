@@ -107,12 +107,7 @@ def run_demo(
             ),
         )
     if auditor is not None:
-        report = auditor.finish()
-        summary["audit"] = {
-            "ok": report.ok,
-            "checks_run": report.checks_run,
-            "violations": [str(v) for v in report.violations],
-        }
+        summary["audit"] = auditor.finish().as_dict()
     return summary
 
 

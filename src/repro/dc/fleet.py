@@ -1,11 +1,11 @@
 """The datacenter fleet: hosts in racks on a spine-leaf fabric.
 
-A :class:`Datacenter` is the ``repro.dc`` analogue of
-:class:`~repro.cluster.Cluster` — it quacks the same for the
-:class:`~repro.cluster.orchestrator.Orchestrator` (``sim`` / ``fabric``
-/ ``hosts`` / ``policy`` / ``host`` / ``host_of`` / ``log``) — but is
-built from a declarative :class:`~repro.dc.spec.DCSpec` and sized for
-hundreds of hosts:
+A :class:`Datacenter` is the ``repro.dc`` sibling of
+:class:`~repro.cluster.Cluster`: both are a :class:`~repro.cluster.Fleet`
+(hosts, fabric, clock, event trace, and the
+:class:`~repro.cluster.orchestrator.Orchestrator` that moves tenants
+between hosts), but a datacenter is built from a declarative
+:class:`~repro.dc.spec.DCSpec` and sized for hundreds of hosts:
 
 * hosts are named ``r{rack}h{idx}`` and attached to a
   :class:`~repro.dc.fabric.SpineLeafFabric` per the spec's topology;
@@ -28,22 +28,19 @@ is identical, and the determinism tests pin exactly that.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List
+from collections import Counter
+from typing import Dict
 
-from repro.cluster.host import ClusterHost, Tenant
-from repro.cluster.orchestrator import Orchestrator
-from repro.cluster.placement import make_policy
+from repro.cluster import Fleet
+from repro.cluster.host import ClusterHost
 from repro.dc.fabric import SpineLeafFabric
 from repro.dc.spec import DCSpec
-from repro.faults.injector import FaultInjector
-from repro.sim import Simulator, default_costs
+from repro.sim import default_costs
 
 __all__ = ["Datacenter"]
 
 
-class Datacenter:
+class Datacenter(Fleet):
     """N racks of hosts, one spine-leaf fabric, one clock, one trace."""
 
     def __init__(
@@ -54,31 +51,29 @@ class Datacenter:
         costs=None,
     ) -> None:
         self.spec = spec
-        self.seed = seed
         self.quiescent = quiescent
-        self.sim = Simulator(seed=seed)
-        self.costs = costs if costs is not None else default_costs()
         topo = spec.topology
-        self.fabric = SpineLeafFabric(
-            self.sim,
-            self.costs,
-            racks=topo.racks,
-            hosts_per_rack=topo.hosts_per_rack,
-            spines=topo.spines,
-            oversubscription=topo.oversubscription,
+        costs = costs if costs is not None else default_costs()
+        super().__init__(
+            seed,
+            costs,
+            spec.control.policy,
+            lambda sim: SpineLeafFabric(
+                sim,
+                costs,
+                racks=topo.racks,
+                hosts_per_rack=topo.hosts_per_rack,
+                spines=topo.spines,
+                oversubscription=topo.oversubscription,
+            ),
         )
-        self.policy = make_policy(spec.control.policy)
-        #: The deterministic event trace (admissions, migrations, waves,
-        #: reboots), stamped with the shared simulated clock.
-        self.events: List[str] = []
-        self.hosts: List[ClusterHost] = []
         idx = 0
         for rack in range(topo.racks):
             for slot in range(topo.hosts_per_rack):
                 host = ClusterHost(
                     f"r{rack}h{slot}",
                     self.sim,
-                    self.costs,
+                    costs,
                     guest_hv=spec.hosts.guest_hv,
                     stack_levels=spec.hosts.stack_levels,
                     workers=spec.hosts.workers,
@@ -89,14 +84,9 @@ class Datacenter:
                 host.port = self.fabric.attach(host.name, rack=rack)
                 self.hosts.append(host)
                 idx += 1
-        self.orchestrator = Orchestrator(self)
         #: The attached ControlPlane (set by ControlPlane.__init__).
         self.control = None
-        self.audit = None
-        self.faults = None
-        plan = spec.fault_plan(self.sim.freq_hz)
-        if plan is not None and not plan.is_empty:
-            self.faults = FaultInjector(self.fabric, plan, seed=seed).attach()
+        self._arm_faults(spec.fault_plan(self.sim.freq_hz))
         # Logged at now=0, before anything (including eager boots) runs,
         # so the trace head is identical with and without quiescence.
         self.log(
@@ -118,37 +108,8 @@ class Datacenter:
         return self.ms(self.spec.horizon_ms)
 
     # ------------------------------------------------------------------
-    # Lookup (Cluster duck-type)
+    # Reporting
     # ------------------------------------------------------------------
-    def host(self, name: str) -> ClusterHost:
-        for h in self.hosts:
-            if h.name == name:
-                return h
-        raise KeyError(f"no host named {name!r}")
-
-    def host_of(self, tenant_name: str) -> ClusterHost:
-        for h in self.hosts:
-            if tenant_name in h.tenants:
-                return h
-        raise KeyError(f"no tenant named {tenant_name!r}")
-
-    def tenants(self) -> Dict[str, Tenant]:
-        out: Dict[str, Tenant] = {}
-        for h in self.hosts:
-            out.update(h.tenants)
-        return out
-
-    # ------------------------------------------------------------------
-    # Trace / reporting
-    # ------------------------------------------------------------------
-    def log(self, message: str) -> None:
-        self.events.append(f"{self.sim.now:>14} {message}")
-
-    def trace(self) -> str:
-        """The full event trace — byte-identical for identical
-        (spec, seed), with or without quiescent hosts."""
-        return "\n".join(self.events)
-
     def digest(self) -> str:
         """sha256 over the control-plane observables: the event trace,
         the cross-host byte matrix, the wave reports, the per-tenant
@@ -161,46 +122,28 @@ class Datacenter:
         if self.control is not None:
             waves = [w.as_dict() for w in self.control.waves]
             slo = [r.as_dict() for r in getattr(self.control, "slo_reports", [])]
-        metrics = self.fabric.metrics
-
-        def table(name: str) -> Dict[str, object]:
-            return {
-                str(k): v
-                for k, v in sorted(
-                    metrics.snapshot()[name].items(), key=lambda kv: str(kv[0])
-                )
-            }
-
-        blob = json.dumps(
+        snapshot = self.fabric.metrics.snapshot()
+        return self._sha256(
             {
                 "trace": self.events,
-                "fabric": table("cross_host"),
-                "latency": table("latency"),
-                "latency_sum": table("latency_sum"),
+                "fabric": self._sorted_table(snapshot["cross_host"]),
+                "latency": self._sorted_table(snapshot["latency"]),
+                "latency_sum": self._sorted_table(snapshot["latency_sum"]),
                 "waves": waves,
                 "slo": slo,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def summary(self) -> Dict:
         """A JSON-friendly fleet snapshot for the CLI and benchmarks.
         Per-host detail is listed only for occupied hosts — a 500-host
         fleet summary stays readable."""
         occupied = {
-            h.name: {
-                "rack": self.fabric.rack_of[h.name],
-                "tenants": sorted(h.tenants),
-                "mem_committed_gb": h.mem_committed >> 30,
-                "cycle_load": h.cycle_load,
-            }
+            h.name: {"rack": self.fabric.rack_of[h.name], **self._host_row(h)}
             for h in self.hosts
             if h.tenants
         }
-        by_outcome: Dict[str, int] = {}
-        for r in self.orchestrator.records:
-            by_outcome[r.outcome] = by_outcome.get(r.outcome, 0) + 1
+        by_outcome = dict(Counter(r.outcome for r in self.orchestrator.records))
         out = {
             "spec": self.spec.name,
             "version": self.spec.version,

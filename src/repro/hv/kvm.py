@@ -260,7 +260,7 @@ class KvmHypervisor:
 
         Nothing is batched while an observer is attached (the machine's
         fast-forward veto: auditor, fault injector, spans, chain
-        tracker, migration, request records), when the cycle charges
+        tracker, migration), when the cycle charges
         are not integers (float addends keep their order-sensitive
         per-copy replay), or past the ``until`` of the running
         :meth:`Simulator.run` call.

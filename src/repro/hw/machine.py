@@ -111,12 +111,6 @@ class Machine:
             return "chain_tracker"
         if self.ff_migrations:
             return "migration"
-        capture = self.request_capture
-        if capture is not None and capture.keep_records:
-            # Histogram-only capture rides the fingerprinted counter
-            # tables and scales exactly across skipped epochs; full
-            # per-request records would miss every skipped request.
-            return "request_records"
         return None
 
     # ------------------------------------------------------------------
@@ -148,7 +142,7 @@ class Machine:
         self._next_chain_id += count
         return self._next_chain_id
 
-    def enable_span_tracing(self, tracer=None, max_chains: int = 4096):
+    def enable_span_tracing(self, max_chains: int = 4096):
         """Turn on span-level cycle attribution for this machine.
 
         Returns the :class:`repro.metrics.spans.SpanCollector`.  Tracing
@@ -156,31 +150,18 @@ class Machine:
         *recorded* about it."""
         from repro.metrics.spans import SpanCollector
 
-        self.spans = SpanCollector(self.sim, tracer=tracer, max_chains=max_chains)
+        self.spans = SpanCollector(self.sim, max_chains=max_chains)
         return self.spans
 
-    def enable_request_capture(
-        self,
-        series: str = "requests",
-        keep_records: bool = False,
-        max_records: int = 65536,
-    ):
+    def enable_request_capture(self, series: str = "requests"):
         """Turn on per-request latency capture for this machine.
 
-        Returns the :class:`repro.metrics.hist.RequestCapture`.  With
-        the default ``keep_records=False`` only integer histogram
-        tables are written — deterministic, mergeable, and exact under
-        fast-forward.  ``keep_records=True`` additionally retains full
-        :class:`~repro.metrics.hist.RequestRecord` objects (bounded by
-        ``max_records``) and vetoes fast-forward while enabled."""
+        Returns the :class:`repro.metrics.hist.RequestCapture`.  Only
+        integer histogram tables are written — deterministic, mergeable,
+        and exact under fast-forward."""
         from repro.metrics.hist import RequestCapture
 
-        self.request_capture = RequestCapture(
-            self.metrics,
-            series=series,
-            keep_records=keep_records,
-            max_records=max_records,
-        )
+        self.request_capture = RequestCapture(self.metrics, series=series)
         return self.request_capture
 
     @property

@@ -1,10 +1,9 @@
-"""Measurement: counters, histograms, request records, spans, reports."""
+"""Measurement: counters, histograms, request capture, spans, reports."""
 
 from repro.metrics.counters import Metrics
 from repro.metrics.hist import (
     Histogram,
     RequestCapture,
-    RequestRecord,
     exact_percentile,
 )
 from repro.metrics.spans import Span, SpanCollector
@@ -13,7 +12,6 @@ __all__ = [
     "Metrics",
     "Histogram",
     "RequestCapture",
-    "RequestRecord",
     "exact_percentile",
     "Span",
     "SpanCollector",

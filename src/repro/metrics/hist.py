@@ -1,4 +1,4 @@
-"""Log-spaced latency histograms and the per-request lifecycle record.
+"""Log-spaced latency histograms and the request-latency capture.
 
 Latency capture has to satisfy three masters at once:
 
@@ -27,7 +27,7 @@ nearest-rank percentile rule previously duplicated by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "SUB_BITS",
@@ -37,7 +37,6 @@ __all__ = [
     "bucket_hi",
     "exact_percentile",
     "Histogram",
-    "RequestRecord",
     "RequestCapture",
 ]
 
@@ -209,108 +208,28 @@ class Histogram:
         )
 
 
-class RequestRecord:
-    """One request's lifecycle on the simulated clock.
-
-    ``enqueue`` is when the request entered the system (arrival under
-    an open-loop model, first send under a closed loop), ``start`` when
-    service actually began, ``complete`` when the response was fully
-    observed.  All three are integer sim-times; derived latencies are
-    exact integer differences.
-    """
-
-    __slots__ = ("rid", "tenant", "enqueue", "start", "complete")
-
-    def __init__(
-        self,
-        rid: int,
-        tenant: Optional[str],
-        enqueue: int,
-        start: int,
-        complete: int,
-    ) -> None:
-        self.rid = rid
-        self.tenant = tenant
-        self.enqueue = enqueue
-        self.start = start
-        self.complete = complete
-
-    @property
-    def latency(self) -> int:
-        """Client-observed latency: enqueue -> complete."""
-        return self.complete - self.enqueue
-
-    @property
-    def service(self) -> int:
-        """Service time: start -> complete."""
-        return self.complete - self.start
-
-    @property
-    def queue_delay(self) -> int:
-        """Time spent waiting before service began."""
-        return self.start - self.enqueue
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        who = f" {self.tenant}" if self.tenant else ""
-        return (
-            f"<Request #{self.rid}{who} q={self.queue_delay} "
-            f"svc={self.service} lat={self.latency}>"
-        )
-
-
 class RequestCapture:
     """The one capture API every engine feeds request lifecycles through.
 
     Histogram-shaped state (bucket counts, exact sums) is recorded into
     the owning :class:`~repro.metrics.Metrics` tables, so it joins
     fast-forward fingerprints and scales exactly across skipped epochs.
-    Full :class:`RequestRecord` retention (``keep_records=True``) is a
-    debugging mode that observes *individual* requests — a macro-event
-    would skip them, so record retention vetoes fast-forward (see
-    ``Machine._ff_veto``), exactly like span tracing.
     """
 
-    __slots__ = ("metrics", "series", "keep_records", "max_records",
-                 "records", "evicted", "_next_rid")
+    __slots__ = ("metrics", "series")
 
-    def __init__(
-        self,
-        metrics,
-        series: str = "requests",
-        keep_records: bool = False,
-        max_records: int = 65536,
-    ) -> None:
+    def __init__(self, metrics, series: str = "requests") -> None:
         self.metrics = metrics
         self.series = series
-        self.keep_records = keep_records
-        self.max_records = max_records
-        self.records: List[RequestRecord] = []
-        #: Records not retained once ``max_records`` was reached; their
-        #: latencies still land in the histogram tables.
-        self.evicted = 0
-        self._next_rid = 0
 
     def observe(
-        self,
-        enqueue: int,
-        start: int,
-        complete: int,
-        tenant: Optional[str] = None,
-        series: Optional[str] = None,
-    ) -> int:
-        """Record one completed request; returns its id."""
-        rid = self._next_rid
-        self._next_rid = rid + 1
+        self, enqueue: int, complete: int, series: Optional[str] = None
+    ) -> None:
+        """Record one request that entered the system at ``enqueue`` and
+        was fully answered at ``complete``: its client-observed latency,
+        queueing included."""
         name = series if series is not None else self.series
         self.metrics.record_latency(name, complete - enqueue)
-        if self.keep_records:
-            if len(self.records) < self.max_records:
-                self.records.append(
-                    RequestRecord(rid, tenant, enqueue, start, complete)
-                )
-            else:
-                self.evicted += 1
-        return rid
 
     def histogram(self, series: Optional[str] = None) -> Histogram:
         """The captured latency histogram for ``series`` (default: this

@@ -114,11 +114,8 @@ class SpanCollector:
     tree rendering; aggregation is never truncated.
     """
 
-    def __init__(self, sim, tracer=None, max_chains: int = 4096) -> None:
+    def __init__(self, sim, max_chains: int = 4096) -> None:
         self.sim = sim
-        #: Optional :class:`repro.sim.trace.Tracer` that receives one
-        #: ``span`` event per closed span (ordering-sensitive debugging).
-        self.tracer = tracer
         self.enabled = True
         self.max_chains = max_chains
         self.roots: List[Span] = []
@@ -163,17 +160,6 @@ class SpanCollector:
         span.hops = ectx.hops
         self.spans_closed += 1
         self.by_site[(span.level, span.reason, span.handler)] += span.total()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "span",
-                chain=span.chain_id,
-                depth=span.depth,
-                level=span.level,
-                reason=span.reason,
-                handler=span.handler,
-                hops=span.hops,
-                cycles=round(span.total()),
-            )
 
     # ------------------------------------------------------------------
     # Aggregate views

@@ -275,7 +275,7 @@ def run_rr(stack, spec: RRSpec, settle: bool = True) -> AppResult:
         enq = state.txn_enqueue.pop(txn_id, start) if open_loop else start
         state.latencies.append(sim.now - enq)
         if cap is not None:
-            cap.observe(enq, start, sim.now)
+            cap.observe(enq, sim.now)
         if state.completed >= spec.txns:
             state.done = True
             state.done_event.trigger(sim.now)
@@ -485,7 +485,7 @@ def run_stream(stack, spec: StreamSpec) -> AppResult:
                     state["rx_bytes"] += size
                     if cap is not None:
                         sent = sent_at.pop(payload[1], sim.now)
-                        cap.observe(sent, sent, sim.now)
+                        cap.observe(sent, sim.now)
                     unacked += 1
                     if unacked >= spec.ack_every or state["rx_msgs"] >= spec.msgs:
                         unacked = 0
@@ -514,7 +514,7 @@ def run_stream(stack, spec: StreamSpec) -> AppResult:
                 state["rx_bytes"] += packet.size
                 if cap is not None:
                     sent = sent_at.pop(packet.payload[1], sim.now)
-                    cap.observe(sent, sent, sim.now)
+                    cap.observe(sent, sim.now)
                 if state["rx_msgs"] % spec.ack_every == 0:
                     machine.client.send(
                         stack.flow, 64, payload=("ack", state["rx_msgs"])
@@ -610,7 +610,7 @@ def run_hackbench(stack, spec: HackbenchSpec) -> AppResult:
             item_t0 = sim.now
             yield from ctx.compute(spec.item_cycles)
             if cap is not None:
-                cap.observe(item_t0, item_t0, sim.now)
+                cap.observe(item_t0, sim.now)
             processed += 1
             # Writing into the peer's socket wakes it if it was blocked.
             nxt = (i + 1) % workers

@@ -37,7 +37,7 @@ def _bench_hypercall(stack: Stack, iterations: int) -> float:
             op_t0 = sim.now
             yield from ctx.execute(Op.VMCALL)
             if cap is not None:
-                cap.observe(op_t0, op_t0, sim.now)
+                cap.observe(op_t0, sim.now)
             left -= 1
             if left:
                 left -= src.observe(left)
@@ -67,7 +67,7 @@ def _bench_devnotify(stack: Stack, iterations: int) -> float:
                 device=device,
             )
             if cap is not None:
-                cap.observe(op_t0, op_t0, sim.now)
+                cap.observe(op_t0, sim.now)
             left -= 1
             if left:
                 left -= src.observe(left)
@@ -90,7 +90,7 @@ def _bench_program_timer(stack: Stack, iterations: int) -> float:
             op_t0 = sim.now
             yield from ctx.program_timer(ctx.read_tsc() + far, TIMER_VECTOR)
             if cap is not None:
-                cap.observe(op_t0, op_t0, sim.now)
+                cap.observe(op_t0, sim.now)
             left -= 1
             if left:
                 left -= src.observe(left)
@@ -125,7 +125,7 @@ def _bench_send_ipi(stack: Stack, iterations: int) -> float:
             arrival = yield received["event"]
             hist.record(arrival - start)
             if cap is not None:
-                cap.observe(start, start, arrival)
+                cap.observe(start, arrival)
             yield 3000  # let the receiver settle back into idle
 
     sim.spawn(receiver_loop(), "ipi-rx")

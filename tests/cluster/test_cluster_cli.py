@@ -34,6 +34,26 @@ def test_cluster_migrate_json(capsys):
     assert "digest" in summary
 
 
+def test_cluster_migrate_refused_json(capsys):
+    """--json prints the summary even when the migration is refused;
+    the refused record is in it and the exit status stays 1."""
+    assert main(["cluster", "migrate", "--io", "passthrough", "--json"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["migrations"][0]["outcome"] == "unsupported"
+    assert summary["migrations"][0]["downtime_ms"] is None
+    assert "audit" not in summary
+
+
+def test_cluster_migrate_refused_json_audited(capsys):
+    assert main(
+        ["cluster", "migrate", "--io", "passthrough", "--json", "--audit"]
+    ) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["migrations"][0]["outcome"] == "unsupported"
+    assert summary["audit"]["ok"] is True
+    assert summary["audit"]["checks_run"] > 0
+
+
 def test_cluster_demo(capsys):
     assert main(
         ["cluster", "demo", "--hosts", "2", "--tenants", "4"]

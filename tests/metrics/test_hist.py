@@ -150,22 +150,10 @@ def test_from_buckets_round_trips_metrics_table():
 def test_capture_records_latency_not_service_time():
     m = Metrics()
     cap = RequestCapture(m, series="rr")
-    cap.observe(enqueue=100, start=150, complete=400)
+    cap.observe(enqueue=100, complete=400)
     h = cap.histogram()
     assert h.total == 1
     assert h.sum == 300  # complete - enqueue, queueing delay included
-
-
-def test_capture_record_retention_is_bounded():
-    m = Metrics()
-    cap = RequestCapture(m, series="rr", keep_records=True, max_records=2)
-    for i in range(5):
-        cap.observe(i, i, i + 10, tenant="t0")
-    assert len(cap.records) == 2
-    assert cap.evicted == 3
-    assert cap.histogram().total == 5  # histogram never loses counts
-    rec = cap.records[0]
-    assert (rec.latency, rec.service, rec.queue_delay) == (10, 10, 0)
 
 
 def test_latency_tables_ride_metrics_snapshot_and_scale():

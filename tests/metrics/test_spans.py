@@ -3,16 +3,15 @@ simulation, and chain rendering."""
 
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig, build_stack
-from repro.sim.trace import Tracer
 from repro.workloads.apps import run_app
 from repro.workloads.microbench import run_microbenchmark
 
 
-def _run(config, name="ProgramTimer", iterations=2, trace=False, tracer=None):
+def _run(config, name="ProgramTimer", iterations=2, trace=False):
     stack = build_stack(config)
     collector = None
     if trace:
-        collector = stack.machine.enable_span_tracing(tracer=tracer)
+        collector = stack.machine.enable_span_tracing()
     cycles = run_microbenchmark(stack, name, iterations)
     return stack, collector, cycles
 
@@ -87,19 +86,6 @@ def test_spans_off_by_default_and_zero_allocation():
     assert stack.machine.spans is None
     run_microbenchmark(stack, "Hypercall", iterations=1)
     assert stack.machine.spans is None  # nothing turned it on
-
-
-def test_span_events_flow_into_tracer():
-    stack = build_stack(StackConfig(levels=2))
-    tracer = Tracer(stack.sim, capacity=4096)
-    collector = stack.machine.enable_span_tracing(tracer=tracer)
-    run_microbenchmark(stack, "Hypercall", iterations=1)
-    span_events = tracer.events(category="span")
-    assert len(span_events) == collector.spans_closed
-    sample = span_events[0]
-    assert {"chain", "depth", "level", "reason", "handler", "hops", "cycles"} <= set(
-        sample.fields
-    )
 
 
 def test_site_rows_sorted_and_render_chains():

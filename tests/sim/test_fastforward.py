@@ -205,22 +205,6 @@ def test_hist_capture_rides_fast_forward_byte_identical(monkeypatch):
     assert runs[False][3] == 0
 
 
-def test_record_retention_vetoes_skipping(monkeypatch):
-    """keep_records observes individual requests, so it must veto
-    macro-events — with the 'request_records' cause on the books."""
-    import dataclasses
-
-    from repro.workloads.apps import NETPERF_RR
-    from repro.workloads.engines import run_rr
-
-    stack = _stack(monkeypatch, True, io_model="vp")
-    cap = stack.machine.enable_request_capture(series="rr", keep_records=True)
-    run_rr(stack, dataclasses.replace(NETPERF_RR, txns=60))
-    assert stack.sim.ff.epochs_skipped == 0
-    assert stack.sim.ff.invalidations.get("request_records", 0) > 0
-    assert len(cap.records) == 60
-
-
 def test_open_loop_arrivals_not_skipped(monkeypatch):
     """Poisson arrival gaps are RNG-drawn, never periodic: the engine
     must not treat an open-loop run as a steady state."""
@@ -240,18 +224,17 @@ def test_open_loop_arrivals_not_skipped(monkeypatch):
 
 
 def test_trace_digest_identical_under_span_veto(monkeypatch):
-    """An attached tracer sees the identical timeline either way (the
-    veto forces micro-stepping, so no trace event is ever macro-hidden)."""
-    from repro.sim.trace import Tracer
-
-    digests = {}
+    """Span tracing records the identical chains either way (the veto
+    forces micro-stepping, so no span is ever macro-hidden)."""
+    views = {}
     for ff in (False, True):
         stack = _stack(monkeypatch, ff)
-        tracer = Tracer(stack.sim, capacity=100_000)
-        stack.machine.enable_span_tracing(tracer=tracer)
+        spans = stack.machine.enable_span_tracing(max_chains=100_000)
         run_microbenchmark(stack, "ProgramTimer", iterations=30)
-        digests[ff] = tracer.digest()
-    assert digests[True] == digests[False]
+        assert stack.sim.ff.epochs_skipped == 0
+        views[ff] = (spans.site_rows(), spans.render_chains(), spans.spans_closed)
+    assert views[True][2] > 0
+    assert views[True] == views[False]
 
 
 def test_migration_start_perturbs_and_vetoes(monkeypatch):
