@@ -10,15 +10,18 @@ Two synthetic workloads bracket the engine's behavior:
 
 A third case, **exit path**, measures the trap path above the engine:
 simulated VM exits per host second for the L3 Hypercall microbenchmark,
-where one hypercall multiplies into 332 exits.
+where one hypercall multiplies into 332 exits.  A fourth, **dirty
+write**, measures the memory layer under pre-copy dirty logging:
+``MemorySpace.write_range`` calls per host second with one dirty log
+attached.
 
 Run directly to print and optionally record results::
 
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --out BENCH_engine.json
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
-``--check`` enforces conservative events/sec and exits/sec floors (for
-CI smoke).  With ``--baseline BENCH_engine.json`` each floor is raised
+``--check`` enforces conservative events/sec, exits/sec and writes/sec
+floors (for CI smoke).  With ``--baseline BENCH_engine.json`` each floor is raised
 to the recorded throughput divided by ``--max-slowdown``, so a real
 engine or trap-path regression trips even on hosts fast enough to clear
 the absolute floor.
@@ -41,6 +44,10 @@ MIN_EVENTS_PER_SEC = 100_000.0
 #: Conservative floor for the exit path, again about 10x under what a
 #: 2020s-era core sustains.
 MIN_EXITS_PER_SEC = 10_000.0
+
+#: Conservative floor for dirty-logged writes, about 10x under what a
+#: 2020s-era core sustains.
+MIN_DIRTY_WRITES_PER_SEC = 100_000.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -209,6 +216,36 @@ def bench_exit_path(iterations: int = 100) -> Dict[str, float]:
     }
 
 
+def bench_dirty_write(
+    writes: int = 200_000, window: int = 64, span: int = 1_024, drain_every: int = 1_024
+) -> Dict[str, float]:
+    """Host cost of a dirty-logged write: a ``window``-page write
+    sliding over ``span`` pages (the study migration's dirtier), with
+    one dirty log attached and drained every ``drain_every`` writes, as
+    a pre-copy round would.  ``pages_drained`` is the sum of the
+    drained set sizes."""
+    from time import perf_counter
+
+    from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace
+
+    space = MemorySpace(span * PAGE_SIZE)
+    log = DirtyLog()
+    space.attach_dirty_log(log)
+    drained = 0
+    t0 = perf_counter()
+    for i in range(writes):
+        space.write_range(((i * window) % span) * PAGE_SIZE, window * PAGE_SIZE)
+        if (i + 1) % drain_every == 0:
+            drained += len(log.drain())
+    wall = perf_counter() - t0
+    return {
+        "writes": float(writes),
+        "pages_drained": float(drained),
+        "wall_s": wall,
+        "writes_per_host_s": writes / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
@@ -216,6 +253,7 @@ def run_benchmarks() -> Dict[str, Dict[str, float]]:
         "periodic_phase": bench_periodic_phase(),
         "request_capture": bench_request_capture(),
         "exit_path": bench_exit_path(),
+        "dirty_write": bench_dirty_write(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -229,14 +267,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s "
-        f"and the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s",
+        help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s, "
+        f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s and dirty writes "
+        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
-        help="with --check: also require ping-pong and exit-path throughput within "
+        help="with --check: also require ping-pong, exit-path and dirty-write throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -278,6 +317,13 @@ def main(argv=None) -> int:
         f"{ep['dispatches']:,.0f} dispatches) "
         f"in {ep['wall_s']:.3f}s = "
         f"{ep['exits_per_host_s']:>12,.0f} exits/s"
+    )
+    dw = results["dirty_write"]
+    print(
+        f"{'dirty_write':14s} {dw['writes']:>10,.0f} writes "
+        f"({dw['pages_drained']:,.0f} pages drained) "
+        f"in {dw['wall_s']:.3f}s = "
+        f"{dw['writes_per_host_s']:>12,.0f} writes/s"
     )
     if args.out:
         with open(args.out, "w") as fh:
@@ -326,6 +372,7 @@ def main(argv=None) -> int:
         floors = (
             ("ping_pong", "last_run_events_per_sec", MIN_EVENTS_PER_SEC, "events/s"),
             ("exit_path", "exits_per_host_s", MIN_EXITS_PER_SEC, "exits/s"),
+            ("dirty_write", "writes_per_host_s", MIN_DIRTY_WRITES_PER_SEC, "writes/s"),
         )
         for name, key, floor, unit in floors:
             rate = results[name][key]

@@ -164,7 +164,7 @@ class Auditor:
     # ------------------------------------------------------------------
     def on_migration_start(self, vm, cpu_log, device_logs, backends) -> None:
         self.observed["migrations"] += 1
-        attached = getattr(vm.memory, "_dirty_logs", set())
+        attached = vm.memory.dirty_logs
         # The fresh cpu_log is already attached when this hook fires; any
         # *other* attached log is debris from an earlier attempt that
         # never tore down — the stacked-dirty-log leak.
@@ -205,7 +205,7 @@ class Auditor:
         self.observed[f"migration_{outcome}"] += 1
         self.checks_run += 1
         state = self._open.pop(id(vm), None)
-        attached = getattr(vm.memory, "_dirty_logs", set())
+        attached = vm.memory.dirty_logs
         if cpu_log in attached:
             self._violate(
                 "migration-lifecycle",

@@ -141,7 +141,7 @@ def lifecycle_violations(stack) -> List[str]:
     leaked it."""
     out: List[str] = []
     for vm in getattr(stack, "vms", []):
-        logs = getattr(vm.memory, "_dirty_logs", ())
+        logs = vm.memory.dirty_logs
         if logs:
             names = ", ".join(sorted(log.name for log in logs))
             out.append(

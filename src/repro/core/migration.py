@@ -112,6 +112,15 @@ def set_device_dirty_logging(device: PciDevice, backend, log: Optional[DirtyLog]
     backend.dirty_log = log
 
 
+def _drain(cpu_log: DirtyLog, device_logs: List[DirtyLog]) -> Set[int]:
+    """Drain the CPU log and every device log into one page set (the
+    CPU log's own drained set, which nothing else holds)."""
+    drained = cpu_log.drain()
+    for log in device_logs:
+        drained |= log.drain()
+    return drained
+
+
 # ----------------------------------------------------------------------
 # Live migration
 # ----------------------------------------------------------------------
@@ -361,9 +370,7 @@ class LiveMigration:
         pending: Set[int] = set()
         converged = False
         while rounds < self.max_rounds:
-            drained = set(cpu_log.drain())
-            for log in device_logs:
-                drained |= log.drain()
+            drained = _drain(cpu_log, device_logs)
             pending |= drained
             yield from self._track_dirty(len(drained))
             if audit is not None and drained:
@@ -385,9 +392,7 @@ class LiveMigration:
         # --- Stop and copy --------------------------------------------
         for _device, backend in backends:
             backend.pause()
-        drained = set(cpu_log.drain())
-        for log in device_logs:
-            drained |= log.drain()
+        drained = _drain(cpu_log, device_logs)
         # Tracking cost of this batch accrued while the VM was still
         # running — charge it before the downtime clock starts.
         yield from self._track_dirty(len(drained))

@@ -32,7 +32,7 @@ from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.ept import EptViolation
 from repro.hw.iommu import IommuFault
 from repro.hw.lapic import VIRTIO_VECTOR_BASE
-from repro.hw.mem import PAGE_SIZE, DirtyLog
+from repro.hw.mem import PAGE_SHIFT, PAGE_SIZE, DirtyLog
 from repro.hw.ops import Op
 
 __all__ = [
@@ -516,8 +516,12 @@ class HostVhost:
                         addr, min(packet.size, PAGE_SIZE * 16)
                     )
                     if self.dirty_log is not None:
-                        self.dirty_log.pages.update(
-                            range(addr >> 12, ((addr + packet.size - 1) >> 12) + 1)
+                        # The device log covers all of packet.size, while the
+                        # memory write above is clamped to 16 pages; the two
+                        # ranges differ for larger packets.
+                        self.dirty_log.mark_run(
+                            addr >> PAGE_SHIFT,
+                            ((addr + packet.size - 1) >> PAGE_SHIFT) + 1,
                         )
                     rxq.push_used(desc_id, packet.size, packet.payload)
                     driver = device.bound_driver

@@ -105,8 +105,7 @@ def test_stale_log_from_a_leaked_attempt_is_flagged_at_start():
 # Dirty-page conservation (hook-level, no stack needed)
 # ----------------------------------------------------------------------
 class _FakeMem:
-    def __init__(self):
-        self._dirty_logs = set()
+    dirty_logs = frozenset()
 
 
 class _FakeVm:

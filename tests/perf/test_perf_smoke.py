@@ -45,3 +45,19 @@ def test_exit_path_simulates_every_exit():
     stats = perf_engine.bench_exit_path(iterations=1)
     assert stats["exits"] == 332
     assert stats["exits_per_host_s"] > 0
+
+
+def test_dirty_write_drains_every_window():
+    """Each drain after 1,024 writes of the sliding 64-page window finds
+    all 1,024 pages of the span: recording is lazy, the pages are not."""
+    stats = perf_engine.bench_dirty_write(writes=2_048)
+    assert stats["pages_drained"] == 2 * 1_024
+    assert stats["writes_per_host_s"] > 0
+
+
+def test_check_mode_fails_below_dirty_write_floor(monkeypatch, capsys):
+    monkeypatch.setattr(
+        perf_engine, "MIN_DIRTY_WRITES_PER_SEC", sys.float_info.max
+    )
+    assert perf_engine.main(["--check"]) == 1
+    assert "dirty_write" in capsys.readouterr().err
