@@ -13,18 +13,20 @@ simulated VM exits per host second for the L3 Hypercall microbenchmark,
 where one hypercall multiplies into 332 exits.  A fourth, **dirty
 write**, measures the memory layer under pre-copy dirty logging:
 ``MemorySpace.write_range`` calls per host second with one dirty log
-attached.
+attached.  A fifth, **fleet place**, measures tenant admission in a
+large fleet: placement-policy choices plus admissions per host second
+on a 200-host lazily booted fleet.
 
 Run directly to print and optionally record results::
 
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --out BENCH_engine.json
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
-``--check`` enforces conservative events/sec, exits/sec and writes/sec
-floors (for CI smoke).  With ``--baseline BENCH_engine.json`` each floor is raised
-to the recorded throughput divided by ``--max-slowdown``, so a real
-engine or trap-path regression trips even on hosts fast enough to clear
-the absolute floor.
+``--check`` enforces conservative events/sec, exits/sec, writes/sec and
+placements/sec floors (for CI smoke).  With ``--baseline
+BENCH_engine.json`` each floor is raised to the recorded throughput
+divided by ``--max-slowdown``, so a real engine or trap-path regression
+trips even on hosts fast enough to clear the absolute floor.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ MIN_EXITS_PER_SEC = 10_000.0
 #: Conservative floor for dirty-logged writes, about 10x under what a
 #: 2020s-era core sustains.
 MIN_DIRTY_WRITES_PER_SEC = 100_000.0
+
+#: Conservative floor for fleet placements, about 10x under what a
+#: 2020s-era core sustains (host boots included).
+MIN_PLACEMENTS_PER_SEC = 200.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -246,6 +252,46 @@ def bench_dirty_write(
     }
 
 
+def bench_fleet_place(tenants: int = 240, hosts: int = 200) -> Dict[str, float]:
+    """Host cost of admitting a tenant into a large fleet: ``tenants``
+    placed by the bin-pack policy onto ``hosts`` lazily booted hosts
+    (the ``fleet`` spec's shape: its io-model mix, 1-2 GB, 800-2,400
+    load), each then admitted on the host chosen.  Every choice asks
+    every host whether the tenant fits; a host boots on its first
+    tenant.  ``hosts_booted`` counts the boots inside the timing."""
+    from time import perf_counter
+
+    from repro.cluster.host import ClusterHost, TenantSpec
+    from repro.cluster.placement import BinPackPolicy
+    from repro.sim import default_costs
+
+    sim = Simulator(seed=0)
+    costs = default_costs()
+    fleet = [ClusterHost(f"host{i}", sim, costs, lazy=True) for i in range(hosts)]
+    io_models = ("virtio", "vp", "virtio", "passthrough", "vp", "virtio")
+    specs = [
+        TenantSpec(
+            name=f"t{i}",
+            io_model=io_models[i % len(io_models)],
+            memory_gb=1 + i % 2,
+            load=800 + (i * 160) % 1_601,
+        )
+        for i in range(tenants)
+    ]
+    policy = BinPackPolicy()
+    t0 = perf_counter()
+    for spec in specs:
+        policy.choose(fleet, spec).admit(spec)
+    wall = perf_counter() - t0
+    return {
+        "tenants": float(tenants),
+        "hosts": float(hosts),
+        "hosts_booted": float(sum(h.boots for h in fleet)),
+        "wall_s": wall,
+        "placements_per_host_s": tenants / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
@@ -254,6 +300,7 @@ def run_benchmarks() -> Dict[str, Dict[str, float]]:
         "request_capture": bench_request_capture(),
         "exit_path": bench_exit_path(),
         "dirty_write": bench_dirty_write(),
+        "fleet_place": bench_fleet_place(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -268,14 +315,16 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s, "
-        f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s and dirty writes "
-        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s",
+        f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s, dirty writes "
+        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s and fleet placement "
+        f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
-        help="with --check: also require ping-pong, exit-path and dirty-write throughput within "
+        help="with --check: also require ping-pong, exit-path, dirty-write and "
+        "fleet-place throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -325,6 +374,13 @@ def main(argv=None) -> int:
         f"in {dw['wall_s']:.3f}s = "
         f"{dw['writes_per_host_s']:>12,.0f} writes/s"
     )
+    fp = results["fleet_place"]
+    print(
+        f"{'fleet_place':14s} {fp['tenants']:>10,.0f} tenants "
+        f"({fp['hosts']:,.0f} hosts, {fp['hosts_booted']:,.0f} booted) "
+        f"in {fp['wall_s']:.3f}s = "
+        f"{fp['placements_per_host_s']:>12,.0f} placements/s"
+    )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -373,6 +429,12 @@ def main(argv=None) -> int:
             ("ping_pong", "last_run_events_per_sec", MIN_EVENTS_PER_SEC, "events/s"),
             ("exit_path", "exits_per_host_s", MIN_EXITS_PER_SEC, "exits/s"),
             ("dirty_write", "writes_per_host_s", MIN_DIRTY_WRITES_PER_SEC, "writes/s"),
+            (
+                "fleet_place",
+                "placements_per_host_s",
+                MIN_PLACEMENTS_PER_SEC,
+                "placements/s",
+            ),
         )
         for name, key, floor, unit in floors:
             rate = results[name][key]

@@ -21,7 +21,8 @@ of the booted stack:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.migration import add_migration_capability
 from repro.core.vpassthrough import assign_virtual_device
@@ -156,7 +157,8 @@ class ClusterHost:
         self._sim = sim
         self._costs = costs
         self._stack_levels = stack_levels
-        self.tenants: Dict[str, Tenant] = {}
+        self._tenants: Dict[str, Tenant] = {}
+        self._tenants_view = MappingProxyType(self._tenants)
         #: Fabric port, set by the cluster when it attaches this host.
         self.port = None
         #: pCPUs the system stack claimed; tenants share the worker pool
@@ -171,6 +173,14 @@ class ClusterHost:
         #: destination room up front so two concurrent pre-copies cannot
         #: race into the same free bytes.
         self._reservations: Dict[str, TenantSpec] = {}
+        #: Running capacity totals over ``_tenants`` and
+        #: ``_reservations``, kept by ``_record``/``evict`` and
+        #: ``reserve``/``release`` (the only writers of those dicts), so
+        #: ``fits`` is O(1) however many tenants a host carries.
+        self._mem_committed = 0
+        self._cycle_load = 0
+        self._mem_reserved = 0
+        self._load_reserved = 0
         #: How many times this host's system stack has been built (a
         #: quiescent host that never sees a tenant stays at zero).
         self.boots = 0
@@ -223,10 +233,10 @@ class ClusterHost:
         upgrade).  Only a tenant-free host may shut down.  The machine's
         Metrics and fast-forward veto are unregistered so the shared
         simulator stops holding on to the dead machine."""
-        if self.tenants:
+        if self._tenants:
             raise ValueError(
                 f"{self.name}: cannot shut down with "
-                f"{len(self.tenants)} tenants aboard"
+                f"{len(self._tenants)} tenants aboard"
             )
         if self.machine is not None:
             ff = getattr(self._sim, "ff", None)
@@ -257,25 +267,32 @@ class ClusterHost:
         return HOST_MEMORY_BYTES
 
     @property
+    def tenants(self) -> Mapping[str, Tenant]:
+        """Tenants on this host by name: a read-only view, so nothing
+        outside ``admit``/``evict`` can desynchronize the capacity
+        totals."""
+        return self._tenants_view
+
+    @property
     def mem_committed(self) -> int:
-        return sum(t.memory_bytes for t in self.tenants.values())
+        return self._mem_committed
 
     @property
     def mem_reserved(self) -> int:
-        return sum(s.memory_gb * GB for s in self._reservations.values())
+        return self._mem_reserved
 
     @property
     def mem_free(self) -> int:
-        return self.mem_total - self.mem_committed - self.mem_reserved
+        return self.mem_total - self._mem_committed - self._mem_reserved
 
     @property
     def cycle_load(self) -> int:
         """Committed steady-state CPU demand across tenants."""
-        return sum(t.spec.load for t in self.tenants.values())
+        return self._cycle_load
 
     @property
     def load_reserved(self) -> int:
-        return sum(s.load for s in self._reservations.values())
+        return self._load_reserved
 
     def fits(self, spec: TenantSpec) -> bool:
         """Memory AND cycle-load headroom: a tenant must find both its
@@ -283,7 +300,10 @@ class ClusterHost:
         in-flight migrations count as taken)."""
         if spec.memory_gb * GB > self.mem_free:
             return False
-        return self.cycle_load + self.load_reserved + spec.load <= self.load_capacity
+        return (
+            self._cycle_load + self._load_reserved + spec.load
+            <= self.load_capacity
+        )
 
     # ------------------------------------------------------------------
     # Migration reservations (held by the orchestrator's attempt loop)
@@ -293,10 +313,15 @@ class ClusterHost:
         if spec.name in self._reservations:
             raise ValueError(f"{spec.name} already reserved on {self.name}")
         self._reservations[spec.name] = spec
+        self._mem_reserved += spec.memory_gb * GB
+        self._load_reserved += spec.load
 
     def release(self, name: str) -> None:
         """Drop a reservation (migration finished or failed)."""
-        self._reservations.pop(name, None)
+        spec = self._reservations.pop(name, None)
+        if spec is not None:
+            self._mem_reserved -= spec.memory_gb * GB
+            self._load_reserved -= spec.load
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -304,7 +329,7 @@ class ClusterHost:
     def admit(self, spec: TenantSpec) -> Tenant:
         """Create the tenant's VM (and device plumbing) on this host."""
         self.ensure_booted()
-        if spec.name in self.tenants:
+        if spec.name in self._tenants:
             raise ValueError(f"{spec.name} already on {self.name}")
         if not self.fits(spec):
             raise ValueError(
@@ -319,8 +344,14 @@ class ClusterHost:
             tenant = self._admit_vp(spec)
         else:
             tenant = self._admit_passthrough(spec)
-        self.tenants[spec.name] = tenant
+        self._record(tenant)
         return tenant
+
+    def _record(self, tenant: Tenant) -> None:
+        """Put ``tenant`` on this host's books and charge its capacity."""
+        self._tenants[tenant.spec.name] = tenant
+        self._mem_committed += tenant.memory_bytes
+        self._cycle_load += tenant.spec.load
 
     def _install_grants(self, grants: GrantSet) -> None:
         """Hand the named OoH features to this host's guest hypervisor
@@ -357,7 +388,7 @@ class ClusterHost:
                 f"{self.name}: nested tenants need a >=2-level host stack"
             )
         vm = ghv.create_vm(self._vm_name(spec), spec.memory_gb * GB)
-        parent = self.stack.vms[0].vcpus[len(self.tenants) % self._workers]
+        parent = self.stack.vms[0].vcpus[len(self._tenants) % self._workers]
         vm.add_vcpu(parent.pcpu, parent)
         return vm
 
@@ -396,9 +427,13 @@ class ClusterHost:
         """Remove a tenant from this host's books (its source-side VM
         stops being charged against capacity; the sim objects go idle).
         The NIC flow is unregistered so stray packets drop, like a real
-        host tearing down a tap device."""
-        tenant = self.tenants.pop(name)
-        self.machine.nic.unregister_flow(self._vm_name(tenant.spec))
+        host tearing down a tap device (a host that never booted has no
+        flows)."""
+        tenant = self._tenants.pop(name)
+        self._mem_committed -= tenant.memory_bytes
+        self._cycle_load -= tenant.spec.load
+        if self.machine is not None:
+            self.machine.nic.unregister_flow(self._vm_name(tenant.spec))
         return tenant
 
     def adopt(self, tenant: Tenant) -> Tenant:
@@ -415,9 +450,9 @@ class ClusterHost:
         return fresh
 
     def describe(self) -> str:
-        names = ",".join(sorted(self.tenants)) or "-"
+        names = ",".join(sorted(self._tenants)) or "-"
         return (
-            f"{self.name}: {len(self.tenants)} tenants "
+            f"{self.name}: {len(self._tenants)} tenants "
             f"[{names}] mem {self.mem_committed // GB}/"
             f"{self.mem_total // GB} GB load {self.cycle_load}"
         )

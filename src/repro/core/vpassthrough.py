@@ -21,7 +21,7 @@ nothing beyond the normal virtio driver.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.ept import PageTable, Perm
@@ -82,7 +82,7 @@ def assign_virtual_device(
     device: VirtioDevice,
     leaf_vm,
     posted_interrupts: bool = False,
-    pfns: Optional[List[range]] = None,
+    pfns: Optional[Sequence[range]] = None,
 ) -> VirtualPassthroughAssignment:
     """Perform the virtual-passthrough assignment (setup time).
 
@@ -142,7 +142,7 @@ def assign_virtual_device(
     return VirtualPassthroughAssignment(device, leaf_vm, viommus, shadow)
 
 
-def populate_chain_epts(leaf_vm, pfns: List[range]) -> None:
+def populate_chain_epts(leaf_vm, pfns: Sequence[range]) -> None:
     """Map pool pages at every level: level-m pfn p maps to parent pfn
     p + m * stride (distinct per level, so translation bugs surface).
     Each page's target depends only on the page and the level, so

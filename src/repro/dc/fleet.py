@@ -28,6 +28,7 @@ is identical, and the determinism tests pin exactly that.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from typing import Dict
 
@@ -67,11 +68,15 @@ class Datacenter(Fleet):
                 oversubscription=topo.oversubscription,
             ),
         )
+        # Host names are interned: every fleet built from a spec names
+        # its hosts alike, so reports kept from many runs (wave host
+        # lists, SLO rows) share one string per name instead of each
+        # holding its own copy.
         idx = 0
         for rack in range(topo.racks):
             for slot in range(topo.hosts_per_rack):
                 host = ClusterHost(
-                    f"r{rack}h{slot}",
+                    sys.intern(f"r{rack}h{slot}"),
                     self.sim,
                     costs,
                     guest_hv=spec.hosts.guest_hv,

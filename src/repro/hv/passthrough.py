@@ -15,7 +15,8 @@ is exactly the same as what it does with the regular passthrough model",
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.hw.ept import PageTable, Perm, Run
 from repro.hw.iommu import Irte, IrteMode
@@ -41,9 +42,16 @@ class MigrationNotSupported(RuntimeError):
 
 def dma_pool_pfns(
     buffers: int = 128, buf_size: int = 65536, queues: int = 4
-) -> List[range]:
+) -> Tuple[range, ...]:
     """Guest page frames of the standard driver DMA pools (covering every
-    multiqueue pool stride), as sorted, disjoint, non-adjacent runs."""
+    multiqueue pool stride), as sorted, disjoint, non-adjacent runs.
+    The layout is a constant of its arguments: it is built once per
+    argument tuple and every call returns that same immutable tuple."""
+    return _dma_pool_runs(buffers, buf_size, queues)
+
+
+@lru_cache(maxsize=None)
+def _dma_pool_runs(buffers: int, buf_size: int, queues: int) -> Tuple[range, ...]:
     spans = []
     for base in (RX_POOL_BASE, TX_POOL_BASE):
         for q in range(queues):
@@ -60,7 +68,7 @@ def dma_pool_pfns(
                 runs[-1] = range(runs[-1].start, stop)
         else:
             runs.append(range(start, stop))
-    return runs
+    return tuple(runs)
 
 
 def resolve_through_chain(leaf_vm, pfn: int) -> int:
@@ -99,7 +107,7 @@ def assign_physical_device(
     machine,
     device: PciDevice,
     leaf_vm,
-    pfns: List[range],
+    pfns: Sequence[range],
 ) -> PageTable:
     """Assign a physical device (e.g. an SR-IOV VF) to ``leaf_vm``.
 

@@ -49,8 +49,15 @@ class Virtqueue:
             raise ValueError("virtqueue size must be a power of two")
         self.index = index
         self.size = size
-        self.desc: List[Descriptor] = [Descriptor(0, 0) for _ in range(size)]
-        self._free: List[int] = list(range(size))
+        #: Descriptor table; an entry is made the first time its id is
+        #: handed out (most queues never post more than a few buffers).
+        self.desc: List[Optional[Descriptor]] = [None] * size
+        #: Reaped ids, reused last-in first-out ahead of ``_unused``.
+        self._free: List[int] = []
+        #: Ids ``0 .. _unused - 1`` were never handed out; they sit
+        #: beneath ``_free`` and come out highest first, so ids are issued
+        #: in the same order as from a stack preloaded with every id.
+        self._unused = size
         # Ring state: monotonically increasing indices, slots = idx % size.
         self.avail_ring: List[int] = [0] * size
         self.avail_idx = 0  # driver-owned producer index
@@ -64,13 +71,19 @@ class Virtqueue:
     # ------------------------------------------------------------------
     def add_buffer(self, addr: int, length: int, payload: Any = None) -> int:
         """Post a buffer; returns the descriptor id."""
-        if not self._free:
+        free = self._free
+        if not free and not self._unused:
             raise VirtqueueFull(f"queue {self.index} has no free descriptors")
         if self.avail_idx - self.last_avail >= self.size:
             raise VirtqueueFull(f"queue {self.index} avail ring full")
-        desc_id = self._free.pop()
-        d = self.desc[desc_id]
-        d.addr, d.length, d.in_use, d.payload = addr, length, True, payload
+        if free:
+            desc_id = free.pop()
+            d = self.desc[desc_id]
+            d.addr, d.length, d.in_use, d.payload = addr, length, True, payload
+        else:
+            self._unused -= 1
+            desc_id = self._unused
+            self.desc[desc_id] = Descriptor(addr, length, True, payload)
         self.avail_ring[self.avail_idx % self.size] = desc_id
         self.avail_idx += 1
         return desc_id
@@ -106,10 +119,11 @@ class Virtqueue:
         """Complete a buffer; ``payload`` (if given) replaces the
         descriptor's payload — how a device hands received data to the
         driver."""
-        if not self.desc[desc_id].in_use:
+        d = self.desc[desc_id]
+        if d is None or not d.in_use:
             raise ValueError(f"descriptor {desc_id} not in use")
         if payload is not Virtqueue._KEEP:
-            self.desc[desc_id].payload = payload
+            d.payload = payload
         self.used_ring[self.used_idx % self.size] = (desc_id, written)
         self.used_idx += 1
 
@@ -146,7 +160,7 @@ class Virtqueue:
 
     @property
     def free_descriptors(self) -> int:
-        return len(self._free)
+        return len(self._free) + self._unused
 
 
 class VirtioDevice(PciDevice):

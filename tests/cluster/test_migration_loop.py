@@ -44,9 +44,14 @@ def cluster_with(io_model, partition_end, num_hosts=2):
 
 
 def assert_no_reservations(cluster):
+    """No reservation is left behind, and each host's committed totals
+    still equal the sums over the tenants it holds."""
     for host in cluster.hosts:
         assert host.mem_reserved == 0, host.name
         assert host.load_reserved == 0, host.name
+        tenants = host.tenants.values()
+        assert host.mem_committed == sum(t.memory_bytes for t in tenants), host.name
+        assert host.cycle_load == sum(t.spec.load for t in tenants), host.name
 
 
 @pytest.mark.parametrize("io_model, partition_end, outcome", OUTCOMES)

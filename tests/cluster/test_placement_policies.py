@@ -22,9 +22,7 @@ def lazy_hosts(names):
 
 
 def charge(host, name, memory_gb=4, load=1_000):
-    host.tenants[name] = _FakeTenant(
-        TenantSpec(name=name, memory_gb=memory_gb, load=load)
-    )
+    host._record(_FakeTenant(TenantSpec(name=name, memory_gb=memory_gb, load=load)))
 
 
 class _FakeTenant:

@@ -2,6 +2,7 @@
 plane, regardless of quiescent hosts, fast-forward, or worker count."""
 
 from repro.dc import load_spec, run_dc, run_sweep
+from repro.dc.fleet import Datacenter
 
 SMALL = load_spec("small")
 
@@ -25,6 +26,15 @@ def test_same_seed_same_bytes():
     a = observables(run_dc(SMALL, seed=3))
     b = observables(run_dc(SMALL, seed=3))
     assert a == b
+
+
+def test_fleets_share_host_name_strings():
+    """Reports kept from many runs must not each own a copy of every
+    host name: fleets built from one spec hand out the same strings."""
+    a = Datacenter(SMALL, seed=0)
+    b = Datacenter(SMALL, seed=1)
+    assert [h.name for h in a.hosts] == [h.name for h in b.hosts]
+    assert all(x.name is y.name for x, y in zip(a.hosts, b.hosts))
 
 
 def test_different_seeds_differ():

@@ -35,6 +35,46 @@ def test_dma_pool_covers_all_queue_strides():
     assert len(runs) == 4 and sum(len(run) for run in runs) == 2 * 2 * 4 * 16
 
 
+def _merged_pool_runs(buffers, buf_size, queues):
+    """The pool's pages gathered one by one and cut into maximal runs:
+    an oracle independent of the span merge."""
+    from repro.hv.virtio_backend import QUEUE_POOL_STRIDE, RX_POOL_BASE, TX_POOL_BASE
+
+    pages = set()
+    for base in (RX_POOL_BASE, TX_POOL_BASE):
+        for q in range(queues):
+            for i in range(buffers):
+                addr = base + q * QUEUE_POOL_STRIDE + i * buf_size
+                pages.update(range(addr >> 12, ((addr + buf_size - 1) >> 12) + 1))
+    runs = []
+    for pfn in sorted(pages):
+        if runs and runs[-1].stop == pfn:
+            runs[-1] = range(runs[-1].start, pfn + 1)
+        else:
+            runs.append(range(pfn, pfn + 1))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "args", [(), (4, 65536, 2), (3, 6000, 3)], ids=["default", "small", "odd-size"]
+)
+def test_dma_pool_layout_is_built_once_and_immutable(args):
+    from repro.hv import passthrough
+
+    full = args or (128, 65536, 4)  # the defaults, spelled out
+    runs = dma_pool_pfns(*args)
+    # One layout per argument tuple, however the arguments are passed.
+    assert dma_pool_pfns(*args) is runs
+    assert dma_pool_pfns(*full) is runs
+    assert isinstance(runs, tuple) and all(isinstance(r, range) for r in runs)
+    # Same runs as the uncached span merge and the page-by-page oracle.
+    assert runs == passthrough._dma_pool_runs.__wrapped__(*full)
+    assert list(runs) == _merged_pool_runs(*full)
+    # Sorted, disjoint and non-adjacent, as every caller expects.
+    assert all(len(r) > 0 for r in runs)
+    assert all(a.stop < b.start for a, b in zip(runs, runs[1:]))
+
+
 def test_assignment_maps_bar_without_trapping():
     stack = make()
     vf = stack.net.vf
