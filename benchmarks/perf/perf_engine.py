@@ -15,15 +15,18 @@ write**, measures the memory layer under pre-copy dirty logging:
 ``MemorySpace.write_range`` calls per host second with one dirty log
 attached.  A fifth, **fleet place**, measures tenant admission in a
 large fleet: placement-policy choices plus admissions per host second
-on a 200-host lazily booted fleet.
+on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
+runs the study's migration cells (a live migration beside a tenant
+re-dirtying memory) and reports simulated dirtier bursts per host
+second, the rate the dirtier's run-ahead sets.
 
 Run directly to print and optionally record results::
 
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --out BENCH_engine.json
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
-``--check`` enforces conservative events/sec, exits/sec, writes/sec and
-placements/sec floors (for CI smoke).  With ``--baseline
+``--check`` enforces conservative events/sec, exits/sec, writes/sec,
+placements/sec and bursts/sec floors (for CI smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
 trips even on hosts fast enough to clear the absolute floor.
@@ -54,6 +57,11 @@ MIN_DIRTY_WRITES_PER_SEC = 100_000.0
 #: Conservative floor for fleet placements, about 10x under what a
 #: 2020s-era core sustains (host boots included).
 MIN_PLACEMENTS_PER_SEC = 200.0
+
+#: Conservative floor for migration-dirtier bursts: about 10x under
+#: what the run-ahead sustains on a 2020s-era core, and above the
+#: roughly 430k/s the same cells reach stepped burst by burst.
+MIN_DIRTIER_BURSTS_PER_SEC = 1_000_000.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -292,6 +300,34 @@ def bench_fleet_place(tenants: int = 240, hosts: int = 200) -> Dict[str, float]:
     }
 
 
+def bench_migration_dirtier(repeats: int = 10) -> Dict[str, float]:
+    """Host cost of the study's migration cells: each variant's live
+    migration with the tenant dirtier running beside it, ``repeats``
+    times.  The dirtier bursts until the migration ends, so the
+    simulated bursts are the migration's cycles over one burst's
+    compute (rounded up)."""
+    from math import ceil
+    from time import perf_counter
+
+    from repro.sim.engine import DEFAULT_FREQ_HZ
+    from repro.study import harness
+
+    variants = ("baseline", "dvh", "ooh", "dvh+ooh")
+    bursts = 0
+    t0 = perf_counter()
+    for _ in range(repeats):
+        for variant in variants:
+            row = harness._migration_cell(variant, 0)
+            bursts += ceil(row["total_s"] * DEFAULT_FREQ_HZ / harness._DIRTIER_COMPUTE)
+    wall = perf_counter() - t0
+    return {
+        "cells": float(repeats * len(variants)),
+        "bursts": float(bursts),
+        "wall_s": wall,
+        "bursts_per_host_s": bursts / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
@@ -301,6 +337,7 @@ def run_benchmarks() -> Dict[str, Dict[str, float]]:
         "exit_path": bench_exit_path(),
         "dirty_write": bench_dirty_write(),
         "fleet_place": bench_fleet_place(),
+        "migration_dirtier": bench_migration_dirtier(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -316,15 +353,16 @@ def main(argv=None) -> int:
         action="store_true",
         help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s, "
         f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s, dirty writes "
-        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s and fleet placement "
-        f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s",
+        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s, fleet placement "
+        f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s and the migration "
+        f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
-        help="with --check: also require ping-pong, exit-path, dirty-write and "
-        "fleet-place throughput within "
+        help="with --check: also require ping-pong, exit-path, dirty-write, "
+        "fleet-place and migration-dirtier throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -381,6 +419,13 @@ def main(argv=None) -> int:
         f"in {fp['wall_s']:.3f}s = "
         f"{fp['placements_per_host_s']:>12,.0f} placements/s"
     )
+    md = results["migration_dirtier"]
+    print(
+        f"{'mig_dirtier':14s} {md['bursts']:>10,.0f} bursts "
+        f"({md['cells']:,.0f} migration cells) "
+        f"in {md['wall_s']:.3f}s = "
+        f"{md['bursts_per_host_s']:>12,.0f} bursts/s"
+    )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -434,6 +479,12 @@ def main(argv=None) -> int:
                 "placements_per_host_s",
                 MIN_PLACEMENTS_PER_SEC,
                 "placements/s",
+            ),
+            (
+                "migration_dirtier",
+                "bursts_per_host_s",
+                MIN_DIRTIER_BURSTS_PER_SEC,
+                "bursts/s",
             ),
         )
         for name, key, floor, unit in floors:

@@ -34,10 +34,9 @@ from typing import Callable, List, Optional, Sequence
 from repro.audit.auditor import Auditor
 from repro.cluster import Cluster, TenantSpec
 from repro.core.features import DvhFeatures
-from repro.core.migration import LiveMigration, MigrationError
+from repro.core.migration import LiveMigration, MigrationError, dirtier
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
-from repro.hw.mem import PAGE_SIZE
 from repro.hv.stack import StackConfig, build_stack
 from repro.ooh.grants import GrantSet
 from repro.scenarios import (
@@ -107,21 +106,6 @@ def _migration_wire_specs(now: int):
     )
 
 
-def _spawn_firehose(stack, proc) -> None:
-    """Re-dirty a 2000-page working set far faster than the wire drains
-    it, so pre-copy can never converge."""
-    ctx = stack.ctx(1)
-
-    def firehose():
-        i = 0
-        while not proc.done:
-            yield from ctx.compute(20_000)
-            ctx.mem_write(0x1000_0000 + (i % 2_000) * PAGE_SIZE, PAGE_SIZE)
-            i += 1
-
-    stack.sim.spawn(firehose(), "firehose")
-
-
 def _run_migration_matrix(seed: int) -> List[AuditScenario]:
     scenarios: List[AuditScenario] = []
     for stack_name, factory in _STACKS:
@@ -168,7 +152,15 @@ def _run_migration_matrix(seed: int) -> List[AuditScenario]:
         downtime_limit_s=0.0005,
     )
     proc = stack.sim.spawn(mig.run(), "migration-abort")
-    _spawn_firehose(stack, proc)
+    # Re-dirty a 2000-page working set far faster than the wire drains
+    # it, so pre-copy can never converge.
+    stack.sim.spawn(
+        dirtier(
+            stack.machine, stack.ctx(1), proc, base=0x1000_0000,
+            pages=1, span=2_000, compute=20_000,
+        ),
+        "firehose",
+    )
     violations: List[str] = []
     try:
         stack.sim.run()

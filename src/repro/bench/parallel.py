@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = ["map_cells", "resolve_jobs", "table3_cell", "app_cell"]
@@ -46,9 +45,19 @@ def map_cells(
     if n <= 1:
         return [worker(t) for t in tasks]
     try:
+        # Imported here, not at module load: the pool machinery costs
+        # every process a few MB of memory, and only ``jobs > 1`` uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n) as ex:
             return list(ex.map(worker, tasks))
-    except (OSError, NotImplementedError, pickle.PicklingError, AttributeError):
+    except (
+        ImportError,
+        OSError,
+        NotImplementedError,
+        pickle.PicklingError,
+        AttributeError,
+    ):
         # No subprocess support (sandboxes) or an unpicklable task or
         # worker: the serial path computes the same results.
         return [worker(t) for t in tasks]

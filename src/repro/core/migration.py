@@ -28,6 +28,7 @@ the downtime budget, then stop-and-copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Generator, List, Optional, Set
 
 from repro.hw.mem import PAGE_SIZE, DirtyLog
@@ -42,6 +43,7 @@ __all__ = [
     "add_migration_capability",
     "capture_device_state",
     "set_device_dirty_logging",
+    "dirtier",
     "MigrationNotSupported",
 ]
 
@@ -437,3 +439,61 @@ class LiveMigration:
                 getattr(self.channel, "retries", 0) if self.channel else 0
             ),
         )
+
+
+# ----------------------------------------------------------------------
+# A tenant that keeps dirtying memory while it migrates
+# ----------------------------------------------------------------------
+def dirtier(
+    machine, ctx, proc, base: int, pages: int, span: int, compute: int
+) -> Generator:
+    """Process body: while the migration process ``proc`` runs, burst
+    after burst compute ``compute`` cycles on ``ctx`` and then write a
+    ``pages``-page window that slides over ``span`` pages from ``base``
+    (burst ``i`` starts ``(i * pages) % span`` pages in), feeding the
+    pre-copy dirty logs.
+
+    Run-ahead: once every window has been written once, each burst is
+    followed by the ``k`` further bursts whose write falls strictly
+    before :meth:`Simulator.horizon`, applied in one step.  Their
+    ``guest_work`` is charged once (``k * compute``), each distinct
+    window among them is written once in burst order, and one delay of
+    ``k * compute`` ends where the ``k``-th burst's write would.  Nothing
+    else runs before the horizon, so no drain, ``proc.done`` check or
+    cancellation can fall inside the batch; integer charges commute; the
+    same page runs reach the same logs in the same first-seen order.
+
+    It steps burst by burst while ``machine`` has an observer attached
+    (:meth:`Machine.observer`), while ``ctx`` runs inside a live trap frame, or when
+    ``compute`` or the ``guest_work`` total is not an ``int``
+    (``docs/performance.md``, "Dirtier run-ahead").
+    """
+    sim = machine.sim
+    metrics = machine.metrics
+    size = pages * PAGE_SIZE
+    period = span // gcd(pages, span)
+    i = 0
+    while not proc.done:
+        yield from ctx.compute(compute)
+        ctx.mem_write(base + ((i * pages) % span) * PAGE_SIZE, size)
+        i += 1
+        if (
+            i < period
+            or proc.done
+            or compute.__class__ is not int
+            or metrics.cycles.get("guest_work", 0).__class__ is not int
+            or machine.observer() is not None
+            or ctx.exit_context is not None
+        ):
+            continue
+        horizon = sim.horizon()
+        if horizon is None:
+            continue
+        k = (horizon - 1 - sim.now) // compute
+        if k <= 0:
+            continue
+        metrics.charge("guest_work", k * compute)
+        for j in range(i, i + min(k, period)):
+            ctx.mem_write(base + ((j * pages) % span) * PAGE_SIZE, size)
+        i += k
+        yield k * compute

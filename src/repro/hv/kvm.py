@@ -262,8 +262,10 @@ class KvmHypervisor:
         fast-forward veto: auditor, fault injector, spans, chain
         tracker, migration), when the cycle charges
         are not integers (float addends keep their order-sensitive
-        per-copy replay), or past the ``until`` of the running
-        :meth:`Simulator.run` call.
+        per-copy replay), while the running :meth:`Simulator.run` call
+        has a ``max_events`` budget (a batch is one engine step), or
+        past that call's ``until`` (both read through
+        :meth:`Simulator.horizon`).
         """
         machine = self.machine
         if machine._ff_veto() is not None:
@@ -278,9 +280,9 @@ class KvmHypervisor:
         ):
             return 0
         sim = machine.sim
-        until = sim._until
-        if until is not None:
-            return max(0, min(left, (until - sim.now) // per_exit))
+        limit = sim.horizon(queued=False)
+        if limit is not None:
+            return max(0, min(left, (limit - 1 - sim.now) // per_exit))
         return left
 
     def repeat_l0_vmx(self, vcpu: VCpu, exit_: Exit, k: int) -> Generator:

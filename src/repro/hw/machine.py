@@ -96,11 +96,13 @@ class Machine:
         self.sim.ff.register_metrics(self.metrics)
         self.sim.ff.add_veto(self._ff_veto)
 
-    def _ff_veto(self) -> Optional[str]:
-        """Why host-side shortcuts must wait (None = nothing observes):
-        an attached observer watches mid-run state that fast-forward
-        skipping and exit batching (``KvmHypervisor.repeatable_l0_vmx``)
-        would hide."""
+    def observer(self) -> Optional[str]:
+        """The attached observer that watches mid-run state (None if
+        there is none): the auditor, a fault injector, span tracing or a
+        chain tracker.  Host-side shortcuts that collapse many steps
+        into one refuse while it is set: fast-forward skipping, exit
+        batching (``KvmHypervisor.repeatable_l0_vmx``) and the migration
+        dirtier's run-ahead (``repro.core.migration.dirtier``)."""
         if self.audit is not None:
             return "audit"
         if self.faults is not None:
@@ -109,6 +111,15 @@ class Machine:
             return "spans"
         if self.chain_tracker is not None:
             return "chain_tracker"
+        return None
+
+    def _ff_veto(self) -> Optional[str]:
+        """Why fast-forward and exit batching must wait (None = go): an
+        attached :meth:`observer`, or a live migration whose dirty logs
+        must see every re-dirty record."""
+        observer = self.observer()
+        if observer is not None:
+            return observer
         if self.ff_migrations:
             return "migration"
         return None

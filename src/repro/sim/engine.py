@@ -232,12 +232,13 @@ class Simulator:
         self._inline_hits = 0
         self._last_run_events = 0
         self._last_run_wall_s = 0.0
-        #: ``until`` of the :meth:`run` call in progress (None: unbounded
-        #: or not running).  Work that collapses many delays into one
-        #: (``KvmHypervisor.repeat_l0_vmx``) must not end past it, so
-        #: state read at a ``run(until=)`` boundary is the micro-stepped
-        #: state.
+        #: ``until`` and ``max_events`` of the :meth:`run` call in
+        #: progress (None: unbounded or not running).  Work that
+        #: collapses many steps into one reads them through
+        #: :meth:`horizon`, so state read at a ``run(until=)`` or
+        #: ``run(max_events=)`` return is the micro-stepped state.
         self._until: Optional[int] = None
+        self._max_events: Optional[int] = None
         if fast_forward is None:
             fast_forward = fast_forward_default()
         self.ff = FastForward(self, enabled=bool(fast_forward))
@@ -319,6 +320,33 @@ class Simulator:
         """Schedule a zero-delay resume at the current time (FIFO)."""
         self._seq += 1
         self._ready.append((self._seq, proc, value))
+
+    def horizon(self, queued: bool = True) -> Optional[int]:
+        """The earliest cycle at which anything other than the running
+        process can run (None: nothing bounds it).
+
+        That is ``now`` while the :meth:`run` call in progress has a
+        ``max_events`` budget (each step counts against it) or while
+        other work is ready at this cycle; otherwise the earliest heap
+        entry, capped at the call's ``until + 1``.  A process may apply
+        the effects of delays that end strictly before the horizon in
+        one step: nothing else can run, or return from :meth:`run`, in
+        between (``repro.core.migration.dirtier``).  With ``queued``
+        false the heap and ready queue are left out, leaving only the
+        running call's own bound (``KvmHypervisor.repeatable_l0_vmx``).
+        """
+        if self._max_events is not None:
+            return self.now
+        until = self._until
+        cap = None if until is None else until + 1
+        if not queued:
+            return cap
+        if self._ready:
+            return self.now
+        heap = self._heap
+        if heap and (cap is None or heap[0][0] < cap):
+            return heap[0][0]
+        return cap
 
     # ------------------------------------------------------------------
     # Fast-forward primitives
@@ -414,7 +442,8 @@ class Simulator:
         heappush = heapq.heappush
         executed = 0
         ready_hits = heap_hits = inline_hits = 0
-        outer_until, self._until = self._until, until
+        outer = self._until, self._max_events
+        self._until, self._max_events = until, max_events
         wall_start = perf_counter()
         try:
             while True:
@@ -570,7 +599,7 @@ class Simulator:
                         f"{type(yielded).__name__}"
                     )
         finally:
-            self._until = outer_until
+            self._until, self._max_events = outer
             wall = perf_counter() - wall_start
             self._event_count += executed
             self._ready_hits += ready_hits

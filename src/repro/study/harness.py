@@ -269,28 +269,8 @@ _DIRTIER_COMPUTE = 200_000
 _DIRTIER_SPAN = 1_024
 
 
-def _spawn_dirtier(stack, proc) -> None:
-    """A tenant workload that keeps re-dirtying a sliding window of
-    pages while the migration runs (feeds the pre-copy dirty logs)."""
-    from repro.hw.mem import PAGE_SIZE
-
-    ctx = stack.ctx(0)
-
-    def dirtier():
-        i = 0
-        while not proc.done:
-            yield from ctx.compute(_DIRTIER_COMPUTE)
-            start = (i * _DIRTIER_PAGES) % _DIRTIER_SPAN
-            ctx.mem_write(
-                0x2000_0000 + start * PAGE_SIZE, _DIRTIER_PAGES * PAGE_SIZE
-            )
-            i += 1
-
-    stack.sim.spawn(dirtier(), "study-dirtier")
-
-
 def _migration_cell(variant, seed) -> dict:
-    from repro.core.migration import LiveMigration
+    from repro.core.migration import LiveMigration, dirtier
     from repro.hv.stack import build_stack
 
     config = replace(variant_config(variant), seed=seed)
@@ -299,7 +279,15 @@ def _migration_cell(variant, seed) -> dict:
     devices = [stack.net.device] if config.io_model == "vp" else []
     mig = LiveMigration(stack.machine, stack.leaf_vm, devices=devices)
     proc = stack.sim.spawn(mig.run(), f"study-mig-{variant}")
-    _spawn_dirtier(stack, proc)
+    # A tenant workload that keeps re-dirtying a sliding window of
+    # pages while the migration runs (feeds the pre-copy dirty logs).
+    stack.sim.spawn(
+        dirtier(
+            stack.machine, stack.ctx(0), proc, base=0x2000_0000,
+            pages=_DIRTIER_PAGES, span=_DIRTIER_SPAN, compute=_DIRTIER_COMPUTE,
+        ),
+        "study-dirtier",
+    )
     stack.sim.run()
     res = proc.result
     metrics = stack.metrics

@@ -211,13 +211,11 @@ def test_scenarios_run_default_jobs_is_serial(monkeypatch, capsys):
     multi-CPU host: no worker pool may be created."""
     import json as json_mod
 
-    import repro.bench.parallel as parallel
-
     def no_pool(*args, **kwargs):
         raise AssertionError("--jobs 1 started a worker pool")
 
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert main(["scenarios", "run", "--count", "2", "--seed", "1", "--json"]) == 0
     rows = json_mod.loads(capsys.readouterr().out)
     assert [r["index"] for r in rows] == [0, 1]

@@ -9,6 +9,7 @@ from repro.core.migration import (
     MigrationNotSupported,
     add_migration_capability,
     capture_device_state,
+    dirtier,
     set_device_dirty_logging,
 )
 from repro.hv.stack import StackConfig, build_stack
@@ -165,16 +166,10 @@ def test_backend_paused_during_stop_and_copy_then_resumed():
 
 def _spawn_firehose(stack, proc):
     """Re-dirty a 2000-page working set faster than the link drains it."""
-    ctx = stack.ctx(1)
-
-    def firehose():
-        i = 0
-        while not proc.done:
-            yield from ctx.compute(20_000)
-            ctx.mem_write(0x1000_0000 + (i % 2_000) * PAGE_SIZE, PAGE_SIZE)
-            i += 1
-
-    stack.sim.spawn(firehose(), "firehose")
+    stack.sim.spawn(
+        dirtier(stack.machine, stack.ctx(1), proc, 0x1000_0000, 1, 2_000, 20_000),
+        "firehose",
+    )
 
 
 def test_downtime_limit_raises_on_non_convergence():

@@ -207,6 +207,38 @@ def test_run_until_boundaries_identical(monkeypatch):
     assert any(k < left for left, k in granted)
 
 
+def test_run_max_events_boundaries_identical(monkeypatch):
+    """A batch is one engine step, so none runs while a ``run(max_events=)``
+    budget is active: every budgeted return shows the micro-stepped
+    state.  An unbudgeted run afterwards batches again."""
+    budgeted = []
+
+    def run():
+        stack = build_stack(StackConfig(levels=3))
+        stack.settle()
+        proc = _hypercalls(stack, 2)
+        states = []
+        before = len(batches)
+        while not proc.done:
+            stack.sim.run(max_events=37)
+            states.append(_state(stack, None))
+        budgeted.append(len(batches) - before)
+        proc = _hypercalls(stack, 1)
+        stack.sim.run()
+        states.append(_state(stack, proc.done))
+        return states
+
+    with monkeypatch.context() as m:
+        batches = _spy(m)
+        batched = run()
+    with monkeypatch.context() as m:
+        _veto(m)
+        unbatched = run()
+    assert batched == unbatched
+    assert budgeted[0] == 0
+    assert sum(batches) > 0
+
+
 @pytest.mark.parametrize("ff", [True, False], ids=["ff", "no-ff"])
 def test_float_charges_fall_back_to_per_copy_dispatch(monkeypatch, ff):
     """Non-integer cycle charges keep their order-sensitive per-copy
