@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--spec",
                 default="small",
                 help="built-in spec name (small, fleet, slo) or a path to "
-                "a JSON / YAML-subset spec file",
+                "a JSON spec file",
             )
         p.add_argument(
             "--no-quiescent",

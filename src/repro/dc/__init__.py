@@ -2,7 +2,7 @@
 
 Scales :mod:`repro.cluster` from a handful of hosts behind one ToR to
 hundreds of hosts in racks behind a leaf tier cross-connected through
-spines, described declaratively (JSON / YAML-subset spec files, no new
+spines, described declaratively (versioned JSON spec files, no new
 dependencies) and managed by an event-driven control plane running *on
 the simulated clock*: admission through the placement policies,
 threshold rebalancing via live migration, and rolling kernel-upgrade
@@ -42,7 +42,6 @@ from repro.dc.spec import (
     TopologySpec,
     TrafficSpec,
     UpgradeSpec,
-    parse_simple_yaml,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "TopologySpec",
     "TrafficSpec",
     "UpgradeSpec",
-    "parse_simple_yaml",
 ]

@@ -8,32 +8,34 @@ thresholds, rolling-upgrade waves), and a fault schedule.  Together
 with a seed it determines a run byte for byte — the lago-style
 "environment in a file" idea from the ROADMAP.
 
-Specs are plain JSON or a small YAML subset parsed by
-:func:`parse_simple_yaml` — no third-party dependency.  The subset
-covers what topology files need: nested mappings by 2+-space
-indentation, ``- `` block lists, inline ``[...]`` / ``{...}``
-collections, numbers, booleans, ``null``, quoted and bare strings, and
-``#`` comments.  Anchors, multi-line scalars, and flow-style nesting
-are deliberately out of scope.
+Specs are JSON documents, read by :func:`load_document` (duplicate
+keys are an error) and checked by one field-table validator: every
+field of a spec dataclass is declared with :func:`spec_field`, which
+holds its default and its one checker, and :func:`section` builds the
+dataclass from a JSON object.  The study harness
+(:class:`repro.study.StudySpec`) reads its spec files the same way.
 
-The format is versioned (``version: 1``); unknown versions and unknown
-keys are hard errors so a typo fails loudly instead of silently
-running a different experiment.
+The format is versioned (``"version": 1``); unknown versions, unknown
+keys and values of the wrong type are hard errors so a typo fails
+loudly instead of silently running a different experiment.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.host import TENANT_PASSTHROUGH, TENANT_VIRTIO, TENANT_VP
 from repro.cluster.placement import POLICIES
 from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
+from repro.hv.stack import StackConfig
 
 __all__ = [
     "SpecError",
-    "parse_simple_yaml",
+    "load_document",
+    "spec_field",
+    "section",
     "TopologySpec",
     "HostSpec",
     "TenantMixSpec",
@@ -46,7 +48,7 @@ __all__ = [
     "DCSpec",
 ]
 
-#: The spec format version this parser understands.
+#: The spec format version this build understands.
 SPEC_VERSION = 1
 
 
@@ -55,213 +57,159 @@ class SpecError(ValueError):
 
 
 # ======================================================================
-# Minimal YAML-subset parser
+# One loader, one field-table validator
 # ======================================================================
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment that is not inside a quoted string."""
-    quote = None
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch == "#":
-            return line[:i]
-    return line
+#: A checker takes a raw value and its dotted path; it returns the
+#: normalized value or raises SpecError.
+Check = Callable[[Any, str], Any]
 
 
-def _scalar(text: str) -> Any:
-    """Parse one scalar (or inline collection) value."""
-    s = text.strip()
-    if s == "" or s == "~" or s == "null":
-        return None
-    if s.startswith("[") and s.endswith("]"):
-        inner = s[1:-1].strip()
-        if not inner:
-            return []
-        return [_scalar(part) for part in _split_inline(inner)]
-    if s.startswith("{") and s.endswith("}"):
-        inner = s[1:-1].strip()
-        out: Dict[str, Any] = {}
-        if not inner:
-            return out
-        for part in _split_inline(inner):
-            if ":" not in part:
-                raise SpecError(f"bad inline mapping entry {part!r}")
-            k, v = part.split(":", 1)
-            out[_scalar(k)] = _scalar(v)
-        return out
-    if (s.startswith('"') and s.endswith('"') and len(s) >= 2) or (
-        s.startswith("'") and s.endswith("'") and len(s) >= 2
-    ):
-        return s[1:-1]
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s, 10)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
-
-
-def _split_inline(inner: str) -> List[str]:
-    """Split an inline collection body on top-level commas."""
-    parts: List[str] = []
-    depth = 0
-    quote = None
-    cur: List[str] = []
-    for ch in inner:
-        if quote:
-            if ch == quote:
-                quote = None
-            cur.append(ch)
-        elif ch in "'\"":
-            quote = ch
-            cur.append(ch)
-        elif ch in "[{":
-            depth += 1
-            cur.append(ch)
-        elif ch in "]}":
-            depth -= 1
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p for p in (part.strip() for part in parts) if p]
-
-
-def parse_simple_yaml(text: str) -> Any:
-    """Parse the YAML subset (see module docstring).  A document whose
-    first non-blank character is ``{`` is treated as JSON."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    lines: List[Tuple[int, str]] = []
-    for raw in text.splitlines():
-        body = _strip_comment(raw).rstrip()
-        if not body.strip():
-            continue
-        if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-            raise SpecError("tabs are not allowed in indentation")
-        indent = len(body) - len(body.lstrip())
-        lines.append((indent, body.strip()))
-    if not lines:
-        return {}
-    value, nxt = _parse_block(lines, 0, lines[0][0])
-    if nxt != len(lines):
-        raise SpecError(f"trailing content at line entry {nxt}: {lines[nxt][1]!r}")
-    return value
-
-
-def _parse_block(lines: List[Tuple[int, str]], i: int, indent: int) -> Tuple[Any, int]:
-    if lines[i][1].startswith("- ") or lines[i][1] == "-":
-        return _parse_list(lines, i, indent)
-    return _parse_map(lines, i, indent)
-
-
-def _parse_map(lines, i, indent):
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
-    while i < len(lines):
-        ind, content = lines[i]
-        if ind < indent:
-            break
-        if ind > indent:
-            raise SpecError(f"unexpected indentation at {content!r}")
-        if content.startswith("- "):
-            raise SpecError(f"list item where mapping key expected: {content!r}")
-        if ":" not in content:
-            raise SpecError(f"expected 'key: value', got {content!r}")
-        key, rest = content.split(":", 1)
-        key = key.strip()
+    for key, value in pairs:
         if key in out:
             raise SpecError(f"duplicate key {key!r}")
-        rest = rest.strip()
-        if rest:
-            out[key] = _scalar(rest)
-            i += 1
-            continue
-        # Block value: child lines indented deeper (or an empty value).
-        i += 1
-        if i < len(lines) and lines[i][0] > indent:
-            out[key], i = _parse_block(lines, i, lines[i][0])
-        else:
-            out[key] = None
-    return out, i
+        out[key] = value
+    return out
 
 
-def _parse_list(lines, i, indent):
-    out: List[Any] = []
-    while i < len(lines):
-        ind, content = lines[i]
-        if ind < indent or not (content.startswith("- ") or content == "-"):
-            break
-        if ind > indent:
-            raise SpecError(f"unexpected indentation at {content!r}")
-        body = content[2:].strip() if content.startswith("- ") else ""
-        if body and ":" in body and not body.startswith(("[", "{", '"', "'")):
-            # "- key: value": a mapping item; its further keys sit at
-            # the column where `key` starts (indent + 2).
-            item_indent = indent + 2
-            lines[i] = (item_indent, body)
-            item, i = _parse_map(lines, i, item_indent)
-            out.append(item)
-        else:
-            out.append(_scalar(body))
-            i += 1
-    return out, i
+def _no_constant(name: str) -> Any:
+    raise SpecError(f"{name} is not a JSON number")
+
+
+def load_document(text: str) -> Dict[str, Any]:
+    """Parse a JSON spec document: a top-level object, no duplicate
+    keys, no ``NaN``/``Infinity``."""
+    try:
+        data = json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_no_constant
+        )
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"a spec document must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _scalar(types: Tuple[type, ...], desc: str, ok=lambda x: True) -> Check:
+    """A JSON scalar of exactly one of ``types`` (so ``true`` is not the
+    integer 1) that satisfies ``ok``; numbers come back as floats."""
+
+    def check(value, ctx):
+        if type(value) not in types or not ok(value):
+            raise SpecError(f"{ctx} must be {desc}, got {value!r}")
+        return float(value) if float in types else value
+
+    return check
+
+
+POS_INT = _scalar((int,), "a positive integer", lambda x: x >= 1)
+COUNT = _scalar((int,), "a non-negative integer", lambda x: x >= 0)
+NUMBER = _scalar((int, float), "a number")
+NON_NEGATIVE = _scalar((int, float), "non-negative", lambda x: x >= 0)
+POSITIVE = _scalar((int, float), "positive", lambda x: x > 0)
+BOOL = _scalar((bool,), "true or false")
+STRING = _scalar((str,), "a string")
+
+
+def choice(options: Iterable[str], message: str) -> Check:
+    """One of ``options``; ``message`` formats the rejected value."""
+    allowed = sorted(options)
+
+    def check(value, ctx):
+        if value not in allowed:
+            raise SpecError(
+                f"{ctx}: {message.format(value)} (choose from {allowed})"
+            )
+        return value
+
+    return check
+
+
+def optional(item: Check) -> Check:
+    """``null`` or whatever ``item`` accepts."""
+    return lambda value, ctx: None if value is None else item(value, ctx)
+
+
+def list_of(item: Check, nonempty: bool = False) -> Check:
+    """A JSON list of ``item`` values, returned as a tuple."""
+
+    def check(value, ctx):
+        if not isinstance(value, list) or (nonempty and not value):
+            what = "a non-empty list" if nonempty else "a list"
+            raise SpecError(f"{ctx} must be {what}, got {value!r}")
+        return tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(value))
+
+    return check
+
+
+def mapping(key: Check, item: Check) -> Check:
+    """A JSON object with ``key``-checked keys and ``item`` values."""
+
+    def check(value, ctx):
+        if not isinstance(value, dict):
+            raise SpecError(f"{ctx} must be a mapping, got {value!r}")
+        return {key(k, ctx): item(v, f"{ctx}.{k}") for k, v in value.items()}
+
+    return check
+
+
+def spec_field(check: Check, default: Any = MISSING, factory: Any = MISSING) -> Any:
+    """A dataclass field read from a spec document through ``check``."""
+    return field(default=default, default_factory=factory, metadata={"check": check})
+
+
+def section(cls: type) -> Check:
+    """A JSON object built into the frozen dataclass ``cls``: each
+    field's :func:`spec_field` checker, defaults from ``cls`` itself,
+    unknown keys rejected (a typo must fail loudly instead of silently
+    running a different experiment).  A ``ValueError`` from the
+    constructor becomes a :class:`SpecError`."""
+    checks = {f.name: f.metadata["check"] for f in fields(cls)}
+    required = [
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    ]
+
+    def check(value, ctx):
+        if not isinstance(value, dict):
+            raise SpecError(f"{ctx}: expected a mapping, got {type(value).__name__}")
+        unknown = sorted(value.keys() - checks.keys())
+        if unknown:
+            raise SpecError(
+                f"{ctx}: unknown key {unknown[0]!r} (allowed: {sorted(checks)})"
+            )
+        missing = [key for key in required if key not in value]
+        if missing:
+            raise SpecError(f"{ctx}: missing key {missing[0]!r}")
+        kwargs = {k: checks[k](v, f"{ctx}.{k}") for k, v in value.items()}
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise SpecError(f"{ctx}: {exc}") from None
+
+    return check
 
 
 # ======================================================================
 # Spec dataclasses
 # ======================================================================
-def _take(raw: Optional[Dict], allowed: Dict[str, Any], ctx: str) -> Dict[str, Any]:
-    """Merge ``raw`` over the defaults in ``allowed``, rejecting keys
-    the section does not define (typos must fail loudly)."""
-    out = dict(allowed)
-    if raw is None:
-        return out
-    if not isinstance(raw, dict):
-        raise SpecError(f"{ctx}: expected a mapping, got {type(raw).__name__}")
-    for key, value in raw.items():
-        if key not in allowed:
-            raise SpecError(
-                f"{ctx}: unknown key {key!r} (allowed: {sorted(allowed)})"
-            )
-        out[key] = value
-    return out
-
-
-def _require_pos_int(value, ctx: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SpecError(f"{ctx}: expected a positive integer, got {value!r}")
-    return value
-
-
-def _require_ms(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise SpecError(f"{ctx}: expected a non-negative time in ms, got {value!r}")
-    return float(value)
+_IO_MODEL = choice(
+    (TENANT_VIRTIO, TENANT_VP, TENANT_PASSTHROUGH), "unknown io model {!r}"
+)
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     """The physical fabric: racks of hosts behind leaves, spines above."""
 
-    racks: int = 2
-    hosts_per_rack: int = 2
-    spines: int = 2
-    oversubscription: float = 4.0
+    racks: int = spec_field(POS_INT, 2)
+    hosts_per_rack: int = spec_field(POS_INT, 2)
+    spines: int = spec_field(POS_INT, 2)
+    oversubscription: float = spec_field(POSITIVE, 4.0)
 
     @property
     def num_hosts(self) -> int:
@@ -272,11 +220,11 @@ class TopologySpec:
 class HostSpec:
     """The platform every host boots (when first touched)."""
 
-    guest_hv: str = "kvm"
-    stack_levels: int = 2
-    workers: int = 2
+    guest_hv: str = spec_field(STRING, "kvm")
+    stack_levels: int = spec_field(POS_INT, 2)
+    workers: int = spec_field(POS_INT, 2)
     #: Cycle-load admission ceiling; None = workers * LOAD_PER_WORKER.
-    load_capacity: Optional[int] = None
+    load_capacity: Optional[int] = spec_field(optional(POS_INT), None)
 
 
 @dataclass(frozen=True)
@@ -285,55 +233,62 @@ class TenantMixSpec:
     per-tenant io model / size / load are drawn from the control plane's
     seeded RNG, so a (spec, seed) pair fixes every arrival."""
 
-    count: int = 8
-    start_ms: float = 0.5
-    interval_ms: float = 0.8
+    count: int = spec_field(COUNT, 8)
+    start_ms: float = spec_field(NON_NEGATIVE, 0.5)
+    interval_ms: float = spec_field(NON_NEGATIVE, 0.8)
     #: io model -> weight (virtio / vp / passthrough).
-    mix: Dict[str, float] = field(
-        default_factory=lambda: {TENANT_VIRTIO: 2, TENANT_VP: 1, TENANT_PASSTHROUGH: 1}
+    mix: Dict[str, float] = spec_field(
+        mapping(_IO_MODEL, NON_NEGATIVE),
+        factory=lambda: {TENANT_VIRTIO: 2, TENANT_VP: 1, TENANT_PASSTHROUGH: 1},
     )
-    memory_gb: Tuple[int, ...] = (1, 2)
+    memory_gb: Tuple[int, ...] = spec_field(list_of(POS_INT, nonempty=True), (1, 2))
     #: Inclusive [lo, hi] steady-state cycle-load range.
-    load: Tuple[int, int] = (800, 2000)
-    dirty_pages: Tuple[int, ...] = (32, 64)
+    load: Tuple[int, int] = spec_field(list_of(COUNT), (800, 2000))
+    dirty_pages: Tuple[int, ...] = spec_field(list_of(COUNT, nonempty=True), (32, 64))
 
 
 @dataclass(frozen=True)
 class TrafficSpec:
     """Background east-west flows that contend with migration traffic."""
 
-    flows: int = 0
-    chunk_kb: int = 64
-    gap_ms: float = 0.3
+    flows: int = spec_field(COUNT, 0)
+    chunk_kb: int = spec_field(POS_INT, 64)
+    gap_ms: float = spec_field(NON_NEGATIVE, 0.3)
 
 
 @dataclass(frozen=True)
 class RebalanceSpec:
     """Threshold-triggered live-migration rebalancing."""
 
-    enabled: bool = False
-    start_ms: float = 2.0
-    interval_ms: float = 2.0
+    enabled: bool = spec_field(BOOL, False)
+    start_ms: float = spec_field(NON_NEGATIVE, 2.0)
+    interval_ms: float = spec_field(NON_NEGATIVE, 2.0)
     #: Move a tenant when the hottest host exceeds threshold * mean load.
-    threshold: float = 1.6
+    threshold: float = spec_field(
+        _scalar((int, float), "a number >= 1", lambda x: x >= 1), 1.6
+    )
 
 
 @dataclass(frozen=True)
 class UpgradeSpec:
     """Rolling kernel-upgrade waves: evacuate, reboot, readmit."""
 
-    enabled: bool = False
-    start_ms: float = 8.0
-    wave_size: int = 4
-    reboot_ms: float = 2.0
-    downtime_limit_ms: float = 500.0
+    enabled: bool = spec_field(BOOL, False)
+    start_ms: float = spec_field(NON_NEGATIVE, 8.0)
+    wave_size: int = spec_field(POS_INT, 4)
+    reboot_ms: float = spec_field(NON_NEGATIVE, 2.0)
+    downtime_limit_ms: float = spec_field(NON_NEGATIVE, 500.0)
 
 
 @dataclass(frozen=True)
 class ControlSpec:
-    policy: str = "bin-pack"
-    rebalance: RebalanceSpec = field(default_factory=RebalanceSpec)
-    upgrade: UpgradeSpec = field(default_factory=UpgradeSpec)
+    policy: str = spec_field(
+        choice(POLICIES, "unknown placement policy {!r}"), "bin-pack"
+    )
+    rebalance: RebalanceSpec = spec_field(
+        section(RebalanceSpec), factory=RebalanceSpec
+    )
+    upgrade: UpgradeSpec = spec_field(section(UpgradeSpec), factory=UpgradeSpec)
 
 
 @dataclass(frozen=True)
@@ -345,19 +300,21 @@ class SloSpec:
     a periodic gate compares each tenant's windowed p99 against its
     objective, live-migrating the worst breacher off its host."""
 
-    enabled: bool = False
+    enabled: bool = spec_field(BOOL, False)
     #: Telemetry sampling period.
-    sample_ms: float = 0.2
+    sample_ms: float = spec_field(NON_NEGATIVE, 0.2)
     #: Default p99 objective (ms) for tenants without an override.
-    objective_p99_ms: float = 0.1
+    objective_p99_ms: float = spec_field(NON_NEGATIVE, 0.1)
     #: Per-io-model objective overrides: {"virtio": 0.2, ...}.
-    objectives: Dict[str, float] = field(default_factory=dict)
+    objectives: Dict[str, float] = spec_field(
+        mapping(_IO_MODEL, POSITIVE), factory=dict
+    )
     #: First gate evaluation; windows before it only warm the tables.
-    gate_start_ms: float = 2.0
+    gate_start_ms: float = spec_field(NON_NEGATIVE, 2.0)
     #: Gate cadence; each evaluation sees the samples of its window.
-    gate_interval_ms: float = 1.0
+    gate_interval_ms: float = spec_field(NON_NEGATIVE, 1.0)
     #: Windows with fewer samples than this are never judged.
-    min_samples: int = 8
+    min_samples: int = spec_field(POS_INT, 8)
 
     def objective_ms(self, io_model: str) -> float:
         return self.objectives.get(io_model, self.objective_p99_ms)
@@ -367,38 +324,41 @@ class SloSpec:
 class FaultWindowSpec:
     """One fabric fault window on the wall-clock (ms) schedule."""
 
-    kind: str
-    start_ms: float = 0.0
-    end_ms: Optional[float] = None
-    rate: float = 0.0
-    count: int = 0
-    param: Optional[float] = None
-    targets: Tuple[str, ...] = ()
+    kind: str = spec_field(
+        choice(FaultClass.FABRIC, "{!r} is not a fabric fault class")
+    )
+    start_ms: float = spec_field(NON_NEGATIVE, 0.0)
+    end_ms: Optional[float] = spec_field(optional(NON_NEGATIVE), None)
+    rate: float = spec_field(NUMBER, 0.0)
+    count: int = spec_field(COUNT, 0)
+    param: Optional[float] = spec_field(optional(NUMBER), None)
+    targets: Tuple[str, ...] = spec_field(list_of(STRING), ())
 
 
 @dataclass(frozen=True)
 class DCSpec:
     """A complete datacenter scenario."""
 
-    name: str = "dc"
-    version: int = SPEC_VERSION
-    topology: TopologySpec = field(default_factory=TopologySpec)
-    hosts: HostSpec = field(default_factory=HostSpec)
-    tenants: TenantMixSpec = field(default_factory=TenantMixSpec)
-    traffic: TrafficSpec = field(default_factory=TrafficSpec)
-    control: ControlSpec = field(default_factory=ControlSpec)
-    slo: SloSpec = field(default_factory=SloSpec)
-    faults: Tuple[FaultWindowSpec, ...] = ()
+    name: str = spec_field(STRING, "dc")
+    version: int = spec_field(POS_INT, SPEC_VERSION)
+    topology: TopologySpec = spec_field(section(TopologySpec), factory=TopologySpec)
+    hosts: HostSpec = spec_field(section(HostSpec), factory=HostSpec)
+    tenants: TenantMixSpec = spec_field(
+        section(TenantMixSpec), factory=TenantMixSpec
+    )
+    traffic: TrafficSpec = spec_field(section(TrafficSpec), factory=TrafficSpec)
+    control: ControlSpec = spec_field(section(ControlSpec), factory=ControlSpec)
+    slo: SloSpec = spec_field(section(SloSpec), factory=SloSpec)
+    faults: Tuple[FaultWindowSpec, ...] = spec_field(
+        list_of(section(FaultWindowSpec)), ()
+    )
     #: Open-loop processes (traffic, rebalance ticks) stop past this.
-    horizon_ms: float = 30.0
+    horizon_ms: float = spec_field(POSITIVE, 30.0)
 
     # ------------------------------------------------------------------
     @classmethod
     def from_text(cls, text: str) -> "DCSpec":
-        data = parse_simple_yaml(text)
-        if not isinstance(data, dict):
-            raise SpecError("a spec document must be a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(load_document(text))
 
     @classmethod
     def load(cls, path: str) -> "DCSpec":
@@ -407,286 +367,45 @@ class DCSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DCSpec":
-        top = _take(
-            data,
-            {
-                "version": SPEC_VERSION,
-                "name": "dc",
-                "topology": None,
-                "hosts": None,
-                "tenants": None,
-                "traffic": None,
-                "control": None,
-                "slo": None,
-                "faults": None,
-                "horizon_ms": 30.0,
-            },
-            "spec",
-        )
-        if top["version"] != SPEC_VERSION:
+        spec = section(cls)(data, "spec")
+        if spec.version != SPEC_VERSION:
             raise SpecError(
-                f"unsupported spec version {top['version']!r} "
+                f"unsupported spec version {spec.version!r} "
                 f"(this build understands {SPEC_VERSION})"
             )
-
-        t = _take(
-            top["topology"],
-            {"racks": 2, "hosts_per_rack": 2, "spines": 2, "oversubscription": 4.0},
-            "topology",
-        )
-        topology = TopologySpec(
-            racks=_require_pos_int(t["racks"], "topology.racks"),
-            hosts_per_rack=_require_pos_int(
-                t["hosts_per_rack"], "topology.hosts_per_rack"
-            ),
-            spines=_require_pos_int(t["spines"], "topology.spines"),
-            oversubscription=float(t["oversubscription"]),
-        )
-        if topology.oversubscription <= 0:
-            raise SpecError("topology.oversubscription must be positive")
-
-        h = _take(
-            top["hosts"],
-            {"guest_hv": "kvm", "stack_levels": 2, "workers": 2, "load_capacity": None},
-            "hosts",
-        )
-        hosts = HostSpec(
-            guest_hv=str(h["guest_hv"]),
-            stack_levels=_require_pos_int(h["stack_levels"], "hosts.stack_levels"),
-            workers=_require_pos_int(h["workers"], "hosts.workers"),
-            load_capacity=(
-                None
-                if h["load_capacity"] is None
-                else _require_pos_int(h["load_capacity"], "hosts.load_capacity")
-            ),
-        )
-
-        defaults = TenantMixSpec()
-        tn = _take(
-            top["tenants"],
-            {
-                "count": defaults.count,
-                "start_ms": defaults.start_ms,
-                "interval_ms": defaults.interval_ms,
-                "mix": dict(defaults.mix),
-                "memory_gb": list(defaults.memory_gb),
-                "load": list(defaults.load),
-                "dirty_pages": list(defaults.dirty_pages),
-            },
-            "tenants",
-        )
-        mix = tn["mix"]
-        if not isinstance(mix, dict) or not mix:
-            raise SpecError("tenants.mix must be a non-empty mapping")
-        for model, weight in mix.items():
-            if model not in (TENANT_VIRTIO, TENANT_VP, TENANT_PASSTHROUGH):
-                raise SpecError(f"tenants.mix: unknown io model {model!r}")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise SpecError(f"tenants.mix[{model!r}]: bad weight {weight!r}")
-            if weight < 0:
-                raise SpecError(f"tenants.mix[{model!r}]: negative weight")
-        if sum(mix.values()) <= 0:
-            raise SpecError("tenants.mix weights sum to zero")
-        memory_gb = tuple(
-            _require_pos_int(g, "tenants.memory_gb") for g in tn["memory_gb"]
-        )
-        if not memory_gb:
-            raise SpecError("tenants.memory_gb must not be empty")
-        load = tn["load"]
-        if (
-            not isinstance(load, (list, tuple))
-            or len(load) != 2
-            or load[0] > load[1]
-            or load[0] < 0
-        ):
-            raise SpecError("tenants.load must be [lo, hi] with 0 <= lo <= hi")
-        dirty = tuple(int(d) for d in tn["dirty_pages"])
-        if not dirty or any(d < 0 for d in dirty):
-            raise SpecError("tenants.dirty_pages must be non-negative")
-        count = tn["count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise SpecError("tenants.count must be >= 0")
-        tenants = TenantMixSpec(
-            count=count,
-            start_ms=_require_ms(tn["start_ms"], "tenants.start_ms"),
-            interval_ms=_require_ms(tn["interval_ms"], "tenants.interval_ms"),
-            mix={k: float(v) for k, v in mix.items()},
-            memory_gb=memory_gb,
-            load=(int(load[0]), int(load[1])),
-            dirty_pages=dirty,
-        )
-
-        tr = _take(
-            top["traffic"], {"flows": 0, "chunk_kb": 64, "gap_ms": 0.3}, "traffic"
-        )
-        traffic = TrafficSpec(
-            flows=int(tr["flows"]),
-            chunk_kb=_require_pos_int(tr["chunk_kb"], "traffic.chunk_kb"),
-            gap_ms=_require_ms(tr["gap_ms"], "traffic.gap_ms"),
-        )
-        if traffic.flows < 0:
-            raise SpecError("traffic.flows must be >= 0")
-
-        c = _take(
-            top["control"],
-            {"policy": "bin-pack", "rebalance": None, "upgrade": None},
-            "control",
-        )
-        if c["policy"] not in POLICIES:
-            raise SpecError(
-                f"control.policy {c['policy']!r} unknown "
-                f"(choose from {sorted(POLICIES)})"
-            )
-        rb = _take(
-            c["rebalance"],
-            {"enabled": False, "start_ms": 2.0, "interval_ms": 2.0, "threshold": 1.6},
-            "control.rebalance",
-        )
-        rebalance = RebalanceSpec(
-            enabled=bool(rb["enabled"]),
-            start_ms=_require_ms(rb["start_ms"], "control.rebalance.start_ms"),
-            interval_ms=_require_ms(
-                rb["interval_ms"], "control.rebalance.interval_ms"
-            ),
-            threshold=float(rb["threshold"]),
-        )
-        if rebalance.threshold < 1.0:
-            raise SpecError("control.rebalance.threshold must be >= 1.0")
+        tenants = spec.tenants
+        if sum(tenants.mix.values()) <= 0:
+            raise SpecError("spec.tenants.mix weights sum to zero")
+        if len(tenants.load) != 2 or tenants.load[0] > tenants.load[1]:
+            raise SpecError("spec.tenants.load must be [lo, hi] with 0 <= lo <= hi")
+        rebalance = spec.control.rebalance
         if rebalance.enabled and rebalance.interval_ms <= 0:
-            raise SpecError("control.rebalance.interval_ms must be positive")
-        up = _take(
-            c["upgrade"],
-            {
-                "enabled": False,
-                "start_ms": 8.0,
-                "wave_size": 4,
-                "reboot_ms": 2.0,
-                "downtime_limit_ms": 500.0,
-            },
-            "control.upgrade",
-        )
-        upgrade = UpgradeSpec(
-            enabled=bool(up["enabled"]),
-            start_ms=_require_ms(up["start_ms"], "control.upgrade.start_ms"),
-            wave_size=_require_pos_int(up["wave_size"], "control.upgrade.wave_size"),
-            reboot_ms=_require_ms(up["reboot_ms"], "control.upgrade.reboot_ms"),
-            downtime_limit_ms=_require_ms(
-                up["downtime_limit_ms"], "control.upgrade.downtime_limit_ms"
-            ),
-        )
-        control = ControlSpec(
-            policy=str(c["policy"]), rebalance=rebalance, upgrade=upgrade
-        )
-
-        sl = _take(
-            top["slo"],
-            {
-                "enabled": False,
-                "sample_ms": 0.2,
-                "objective_p99_ms": 0.1,
-                "objectives": None,
-                "gate_start_ms": 2.0,
-                "gate_interval_ms": 1.0,
-                "min_samples": 8,
-            },
-            "slo",
-        )
-        objectives: Dict[str, float] = {}
-        raw_objectives = sl["objectives"]
-        if raw_objectives is not None:
-            if not isinstance(raw_objectives, dict):
-                raise SpecError("slo.objectives must be a mapping")
-            for model, obj in raw_objectives.items():
-                if model not in (TENANT_VIRTIO, TENANT_VP, TENANT_PASSTHROUGH):
-                    raise SpecError(f"slo.objectives: unknown io model {model!r}")
-                obj_ms = _require_ms(obj, f"slo.objectives[{model!r}]")
-                if obj_ms <= 0:
-                    raise SpecError(f"slo.objectives[{model!r}] must be positive")
-                objectives[model] = obj_ms
-        slo = SloSpec(
-            enabled=bool(sl["enabled"]),
-            sample_ms=_require_ms(sl["sample_ms"], "slo.sample_ms"),
-            objective_p99_ms=_require_ms(
-                sl["objective_p99_ms"], "slo.objective_p99_ms"
-            ),
-            objectives=objectives,
-            gate_start_ms=_require_ms(sl["gate_start_ms"], "slo.gate_start_ms"),
-            gate_interval_ms=_require_ms(
-                sl["gate_interval_ms"], "slo.gate_interval_ms"
-            ),
-            min_samples=_require_pos_int(sl["min_samples"], "slo.min_samples"),
-        )
-        if slo.enabled:
-            if slo.sample_ms <= 0:
-                raise SpecError("slo.sample_ms must be positive")
-            if slo.gate_interval_ms <= 0:
-                raise SpecError("slo.gate_interval_ms must be positive")
-            if slo.objective_p99_ms <= 0:
-                raise SpecError("slo.objective_p99_ms must be positive")
-
-        fault_windows: List[FaultWindowSpec] = []
-        raw_faults = top["faults"] or []
-        if not isinstance(raw_faults, list):
-            raise SpecError("faults must be a list")
-        for entry in raw_faults:
-            f = _take(
-                entry,
-                {
-                    "kind": None,
-                    "start_ms": 0.0,
-                    "end_ms": None,
-                    "rate": 0.0,
-                    "count": 0,
-                    "param": None,
-                    "targets": [],
-                },
-                "faults[]",
-            )
-            kind = f["kind"]
-            if kind not in FaultClass.FABRIC:
+            raise SpecError("spec.control.rebalance.interval_ms must be positive")
+        if spec.slo.enabled:
+            for key in ("sample_ms", "gate_interval_ms", "objective_p99_ms"):
+                if getattr(spec.slo, key) <= 0:
+                    raise SpecError(f"spec.slo.{key} must be positive when enabled")
+        for i, f in enumerate(spec.faults):
+            if f.end_ms is not None and f.end_ms <= f.start_ms:
                 raise SpecError(
-                    f"faults[].kind {kind!r} is not a fabric fault class "
-                    f"(choose from {sorted(FaultClass.FABRIC)})"
+                    f"spec.faults[{i}].end_ms {f.end_ms:g} must be after "
+                    f"start_ms {f.start_ms:g}"
                 )
-            start_ms = _require_ms(f["start_ms"], "faults[].start_ms")
-            end_ms = (
-                None
-                if f["end_ms"] is None
-                else _require_ms(f["end_ms"], "faults[].end_ms")
-            )
-            if end_ms is not None and end_ms <= start_ms:
-                raise SpecError(
-                    f"faults[].end_ms {end_ms:g} must be after start_ms "
-                    f"{start_ms:g}"
-                )
-            fault_windows.append(
-                FaultWindowSpec(
-                    kind=kind,
-                    start_ms=start_ms,
-                    end_ms=end_ms,
-                    rate=float(f["rate"]),
-                    count=int(f["count"]),
-                    param=None if f["param"] is None else float(f["param"]),
-                    targets=tuple(str(t) for t in (f["targets"] or [])),
-                )
-            )
-
-        horizon_ms = _require_ms(top["horizon_ms"], "horizon_ms")
-        if horizon_ms <= 0:
-            raise SpecError("horizon_ms must be positive")
-
-        return cls(
-            name=str(top["name"]),
-            version=int(top["version"]),
-            topology=topology,
-            hosts=hosts,
-            tenants=tenants,
-            traffic=traffic,
-            control=control,
-            slo=slo,
-            faults=tuple(fault_windows),
-            horizon_ms=horizon_ms,
-        )
+        # The stack and fault-plan rules live with StackConfig and
+        # FaultSpec; run them now so `dc validate` catches what `dc run`
+        # would otherwise die on.
+        h = spec.hosts
+        try:
+            StackConfig(
+                levels=h.stack_levels, guest_hv=h.guest_hv, workers=h.workers
+            ).validate()
+        except ValueError as exc:
+            raise SpecError(f"spec.hosts: {exc}") from None
+        try:
+            spec.fault_plan(freq_hz=1e9)
+        except ValueError as exc:
+            raise SpecError(f"spec.faults: {exc}") from None
+        return spec
 
     # ------------------------------------------------------------------
     def fault_plan(self, freq_hz: float) -> Optional[FaultPlan]:
@@ -719,3 +438,4 @@ class DCSpec:
             f"{t.spines} spines, oversub {t.oversubscription:g}, "
             f"{self.tenants.count} tenants, policy {self.control.policy}"
         )
+

@@ -41,6 +41,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bench.parallel import map_cells
 from repro.core.features import DvhFeatures
+from repro.dc.spec import (
+    BOOL, COUNT, POS_INT, POSITIVE, STRING, list_of, load_document, section,
+    spec_field,
+)
 from repro.hv.stack import StackConfig
 from repro.ooh.grants import GrantSet
 
@@ -102,24 +106,27 @@ def variant_config(
 # ----------------------------------------------------------------------
 # Spec: what the matrix covers (JSON-loadable, see examples/)
 # ----------------------------------------------------------------------
+_NAMES = list_of(STRING)
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """The study matrix, as data.  The defaults are the full 4-scenario
     head-to-head; a JSON spec file (``--spec``) can trim or reshape it."""
 
-    name: str = "default"
-    variants: Tuple[str, ...] = VARIANTS
-    micro_benches: Tuple[str, ...] = (
-        "Hypercall", "DevNotify", "ProgramTimer", "SendIPI",
+    name: str = spec_field(STRING, "default")
+    variants: Tuple[str, ...] = spec_field(_NAMES, VARIANTS)
+    micro_benches: Tuple[str, ...] = spec_field(
+        _NAMES, ("Hypercall", "DevNotify", "ProgramTimer", "SendIPI")
     )
-    micro_guest_hvs: Tuple[str, ...] = ("kvm", "xen")
-    micro_iterations: int = 20
-    app_names: Tuple[str, ...] = ("hackbench", "netperf_rr")
-    app_scale: float = 0.1
+    micro_guest_hvs: Tuple[str, ...] = spec_field(_NAMES, ("kvm", "xen"))
+    micro_iterations: int = spec_field(POS_INT, 20)
+    app_names: Tuple[str, ...] = spec_field(_NAMES, ("hackbench", "netperf_rr"))
+    app_scale: float = spec_field(POSITIVE, 0.1)
     #: Single-machine nested live migration with an active dirtier.
-    migration: bool = True
+    migration: bool = spec_field(BOOL, True)
     #: Cross-host cluster migration host count (0 disables the family).
-    cluster_hosts: int = 2
+    cluster_hosts: int = spec_field(COUNT, 2)
 
     def __post_init__(self) -> None:
         for variant in self.variants:
@@ -135,27 +142,27 @@ class StudySpec:
         for hv in self.micro_guest_hvs:
             if hv not in ("kvm", "xen"):
                 raise ValueError(f"guest_hv must be kvm or xen, got {hv!r}")
+        from repro.workloads.apps import app_names
+
+        for app in self.app_names:
+            if app not in app_names():
+                raise ValueError(f"unknown app {app!r}; choose from {app_names()}")
+        if self.cluster_hosts < 0 or self.cluster_hosts == 1:
+            # A migration needs a second host to land on.
+            raise ValueError(
+                f"cluster_hosts must be 0 (off) or >= 2, got {self.cluster_hosts}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudySpec":
-        known = {
-            "name", "variants", "micro_benches", "micro_guest_hvs",
-            "micro_iterations", "app_names", "app_scale", "migration",
-            "cluster_hosts",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown study spec keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("variants", "micro_benches", "micro_guest_hvs", "app_names"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        """Check parsed JSON with the datacenter specs' field-table
+        validator; raises ``SpecError``."""
+        return section(cls)(data, "study")
 
     @classmethod
     def from_file(cls, path: str) -> "StudySpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(load_document(fh.read()))
 
 
 @dataclass

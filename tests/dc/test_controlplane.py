@@ -21,18 +21,21 @@ def test_admission_places_every_arrival():
 
 
 def test_admission_rejects_when_fleet_is_full():
-    spec = DCSpec.from_text(
-        "name: full\n"
-        "topology: {racks: 1, hosts_per_rack: 1, spines: 1}\n"
-        "hosts: {workers: 2}\n"
-        "tenants:\n"
-        "  count: 4\n"
-        "  start_ms: 0.5\n"
-        "  interval_ms: 0.5\n"
-        "  mix: {virtio: 1}\n"
-        "  memory_gb: [1]\n"
-        "  load: [20000, 20000]\n"
-        "horizon_ms: 5.0\n"
+    spec = DCSpec.from_dict(
+        {
+            "name": "full",
+            "topology": {"racks": 1, "hosts_per_rack": 1, "spines": 1},
+            "hosts": {"workers": 2},
+            "tenants": {
+                "count": 4,
+                "start_ms": 0.5,
+                "interval_ms": 0.5,
+                "mix": {"virtio": 1},
+                "memory_gb": [1],
+                "load": [20000, 20000],
+            },
+            "horizon_ms": 5.0,
+        }
     )
     dc = run_dc(spec, seed=0)
     control = dc.control
@@ -96,16 +99,19 @@ def test_quiescent_fleet_boots_only_touched_hosts():
 
 
 def test_no_control_sections_means_admission_only():
-    spec = DCSpec.from_text(
-        "name: calm\n"
-        "topology: {racks: 1, hosts_per_rack: 2, spines: 1}\n"
-        "tenants:\n"
-        "  count: 2\n"
-        "  start_ms: 0.5\n"
-        "  interval_ms: 0.5\n"
-        "  mix: {vp: 1}\n"
-        "  memory_gb: [1]\n"
-        "horizon_ms: 3.0\n"
+    spec = DCSpec.from_dict(
+        {
+            "name": "calm",
+            "topology": {"racks": 1, "hosts_per_rack": 2, "spines": 1},
+            "tenants": {
+                "count": 2,
+                "start_ms": 0.5,
+                "interval_ms": 0.5,
+                "mix": {"vp": 1},
+                "memory_gb": [1],
+            },
+            "horizon_ms": 3.0,
+        }
     )
     dc = run_dc(spec, seed=0)
     control = dc.control

@@ -48,13 +48,13 @@ def test_dc_no_quiescent_same_json_observables(capsys):
 def test_dc_validate_builtin_and_file(capsys):
     assert main(["dc", "validate", "--spec", "small"]) == 0
     assert "small v1" in capsys.readouterr().out
-    path = os.path.join(EXAMPLES, "dc_small.yaml")
+    path = os.path.join(EXAMPLES, "dc_small.json")
     assert main(["dc", "validate", "--spec", path]) == 0
     assert "small-file v1" in capsys.readouterr().out
 
 
 def test_dc_run_spec_file(capsys):
-    path = os.path.join(EXAMPLES, "dc_small.yaml")
+    path = os.path.join(EXAMPLES, "dc_small.json")
     assert main(["dc", "run", "--spec", path, "--seed", "2", "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["spec"] == "small-file"
@@ -67,8 +67,8 @@ def test_dc_unknown_spec_is_an_error(capsys):
 
 
 def test_dc_bad_spec_file_is_an_error(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("topology:\n  rackz: 2\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"topology": {"rackz": 2}}')
     assert main(["dc", "validate", "--spec", str(bad)]) == 1
     assert "unknown key" in capsys.readouterr().out
 

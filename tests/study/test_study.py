@@ -3,6 +3,7 @@ configurations, deterministic digests, and the headline comparisons."""
 
 import pytest
 
+from repro.dc.spec import SpecError
 from repro.ooh.grants import GrantConflictError
 from repro.study import (
     VARIANTS,
@@ -32,8 +33,28 @@ TRIMMED = StudySpec(
 # Spec
 # ----------------------------------------------------------------------
 def test_spec_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown study spec keys"):
+    with pytest.raises(SpecError, match="study: unknown key 'bogus'"):
         StudySpec.from_dict({"name": "x", "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"micro_iterations": "5"}',
+        '{"cluster_hosts": 1}',
+        '{"cluster_hosts": -1}',
+        '{"app_scale": "x"}',
+        '{"app_names": ["nope"]}',
+        '{"migration": "false"}',
+        '{"name": "a", "name": "b"}',
+    ],
+)
+def test_spec_file_defects_rejected(tmp_path, text):
+    path = tmp_path / "study.json"
+    path.write_text(text)
+    with pytest.raises(SpecError):
+        StudySpec.from_file(str(path))
 
 
 def test_spec_rejects_unknown_variant_bench_and_hv():
