@@ -1,9 +1,10 @@
 """Cluster wall-time benchmark: fixed multi-host scenarios.
 
-Measures host wall time of three deterministic cluster slices — boot, a
-single cross-host DVH migration, and a policy-sweep cell — and records
-the simulated-side figures (fabric bytes, downtime) alongside, so a run
-that got "faster" by simulating less is caught, not celebrated::
+Measures host wall time of three deterministic fleet slices — a 4-host
+boot, a single cross-host DVH migration, and the 200-host dc fleet —
+and records the simulated-side figures (fabric bytes, downtime)
+alongside, so a run that got "faster" by simulating less is caught, not
+celebrated::
 
     PYTHONPATH=src python benchmarks/perf/perf_cluster.py --out BENCH_cluster.json
 
@@ -30,11 +31,11 @@ def bench_boot() -> Dict[str, object]:
     """Boot a 4-host cluster (8 full hypervisor stacks' worth of build
     work) and place the standard fleet."""
     from repro.cluster import Cluster
-    from repro.cluster.sweep import standard_tenants
+    from repro.scenarios import mixed_tenant_specs
 
     t0 = perf_counter()
     cluster = Cluster(num_hosts=4, seed=SEED, policy="spread")
-    for spec in standard_tenants(6):
+    for spec in mixed_tenant_specs(6):
         cluster.place(spec)
     wall = perf_counter() - t0
     return {
@@ -67,16 +68,6 @@ def bench_migration() -> Dict[str, object]:
     }
 
 
-def bench_sweep_cell() -> Dict[str, object]:
-    """One serial sweep cell (what ``cluster sweep`` fans out)."""
-    from repro.cluster.sweep import cluster_cell
-
-    t0 = perf_counter()
-    row = cluster_cell(("bin-pack", 2, 4, SEED))
-    wall = perf_counter() - t0
-    return {"wall_s": wall, "digest": row["digest"]}
-
-
 def bench_dc_fleet() -> Dict[str, object]:
     """The 200-host spine-leaf fleet under a full control-plane
     lifecycle: 40 tenant admissions, threshold rebalancing, and a
@@ -107,7 +98,6 @@ def bench_dc_fleet() -> Dict[str, object]:
 _DETERMINISTIC_KEYS = {
     "boot": ("sim_cycles", "tenants_per_host"),
     "migration": ("downtime_ms", "rounds", "fabric_migration_bytes"),
-    "sweep_cell": ("digest",),
     "dc_fleet": (
         "sim_cycles",
         "digest",
@@ -125,7 +115,6 @@ def run_benchmarks() -> Dict[str, object]:
     return {
         "boot": bench_boot(),
         "migration": bench_migration(),
-        "sweep_cell": bench_sweep_cell(),
         "dc_fleet": bench_dc_fleet(),
         "host": {
             "python": sys.version.split()[0],
@@ -179,7 +168,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     results = run_benchmarks()
-    for name in ("boot", "migration", "sweep_cell", "dc_fleet"):
+    for name in ("boot", "migration", "dc_fleet"):
         print(f"{name:12s} {results[name]['wall_s']:.3f}s host wall")
     if args.out:
         with open(args.out, "w") as fh:

@@ -67,7 +67,7 @@ class Fleet:
     """Hosts on one fabric, one clock, one event trace: the fleet state
     an :class:`Orchestrator` drives.  :class:`Cluster` and
     :class:`~repro.dc.Datacenter` build it from a host count or from a
-    datacenter spec; each keeps its own ``digest`` and ``summary``."""
+    datacenter spec; each keeps its own ``digest``."""
 
     def __init__(
         self, seed: int, costs, policy: str, fabric: Callable[[Simulator], Fabric]
@@ -117,15 +117,6 @@ class Fleet:
     def trace(self) -> str:
         """The full event trace — byte-identical for identical seeds."""
         return "\n".join(self.events)
-
-    @staticmethod
-    def _host_row(host: ClusterHost) -> Dict[str, object]:
-        """One host's line in a summary."""
-        return {
-            "tenants": sorted(host.tenants),
-            "mem_committed_gb": host.mem_committed >> 30,
-            "cycle_load": host.cycle_load,
-        }
 
     @staticmethod
     def _sorted_table(table: Dict) -> Dict[str, object]:
@@ -255,30 +246,3 @@ class Cluster(Fleet):
                 "now": self.sim.now,
             }
         )
-
-    def summary(self) -> Dict:
-        """A JSON-friendly cluster snapshot for the CLI and benchmarks."""
-        return {
-            "seed": self.seed,
-            "policy": self.policy.name,
-            "sim_cycles": self.sim.now,
-            "hosts": {h.name: self._host_row(h) for h in self.hosts},
-            "fabric": self.fabric.stats(),
-            "migrations": [
-                {
-                    "tenant": r.tenant,
-                    "src": r.src,
-                    "dst": r.dst,
-                    "outcome": r.outcome,
-                    "attempts": r.attempts,
-                    "downtime_ms": (
-                        round(r.result.downtime_s * 1e3, 3) if r.result else None
-                    ),
-                    "rounds": r.result.rounds if r.result else None,
-                    "bytes": r.result.bytes_transferred if r.result else None,
-                    "retries": r.result.retries if r.result else None,
-                }
-                for r in self.orchestrator.records
-            ],
-            "digest": self.digest(),
-        }

@@ -127,8 +127,7 @@ def percentile_table(metrics, io_model_of, objective_of=None):
     ``io_model_of(series)`` maps a series name to its io model (or "");
     ``objective_of(io_model)``, when given, maps it to the SLO objective
     in cycles and adds ``objective_cycles`` / ``violations`` columns.
-    Shared by the dc control plane and the cluster demo so both render
-    identical row shapes from identical bytes."""
+    The dc control plane's ``tenant_percentiles`` is this table."""
     out = {}
     for series in metrics.latency_series():
         hist = metrics.latency_histogram(series)

@@ -144,7 +144,12 @@ class Datacenter(Fleet):
         Per-host detail is listed only for occupied hosts — a 500-host
         fleet summary stays readable."""
         occupied = {
-            h.name: {"rack": self.fabric.rack_of[h.name], **self._host_row(h)}
+            h.name: {
+                "rack": self.fabric.rack_of[h.name],
+                "tenants": sorted(h.tenants),
+                "mem_committed_gb": h.mem_committed >> 30,
+                "cycle_load": h.cycle_load,
+            }
             for h in self.hosts
             if h.tenants
         }

@@ -166,11 +166,11 @@ def run_dc(
 # ----------------------------------------------------------------------
 # Seed sweeps (module-level worker so it pickles under spawn)
 # ----------------------------------------------------------------------
-def dc_cell(task: Tuple[str, int, bool]) -> Dict:
-    """One sweep cell: (spec source, seed, quiescent) -> observables.
-    Pure — workers rebuild the spec from its source, so cells pickle."""
-    source, seed, quiescent = task
-    dc = run_dc(load_spec(source), seed=seed, quiescent=quiescent)
+def dc_cell(task: Tuple[DCSpec, int, bool]) -> Dict:
+    """One sweep cell: (spec, seed, quiescent) -> observables.  Pure;
+    the spec is a frozen dataclass, so cells pickle as they are."""
+    spec, seed, quiescent = task
+    dc = run_dc(spec, seed=seed, quiescent=quiescent)
     control = dc.control
     return {
         "seed": seed,
@@ -185,12 +185,12 @@ def dc_cell(task: Tuple[str, int, bool]) -> Dict:
 
 
 def run_sweep(
-    source: str,
+    spec: DCSpec,
     seeds: Sequence[int],
     jobs: Optional[int] = 1,
     quiescent: bool = True,
 ) -> List[Dict]:
     """Run one spec across seeds, optionally in parallel processes —
     byte-identical to the serial path (see repro.bench.parallel)."""
-    tasks = [(source, seed, quiescent) for seed in seeds]
+    tasks = [(spec, seed, quiescent) for seed in seeds]
     return map_cells(dc_cell, tasks, jobs=jobs)

@@ -4,8 +4,8 @@ One seeded draw engine produces fully-resolved, JSON-canonical
 :class:`ScenarioSpec` values covering both stimulus topologies the repo
 exercises (single faulted machine, multi-host cluster) across every
 modeled architecture (x86/VMX, ARM/VHE, RISC-V H-extension).  The
-``repro audit`` matrix and the cluster sweep feed from this one
-generator, and a ``faults fuzz`` campaign is :func:`fuzz_specs` output;
+``repro audit`` matrix feeds from this one generator, and a ``faults
+fuzz`` campaign is :func:`fuzz_specs` output;
 ``python -m repro scenarios gen|run|shrink`` is the direct CLI.
 
 :mod:`repro.scenarios.runner` is the only code that runs a faulted

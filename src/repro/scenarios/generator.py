@@ -9,10 +9,9 @@ yields byte-identical specs (and, through the runner, byte-identical
 run digests).
 
 This module is the single source of stimulus shapes.  A ``faults fuzz``
-campaign is :func:`fuzz_specs` output, the cluster sweep's
-``standard_tenants`` is :func:`mixed_tenant_specs`, and the ``repro
-audit`` matrix runs :func:`generate_specs` and :func:`fuzz_specs`
-output — three formerly hand-written stimulus paths, one generator.
+campaign is :func:`fuzz_specs` output, the canonical cluster tenant
+fleet is :func:`mixed_tenant_specs`, and the ``repro audit`` matrix runs
+:func:`generate_specs` and :func:`fuzz_specs` output.
 
 Constraint validation is *reused*, never duplicated: every generated
 spec passes through ``StackConfig.validate`` / ``GrantSet.validate`` /
@@ -135,14 +134,14 @@ def draw_grants(
 
 
 # ----------------------------------------------------------------------
-# Tenant-mix draws (shared with repro.cluster.sweep.standard_tenants)
+# Tenant-mix draws
 # ----------------------------------------------------------------------
 def mixed_tenant_draws(
     count: int, prefix: str = "t", rotate: int = 0
 ) -> Tuple[TenantDraw, ...]:
     """A deterministic mixed-I/O tenant fleet.  ``rotate`` shifts which
-    I/O model tenant 0 gets (the generator draws it; the sweep's
-    canonical fleet keeps ``rotate=0``)."""
+    I/O model tenant 0 gets (the generator draws it; the canonical
+    fleet keeps ``rotate=0``)."""
     return tuple(
         TenantDraw(
             name=f"{prefix}{i}",
@@ -156,7 +155,7 @@ def mixed_tenant_draws(
 
 
 def mixed_tenant_specs(count: int) -> List:
-    """``standard_tenants``'s fleet as real ``TenantSpec`` values."""
+    """The canonical (unrotated) fleet as real ``TenantSpec`` values."""
     return [draw.to_tenant_spec() for draw in mixed_tenant_draws(count)]
 
 

@@ -77,7 +77,7 @@ class ScenarioSpec:
     stack and drives the op soup through it; ``"cluster"`` boots a fleet,
     places the tenant mix, streams cross-host traffic and evacuates
     host0 — the two stimulus shapes every campaign is made of (``faults
-    fuzz``/``plan``, the audit matrix, the cluster sweep).
+    fuzz``/``plan``, the audit matrix, ``scenarios run``).
     """
 
     seed: int

@@ -81,6 +81,43 @@ def test_app_io_default_follows_dvh():
     assert _stack_config(args).io_model == "native"
 
 
+@pytest.mark.parametrize("command", ["cluster", "slo"])
+def test_retired_commands_are_invalid_choices(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_every_leaf_names_its_runner():
+    for argv in LEAF_COMMANDS:
+        assert callable(build_parser().parse_args(argv).run), argv
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    """`repro ... | head` must end quietly: no BrokenPipeError
+    traceback on stderr once the reader stops reading."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "dc", "run", "--spec", "slo"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""
+
+
 def test_figure_rejects_unknown_number():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "12"])
@@ -137,16 +174,15 @@ LEAF_COMMANDS = [
     ["app", "hackbench"],
     ["faults", "fuzz"],
     ["faults", "plan"],
-    ["cluster", "demo"],
-    ["cluster", "migrate"],
-    ["cluster", "sweep"],
     ["dc", "demo"],
     ["dc", "run"],
     ["dc", "sweep"],
     ["dc", "validate"],
-    ["slo"],
     ["study"],
     ["audit"],
+    ["scenarios", "gen"],
+    ["scenarios", "run"],
+    ["scenarios", "shrink"],
 ]
 
 

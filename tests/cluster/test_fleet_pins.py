@@ -1,7 +1,8 @@
 """Hex pins for the fleet layer's simulated output.
 
 Other cluster tests check that two runs agree; these check that a run
-agrees with known bytes: the CLI's cluster, dc and slo digests, and the
+agrees with known bytes: the scenario engine's cluster run, one
+cross-host migration, the CLI's dc and slo digests, and the
 orchestrator's failed-attempt, backoff and evacuation paths.  A change
 that moves any of these digests changes simulated output and must say
 so.
@@ -15,42 +16,56 @@ from repro.cli import main
 from repro.cluster import Cluster, TenantSpec
 from repro.core.migration import MigrationError
 from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
+from repro.scenarios import ScenarioSpec, mixed_tenant_draws, run_scenario
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (
-            ["cluster", "demo", "--json"],
-            "25fe66d99bf175c0d4d683be174d9765c5a2e3f09019adb7d5761bd7c1350b18",
-        ),
-        (
-            ["cluster", "demo", "--slo", "--seed", "2", "--json"],
-            "25bd9b62f2bc3a5d0765662032334ef221fbe832a26e09b0e37e5e2556d8d0ce",
-        ),
-        (
-            ["--seed", "3", "cluster", "demo", "--faults", "fabric_partition",
-             "fabric_host_loss", "fabric_degrade", "--json"],
-            "54e9ff963e9c02819568a1ad8d493abb258ed4aa433f3ce4f9b8d6079f2491cc",
-        ),
-        (
-            ["cluster", "migrate", "--json"],
-            "d7277e93843041020ae8b08528465a310fb0d3ee4f869c2e6749ca435ad85a16",
-        ),
-        (
             ["dc", "demo", "--json"],
             "563ff852322ba774e54301d1d4643ef35d740bde93bb38c82e23145974155442",
         ),
         (
-            ["slo", "--json"],
+            ["dc", "run", "--spec", "slo", "--json"],
             "effd3aea3616a3501fe31ade49607a99d1a05e729ce2822ce92b33ac8675a690",
         ),
     ],
-    ids=["demo", "demo-slo", "demo-faults", "migrate", "dc-demo", "slo"],
+    ids=["dc-demo", "slo"],
 )
 def test_cli_digest_pins(capsys, argv, digest):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["digest"] == digest
+
+
+def test_cluster_scenario_pin():
+    """Boot four hosts, place the six-tenant mix bin-packed, stream
+    host1 -> host3 and evacuate host0: the DVH tenants move, the
+    passthrough one pins its host."""
+    spec = ScenarioSpec(
+        seed=0,
+        topology="cluster",
+        hosts=4,
+        policy="bin-pack",
+        levels=2,
+        workers=2,
+        tenants=mixed_tenant_draws(6),
+    )
+    result = run_scenario(spec)
+    assert (result["outcome"], result["violations"]) == ("ok", [])
+    assert result["digest"] == (
+        "25fe66d99bf175c0d4d683be174d9765c5a2e3f09019adb7d5761bd7c1350b18"
+    )
+
+
+def test_single_migration_pin():
+    cluster = Cluster(num_hosts=2, seed=0, policy="bin-pack")
+    cluster.place(TenantSpec(name="tenant0", io_model="vp", memory_gb=8))
+    record = cluster.migrate("tenant0", "host1", downtime_limit_s=0.5)
+    assert (record.src, record.outcome, record.attempts) == ("host0", "ok", 1)
+    assert cluster.digest() == (
+        "d7277e93843041020ae8b08528465a310fb0d3ee4f869c2e6749ca435ad85a16"
+    )
 
 
 def partition(end):

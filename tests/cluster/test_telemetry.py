@@ -1,7 +1,6 @@
 """The deterministic fleet latency model (cluster/telemetry.py)."""
 
 from repro.cluster.host import TENANT_PASSTHROUGH, TENANT_VIRTIO, TENANT_VP
-from repro.cluster.sweep import run_demo
 from repro.cluster.telemetry import (
     BROWNOUT_MULT,
     DEGRADED_MULT,
@@ -41,16 +40,3 @@ def test_jitter_is_pure_hash_no_rng():
     assert a == b
     assert a != tenant_request_cycles(TENANT_VP, "t0", 4, 100, 12_000)
 
-
-def test_demo_slo_summary_has_percentiles():
-    summary = run_demo(seed=0, slo=True)
-    table = summary["tenant_percentiles"]
-    assert set(table) == {f"t{i}" for i in range(6)}
-    models = {row["io_model"] for row in table.values()}
-    assert models == {TENANT_VIRTIO, TENANT_VP, TENANT_PASSTHROUGH}
-    again = run_demo(seed=0, slo=True)
-    assert again["tenant_percentiles"] == table
-    # slo sampling never perturbs the simulated run itself
-    off = run_demo(seed=0, slo=False)
-    assert off["trace"] == summary["trace"]
-    assert "tenant_percentiles" not in off

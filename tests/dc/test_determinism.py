@@ -62,12 +62,12 @@ def test_fast_forward_on_and_off_are_byte_identical(monkeypatch):
 
 
 def test_sweep_serial_matches_parallel():
-    serial = run_sweep("small", seeds=range(3), jobs=1)
-    parallel = run_sweep("small", seeds=range(3), jobs=2)
+    serial = run_sweep(SMALL, seeds=range(3), jobs=1)
+    parallel = run_sweep(SMALL, seeds=range(3), jobs=2)
     assert serial == parallel
 
 
 def test_sweep_cells_quiescent_flag_is_observable_neutral():
-    lazy = run_sweep("small", seeds=[1], jobs=1, quiescent=True)
-    eager = run_sweep("small", seeds=[1], jobs=1, quiescent=False)
+    lazy = run_sweep(SMALL, seeds=[1], jobs=1, quiescent=True)
+    eager = run_sweep(SMALL, seeds=[1], jobs=1, quiescent=False)
     assert lazy == eager

@@ -92,18 +92,19 @@ def test_different_seed_different_decisions(study):
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_slo_renders_study(capsys):
-    assert main(["slo"]) == 0
+    assert main(["dc", "run", "--spec", "slo"]) == 0
     out = capsys.readouterr().out
     assert "slo gate:" in out
     assert "tenant percentiles" in out
-    assert "pinned" in out
-    assert "migrate" in out
+    # the gate's decision counts, per (io_model, action)
+    assert "  passthrough  pinned     x" in out
+    assert "  virtio       migrate    x" in out
 
 
 def test_cli_slo_json_reproducible(capsys):
-    assert main(["slo", "--seed", "2", "--json"]) == 0
+    assert main(["dc", "run", "--spec", "slo", "--seed", "2", "--json"]) == 0
     a = capsys.readouterr().out
-    assert main(["--seed", "2", "slo", "--json"]) == 0
+    assert main(["--seed", "2", "dc", "run", "--spec", "slo", "--json"]) == 0
     b = capsys.readouterr().out
     assert a == b
     doc = json.loads(a)
@@ -117,8 +118,15 @@ def test_cli_dc_run_slo_flag_force_enables(capsys):
     assert "tenant percentiles" in out
 
 
-def test_cli_cluster_demo_slo(capsys):
-    assert main(["cluster", "demo", "--slo", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "tenant percentiles" in out
-    assert "passthrough" in out
+def test_cli_dc_sweep_slo_flag_reaches_cells(capsys):
+    """``dc sweep --slo`` runs the SLO-enabled spec in every cell: the
+    row's digest is that of a direct run of the same spec and seed."""
+    from dataclasses import replace
+
+    small = load_spec("small")
+    with_slo = replace(small, slo=replace(small.slo, enabled=True))
+    assert main(["dc", "sweep", "--spec", "small", "--seeds", "1", "--slo",
+                 "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["digest"] == run_dc(with_slo, seed=0).digest()
+    assert row["digest"] != run_dc(small, seed=0).digest()

@@ -166,6 +166,13 @@ def test_cli_reports_malformed_spec(tmp_path, capsys, key):
     assert capsys.readouterr().out.startswith("spec error: ")
 
 
+def test_cli_reports_non_utf8_spec(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["dc", "validate", "--spec", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("spec error: ")
+
+
 @pytest.mark.parametrize(
     "hosts, match",
     [({"guest_hv": "vmware"}, "guest_hv"), ({"stack_levels": 9}, "levels")],

@@ -3,7 +3,10 @@
 The cluster runs N machines on one shared simulator; these properties
 pin down that the whole datacenter — placement, fabric frames, fault
 windows, live migrations — is a pure function of the seed, and that
-process-parallel sweeps produce exactly the bytes a serial run does.
+process-parallel scenario batches produce exactly the bytes a serial
+run does.  The cluster scenarios are the scenario engine's cluster
+topology: boot, place a tenant mix, stream host1 -> last host, evacuate
+host0.
 """
 
 import json
@@ -12,8 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, TenantSpec
-from repro.cluster.sweep import cluster_cell, run_demo, run_sweep
-from repro.faults.plan import FaultClass, FaultPlan
+from repro.faults.plan import FaultClass
+from repro.scenarios import (
+    ScenarioSpec,
+    mixed_tenant_draws,
+    run_scenario,
+    run_scenarios,
+    scenario_cell,
+)
+
+
+def cluster_spec(seed, hosts=2, tenants=3, policy="bin-pack", **fields):
+    return ScenarioSpec(
+        seed=seed,
+        topology="cluster",
+        hosts=hosts,
+        policy=policy,
+        tenants=mixed_tenant_draws(tenants),
+        **fields,
+    )
 
 
 @settings(max_examples=5, deadline=None)
@@ -37,45 +57,44 @@ def test_same_seed_same_trace(seed):
     fault_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_same_seed_same_trace_under_fabric_faults(seed, fault_seed):
-    plan = FaultPlan.random(
-        fault_seed, classes=FaultClass.FABRIC, max_classes=2
+    spec = cluster_spec(
+        seed,
+        fault_classes=tuple(sorted(FaultClass.FABRIC)),
+        fault_seed=fault_seed,
     )
-    digests = []
-    for _ in range(2):
-        summary = run_demo(
-            seed=seed, num_hosts=2, num_tenants=3, fault_plan=plan
-        )
-        digests.append(json.dumps(summary, sort_keys=True))
-    assert digests[0] == digests[1]
+    runs = [json.dumps(run_scenario(spec), sort_keys=True) for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 def test_demo_trace_is_stable_across_runs():
-    a = run_demo(seed=0, num_hosts=2, num_tenants=4)
-    b = run_demo(seed=0, num_hosts=2, num_tenants=4)
-    assert a["trace"] == b["trace"]
-    assert a["digest"] == b["digest"]
-    assert a == b
+    spec = cluster_spec(0, tenants=4)
+    assert run_scenario(spec) == run_scenario(spec)
 
 
 def test_different_seeds_are_labelled_not_aliased():
-    """Different seeds must at least record their own seed (traces may
-    coincide on quiet scenarios, digests of the summary include the
-    seed line so they cannot)."""
-    a = run_demo(seed=1, num_hosts=2, num_tenants=3)
-    b = run_demo(seed=2, num_hosts=2, num_tenants=3)
+    """Different seeds must at least record their own seed: the trace
+    opens with a ``cluster up ... seed=N`` line, so even a quiet
+    scenario's digest cannot coincide across seeds."""
+    a = run_scenario(cluster_spec(1))
+    b = run_scenario(cluster_spec(2))
     assert a["seed"] != b["seed"]
-    assert a["trace"][0] != b["trace"][0]
+    assert a["digest"] != b["digest"]
 
 
 def test_sweep_serial_and_parallel_byte_identical():
-    serial = json.dumps(run_sweep(seed=7, num_tenants=3, jobs=1), sort_keys=True)
-    parallel = json.dumps(run_sweep(seed=7, num_tenants=3, jobs=4), sort_keys=True)
+    specs = [
+        cluster_spec(7, hosts=hosts, policy=policy)
+        for policy in ("bin-pack", "spread", "load-balance")
+        for hosts in (2, 4)
+    ]
+    serial = json.dumps(run_scenarios(specs, jobs=1), sort_keys=True)
+    parallel = json.dumps(run_scenarios(specs, jobs=4), sort_keys=True)
     assert serial == parallel
 
 
 def test_cluster_cell_is_pure():
-    task = ("spread", 2, 3, 9)
-    assert cluster_cell(task) == cluster_cell(task)
+    task = (cluster_spec(9, policy="spread").to_json(), False)
+    assert scenario_cell(task) == scenario_cell(task)
 
 
 def test_cluster_layer_is_zero_cost_when_unused():

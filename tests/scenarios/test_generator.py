@@ -105,12 +105,8 @@ def test_grants_never_dirty_on_passthrough():
             )
 
 
-def test_mixed_tenant_specs_matches_sweep_fleet():
-    """standard_tenants delegates here: the canonical fleet bytes must
-    be exactly the historic formula's."""
-    from repro.cluster.sweep import standard_tenants
-
-    assert standard_tenants(7) == mixed_tenant_specs(7)
+def test_mixed_tenant_specs_formula():
+    """The canonical fleet bytes must be exactly the historic formula's."""
     spec = mixed_tenant_specs(6)[1]
     assert (spec.name, spec.io_model, spec.memory_gb, spec.load) == (
         "t1",

@@ -52,16 +52,11 @@ PATHS: Tuple[Tuple[str, ...], ...] = (
      "--offered", "20000", "--slo"),
     ("faults", "plan", "--report"),
     ("faults", "fuzz", "--episodes", "5"),
-    ("cluster", "demo"),
-    ("cluster", "demo", "--slo", "--audit"),
-    ("cluster", "demo", "--faults", "fabric_partition", "fabric_degrade", "--json"),
-    ("cluster", "migrate", "--io", "vp"),
-    ("cluster", "migrate", "--io", "passthrough", "--json"),
-    ("cluster", "sweep"),
     ("dc", "demo"),
     ("dc", "run", "--spec", "small", "--json"),
+    ("dc", "run", "--spec", "slo"),
     ("dc", "sweep", "--seeds", "2", "--spec", "small"),
-    ("slo",),
+    ("dc", "validate", "--spec", "slo"),
     ("study", "--spec", os.path.join(ROOT, "examples", "study_smoke.json")),
     ("audit", "--episodes", "5"),
     ("scenarios", "gen", "--count", "5"),
