@@ -1,7 +1,10 @@
 """The measurement configurations of the paper's evaluation (§4).
 
 Names follow the figures' legends.  Each entry is a factory (stacks hold
-mutable simulation state, so every run gets a fresh one).
+mutable simulation state, so every run gets a fresh one); the runners
+call each factory once and hand the resulting :class:`StackConfig` to
+their cells.  :data:`FIGURES` is the one registry of the application
+figures: the runner, the CLI and the tests read figure numbers from it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ __all__ = [
     "FIG8_CONFIGS",
     "FIG9_CONFIGS",
     "FIG10_CONFIGS",
-    "CONFIG_SETS",
+    "FIGURES",
     "config_factory",
 ]
 
@@ -137,13 +140,10 @@ FIG10_CONFIGS: List[Tuple[str, Callable[[], StackConfig]]] = [
     ),
 ]
 
-#: Named config sets, so parallel workers can rebuild a configuration
-#: from a (set key, index) pair — the factories themselves close over
-#: keyword arguments and do not pickle.
-CONFIG_SETS = {
-    "table3": TABLE3_CONFIGS,
-    "7": FIG7_CONFIGS,
-    "8": FIG8_CONFIGS,
-    "9": FIG9_CONFIGS,
-    "10": FIG10_CONFIGS,
+#: Figure number -> (title, configurations).
+FIGURES = {
+    "7": ("Figure 7: Application performance", FIG7_CONFIGS),
+    "8": ("Figure 8: Application performance breakdown", FIG8_CONFIGS),
+    "9": ("Figure 9: Application performance in L3 VM", FIG9_CONFIGS),
+    "10": ("Figure 10: Application performance, Xen on KVM", FIG10_CONFIGS),
 }

@@ -7,10 +7,10 @@ is a pure function of its parameters (the simulators are seeded) and
 results are assembled in task order: a parallel run produces exactly
 the bytes a serial run does, just faster.
 
-Configuration factories close over their keyword arguments and are not
-picklable, so workers receive *names* — the key of a registered config
-set (:data:`repro.bench.configs.CONFIG_SETS`) plus an index into it —
-and rebuild the configuration in the child process.
+Tasks carry their :class:`~repro.hv.stack.StackConfig` values
+themselves (frozen dataclasses, so they pickle and a serial run can
+reuse one across cells); ``jobs=1`` is simply the serial loop over the
+same tasks, so a parallel run has no second code path to diverge on.
 """
 
 from __future__ import annotations
@@ -66,29 +66,19 @@ def map_cells(
 # ----------------------------------------------------------------------
 # Cell workers (module-level so they pickle under the spawn start method)
 # ----------------------------------------------------------------------
-def table3_cell(task: Tuple[str, int, int, int]) -> float:
-    """One Table-3 cell: (bench, config index, iterations, seed) -> cycles."""
-    bench, config_index, iterations, seed = task
-    from dataclasses import replace
-
-    from repro.bench.configs import TABLE3_CONFIGS
+def table3_cell(task: Tuple[Any, str, int]) -> float:
+    """One Table-3 cell: (StackConfig, bench, iterations) -> cycles."""
+    config, bench, iterations = task
     from repro.hv.stack import build_stack
     from repro.workloads.microbench import run_microbenchmark
 
-    _name, factory = TABLE3_CONFIGS[config_index]
-    stack = build_stack(replace(factory(), seed=seed))
-    return run_microbenchmark(stack, bench, iterations)
+    return run_microbenchmark(build_stack(config), bench, iterations)
 
 
-def app_cell(task: Tuple[str, int, str, float, int]):
-    """One application-figure cell:
-    (config-set key, config index, app, scale, seed) -> AppResult."""
-    configs_key, config_index, app, scale, seed = task
-    from dataclasses import replace
-
-    from repro.bench.configs import CONFIG_SETS
+def app_cell(task: Tuple[Any, str, float]):
+    """One application-figure cell: (StackConfig, app, scale) -> AppResult."""
+    config, app, scale = task
     from repro.hv.stack import build_stack
     from repro.workloads.apps import run_app
 
-    _name, factory = CONFIG_SETS[configs_key][config_index]
-    return run_app(build_stack(replace(factory(), seed=seed)), app, scale=scale)
+    return run_app(build_stack(config), app, scale=scale)

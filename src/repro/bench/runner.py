@@ -13,16 +13,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.features import DvhFeatures
 from repro.core.migration import LiveMigration, MigrationNotSupported
 from repro.hv.stack import StackConfig, build_stack
-from repro.workloads.apps import app_names, run_app
+from repro.workloads.apps import app_names
 from repro.workloads.engines import AppResult
-from repro.workloads.microbench import MICROBENCHMARKS, run_microbenchmark
-from repro.bench.configs import (
-    FIG7_CONFIGS,
-    FIG8_CONFIGS,
-    FIG9_CONFIGS,
-    FIG10_CONFIGS,
-    TABLE3_CONFIGS,
-)
+from repro.workloads.microbench import MICROBENCHMARKS
+from repro.bench.configs import FIGURES, TABLE3_CONFIGS
 from repro.bench.parallel import app_cell, map_cells, table3_cell
 
 __all__ = [
@@ -76,6 +70,14 @@ class MigrationRow:
 
 
 # ----------------------------------------------------------------------
+def _seeded(
+    configs: List[Tuple[str, Callable[[], StackConfig]]], seed: int
+) -> List[Tuple[str, StackConfig]]:
+    """Call each factory once; every cell of that column reuses the
+    (frozen) config, and the cell tasks carry it to their workers."""
+    return [(name, replace(factory(), seed=seed)) for name, factory in configs]
+
+
 def run_table3(
     iterations: int = 30,
     benches: Optional[List[str]] = None,
@@ -89,62 +91,36 @@ def run_table3(
     reseeds every cell's stack (same seed, same table).
     """
     benches = list(benches) if benches is not None else list(MICROBENCHMARKS)
-    result = Table3Result(configs=[name for name, _ in TABLE3_CONFIGS])
-    if jobs != 1:
-        tasks = [
-            (bench, i, iterations, seed)
-            for bench in benches
-            for i in range(len(TABLE3_CONFIGS))
-        ]
-        values = iter(map_cells(table3_cell, tasks, jobs))
-        for bench in benches:
-            result.cells[bench] = {
-                name: next(values) for name, _ in TABLE3_CONFIGS
-            }
-        return result
+    built = _seeded(TABLE3_CONFIGS, seed)
+    tasks = [(config, bench, iterations) for bench in benches for _n, config in built]
+    values = iter(map_cells(table3_cell, tasks, jobs))
+    result = Table3Result(configs=[name for name, _ in built])
     for bench in benches:
-        row: Dict[str, float] = {}
-        for config_name, factory in TABLE3_CONFIGS:
-            stack = build_stack(replace(factory(), seed=seed))
-            row[config_name] = run_microbenchmark(stack, bench, iterations)
-        result.cells[bench] = row
+        result.cells[bench] = {name: next(values) for name, _ in built}
     return result
 
 
 # ----------------------------------------------------------------------
-def _run_app_figure(
-    title: str,
-    configs: List[Tuple[str, Callable[[], StackConfig]]],
-    apps: Optional[List[str]] = None,
-    scales: Optional[Dict[int, float]] = None,
-    jobs: int = 1,
-    configs_key: Optional[str] = None,
-    seed: int = 0,
+def run_figure(
+    which: str, apps=None, scales=None, jobs: int = 1, seed: int = 0,
 ) -> FigureResult:
+    """One application figure by number (a key of
+    :data:`~repro.bench.configs.FIGURES`); ``jobs`` and ``seed`` as for
+    :func:`run_table3`."""
+    try:
+        title, configs = FIGURES[str(which)]
+    except KeyError:
+        raise ValueError(f"no such figure: {which}") from None
     scales = scales or DEFAULT_SCALES
     apps = list(apps) if apps is not None else app_names()
-    result = FigureResult(title=title, configs=[n for n, _ in configs if n != "native"])
-    # Build each configuration once; the levels (for the uniform scale)
-    # and every per-app stack reuse the same validated StackConfig.
-    built = [(name, replace(factory(), seed=seed)) for name, factory in configs]
+    built = _seeded(configs, seed)
     # One uniform scale per figure (the smallest across its levels), so
     # elapsed-time workloads compare equal transaction counts and warmup
     # edge effects cancel in the overhead ratio.
     uniform_scale = min(scales.get(config.levels, 0.3) for _name, config in built)
-    if jobs != 1 and configs_key is not None:
-        tasks = [
-            (configs_key, i, app, uniform_scale, seed)
-            for app in apps
-            for i in range(len(configs))
-        ]
-        cells = map_cells(app_cell, tasks, jobs)
-    else:
-        cells = [
-            run_app(build_stack(config), app, scale=uniform_scale)
-            for app in apps
-            for _name, config in built
-        ]
-    it = iter(cells)
+    tasks = [(config, app, uniform_scale) for app in apps for _n, config in built]
+    it = iter(map_cells(app_cell, tasks, jobs))
+    result = FigureResult(title=title, configs=[n for n, _ in built if n != "native"])
     for app in apps:
         native_result: Optional[AppResult] = None
         row: Dict[str, float] = {}
@@ -163,72 +139,22 @@ def _run_app_figure(
 
 def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Application performance, six configurations (Figure 7)."""
-    return _run_app_figure(
-        "Figure 7: Application performance",
-        FIG7_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="7",
-        seed=seed,
-    )
+    return run_figure("7", apps, scales, jobs, seed)
 
 
 def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Incremental DVH breakdown (Figure 8)."""
-    return _run_app_figure(
-        "Figure 8: Application performance breakdown",
-        FIG8_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="8",
-        seed=seed,
-    )
+    return run_figure("8", apps, scales, jobs, seed)
 
 
 def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Application performance in an L3 VM (Figure 9)."""
-    return _run_app_figure(
-        "Figure 9: Application performance in L3 VM",
-        FIG9_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="9",
-        seed=seed,
-    )
+    return run_figure("9", apps, scales, jobs, seed)
 
 
 def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
     """Xen as guest hypervisor on KVM (Figure 10)."""
-    return _run_app_figure(
-        "Figure 10: Application performance, Xen on KVM",
-        FIG10_CONFIGS,
-        apps,
-        scales,
-        jobs=jobs,
-        configs_key="10",
-        seed=seed,
-    )
-
-
-def run_figure(
-    which: str, apps=None, scales=None, jobs: int = 1, seed: int = 0,
-) -> FigureResult:
-    """Dispatch by figure number ("7", "8", "9", "10")."""
-    runners = {
-        "7": run_figure7,
-        "8": run_figure8,
-        "9": run_figure9,
-        "10": run_figure10,
-    }
-    try:
-        return runners[str(which)](
-            apps=apps, scales=scales, jobs=jobs, seed=seed,
-        )
-    except KeyError:
-        raise ValueError(f"no such figure: {which}") from None
+    return run_figure("10", apps, scales, jobs, seed)
 
 
 # ----------------------------------------------------------------------

@@ -32,19 +32,14 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.features import DvhFeatures
+from repro.bench.configs import FIGURES
+from repro.core.features import DVH_PRESETS
 from repro.faults.plan import FaultClass
 from repro.hv.stack import StackConfig, build_stack
 from repro.workloads.apps import app_names, run_app
 from repro.workloads.microbench import MICROBENCHMARKS, run_microbenchmark
 
 __all__ = ["main", "build_parser"]
-
-DVH_PRESETS = {
-    "none": DvhFeatures.none,
-    "vp": DvhFeatures.vp_only,
-    "full": DvhFeatures.full,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="Figures 7/8/9/10: application overheads")
     fig.set_defaults(run=_run_figure)
-    fig.add_argument("number", choices=["7", "8", "9", "10"])
+    fig.add_argument("number", choices=list(FIGURES))
     fig.add_argument("--apps", nargs="*", choices=app_names(), default=None)
     fig.add_argument("--scale", type=float, default=None, help="txn-count scale")
     fig.add_argument(
@@ -488,8 +483,20 @@ def _run_migration(args) -> int:
     from repro.bench import format_migration, run_migration_experiment
 
     auditor = _make_auditor(args)
-    print(format_migration(run_migration_experiment(seed=args.seed, audit=auditor)))
-    return _finish_audit(auditor)
+    rows = run_migration_experiment(seed=args.seed, audit=auditor)
+    if not args.json:
+        print(format_migration(rows))
+        return _finish_audit(auditor)
+    import json
+    from dataclasses import asdict
+
+    report = auditor.finish() if auditor is not None else None
+    payload = {
+        "rows": [asdict(row) for row in rows],
+        "audit": report.as_dict() if report is not None else None,
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0 if report is None or report.ok else 1
 
 
 def _armed_stack(args):

@@ -60,7 +60,15 @@ __all__ = [
     "LoadBalancePolicy",
     "POLICIES",
     "make_policy",
+    "canonical_sha256",
 ]
+
+
+def canonical_sha256(payload) -> str:
+    """sha256 over the compact, key-sorted JSON of ``payload``: the
+    scenario spec, scenario state and study digests hash these bytes."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class Fleet:
@@ -126,6 +134,7 @@ class Fleet:
     @staticmethod
     def _sha256(payload: Dict) -> str:
         """sha256 over the canonical (key-sorted) JSON of ``payload``."""
+        # Default separators, not canonical_sha256's: fleet digests are hex-pinned.
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

@@ -41,6 +41,11 @@ __all__ = ["FabricChannel", "Orchestrator", "MigrationRecord"]
 #: noticed mid-stream rather than after gigabytes.
 CHUNK_BYTES = 256 * 1024
 
+#: A migration killed by a fabric partition is attempted this many times
+#: in all, each retry after :data:`ATTEMPT_BACKOFF_CYCLES` of backoff.
+MAX_ATTEMPTS = 3
+ATTEMPT_BACKOFF_CYCLES = 2_000_000
+
 
 class FabricChannel:
     """One migration's transport between two hosts on a fabric."""
@@ -148,23 +153,21 @@ class Orchestrator:
         dst_host: str,
         downtime_limit_s: Optional[float] = 0.5,
         downtime_target_s: float = 0.03,
-        max_attempts: int = 3,
-        attempt_backoff_cycles: int = 2_000_000,
     ) -> MigrationRecord:
         """Live-migrate ``tenant_name`` to ``dst_host``.
 
         Runs the whole pre-copy on the shared cluster clock with the
         tenant's dirtying workload racing it.  A migration killed by a
         fabric partition is re-attempted (fresh pre-copy) after backoff,
-        up to ``max_attempts``; :class:`MigrationNotSupported`
-        (hardware-coupled tenant) is terminal immediately.  Either
+        :data:`MAX_ATTEMPTS` times in all;
+        :class:`MigrationNotSupported` (hardware-coupled tenant) is
+        terminal immediately.  Either
         terminal failure is recorded, then the attempt's own exception
         is raised.
         """
         record, error = _run_blocking(
             self._migrate(
-                True, tenant_name, dst_host, downtime_limit_s,
-                downtime_target_s, max_attempts, attempt_backoff_cycles,
+                True, tenant_name, dst_host, downtime_limit_s, downtime_target_s
             )
         )
         if error is not None:
@@ -177,21 +180,18 @@ class Orchestrator:
         dst_host: str,
         downtime_limit_s: Optional[float] = 0.5,
         downtime_target_s: float = 0.03,
-        max_attempts: int = 3,
-        attempt_backoff_cycles: int = 2_000_000,
     ) -> Generator:
         """:meth:`migrate` from inside the simulation.  It returns
         "unsupported" and "failed" records instead of raising, so one
         stuck tenant cannot crash the whole fleet run."""
         record, _ = yield from self._migrate(
-            False, tenant_name, dst_host, downtime_limit_s,
-            downtime_target_s, max_attempts, attempt_backoff_cycles,
+            False, tenant_name, dst_host, downtime_limit_s, downtime_target_s
         )
         return record
 
     def _migrate(
-        self, blocking: bool, tenant_name: str, dst_host: str, downtime_limit_s,
-        downtime_target_s=0.03, max_attempts=3, attempt_backoff_cycles=2_000_000,
+        self, blocking: bool, tenant_name: str, dst_host: str,
+        downtime_limit_s, downtime_target_s=0.03,
     ) -> Generator:
         """The attempt loop; returns ``(record, error)``, ``error`` being
         the terminal attempt's exception (None on "ok").  Only running an
@@ -234,7 +234,7 @@ class Orchestrator:
                     break
                 carried_retries += channel.retries + migration.retries
                 cluster.fabric.metrics.record_fault("migration_attempt")
-                if attempts >= max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     status = "failed"
                     break
                 cluster.log(
@@ -242,9 +242,9 @@ class Orchestrator:
                     f"({payload}); backing off"
                 )
                 if blocking:
-                    cluster.sim.run(until=cluster.sim.now + attempt_backoff_cycles)
+                    cluster.sim.run(until=cluster.sim.now + ATTEMPT_BACKOFF_CYCLES)
                 else:
-                    yield attempt_backoff_cycles
+                    yield ATTEMPT_BACKOFF_CYCLES
         finally:
             # Released before adopt below — release + adopt run in the
             # same resume with no yield between them, so the freed

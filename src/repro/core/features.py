@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Tuple
 
-__all__ = ["DvhFeatures", "DVH_MECHANISMS", "negotiate", "fallback_io_model"]
+__all__ = [
+    "DvhFeatures",
+    "DVH_MECHANISMS",
+    "DVH_PRESETS",
+    "negotiate",
+    "fallback_io_model",
+]
 
 #: Every negotiable DVH mechanism, in capability-bit order.
 DVH_MECHANISMS = (
@@ -99,6 +105,15 @@ class DvhFeatures:
                 self.virtual_idle,
             )
         )
+
+
+#: The paper's three evaluated configurations by name, as the CLI's
+#: ``--dvh`` flag and a scenario spec's ``dvh`` field spell them.
+DVH_PRESETS = {
+    "none": DvhFeatures.none,
+    "vp": DvhFeatures.vp_only,
+    "full": DvhFeatures.full,
+}
 
 
 # ----------------------------------------------------------------------

@@ -46,12 +46,11 @@ from repro.scenarios.shrink import (
     shrink_candidates,
     shrink_scenario,
 )
-from repro.scenarios.spec import DVH_NAMES, ScenarioSpec, TenantDraw, dvh_name
+from repro.scenarios.spec import ScenarioSpec, TenantDraw, dvh_name
 
 __all__ = [
     "ARCH_POOL",
     "CLUSTER_FAULT_CLASSES",
-    "DVH_NAMES",
     "MACHINE_FAULT_CLASSES",
     "TENANT_MIX",
     "ScenarioSpec",

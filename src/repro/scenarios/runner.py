@@ -11,13 +11,11 @@ which is what the replay tests pin.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.audit import Auditor, check_invariants
 from repro.bench.parallel import map_cells
-from repro.cluster import Cluster, PlacementError
+from repro.cluster import Cluster, Fleet, PlacementError, canonical_sha256
 from repro.core.migration import MigrationError, MigrationNotSupported
 from repro.faults.injector import build_faulted_stack
 from repro.faults.plan import FaultPlan
@@ -41,13 +39,11 @@ def state_digest(stack, injector=None) -> str:
     payload = {
         "now": stack.sim.now,
         "metrics": {
-            table: {str(k): v for k, v in sorted(counters.items(), key=lambda kv: str(kv[0]))}
-            for table, counters in snapshot.items()
+            table: Fleet._sorted_table(counters) for table, counters in snapshot.items()
         },
         "injected": dict(sorted(injector.summary().items())) if injector else {},
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_sha256(payload)
 
 
 def run_machine(spec: ScenarioSpec, audit: bool = False):

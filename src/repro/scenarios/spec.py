@@ -14,38 +14,26 @@ byte-identical bytes and :meth:`digest` is stable.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Tuple
 
-from repro.cluster import POLICIES, TenantSpec
-from repro.core.features import DvhFeatures
+from repro.cluster import POLICIES, TenantSpec, canonical_sha256
+from repro.core.features import DVH_PRESETS
 from repro.faults.plan import FaultPlan
 from repro.hv.stack import StackConfig
 from repro.ooh.grants import GrantSet
 
-__all__ = ["DVH_NAMES", "ScenarioSpec", "TenantDraw", "dvh_name"]
-
-#: Spec-level names for the three DVH presets the paper evaluates.
-DVH_NAMES = ("none", "vp", "full")
+__all__ = ["ScenarioSpec", "TenantDraw", "dvh_name"]
 
 
 def dvh_name(dvh) -> str:
     """Map a :class:`~repro.core.features.DvhFeatures` value back to its
     preset name.  The generator only ever draws the three presets."""
-    for name in DVH_NAMES:
-        if dvh == _dvh_preset(name):
+    for name, preset in DVH_PRESETS.items():
+        if dvh == preset():
             return name
     raise ValueError(f"not a preset DvhFeatures value: {dvh!r}")
-
-
-def _dvh_preset(name: str):
-    return {
-        "none": DvhFeatures.none,
-        "vp": DvhFeatures.vp_only,
-        "full": DvhFeatures.full,
-    }[name]()
 
 
 @dataclass(frozen=True)
@@ -87,7 +75,7 @@ class ScenarioSpec:
     # -- machine topology --------------------------------------------
     levels: int = 2
     io_model: str = "virtio"
-    dvh: str = "none"  # preset name, see DVH_NAMES
+    dvh: str = "none"  # a key of DVH_PRESETS
     workers: int = 2
     grants: Tuple[str, ...] = ()
     ops_per_worker: int = 20
@@ -104,7 +92,7 @@ class ScenarioSpec:
     # Reconstruction
     # ------------------------------------------------------------------
     def dvh_features(self):
-        return _dvh_preset(self.dvh)
+        return DVH_PRESETS[self.dvh]()
 
     def grant_set(self):
         if not self.grants:
@@ -190,7 +178,7 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical_sha256(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioSpec":

@@ -34,12 +34,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.parallel import map_cells
+from repro.cluster import canonical_sha256
 from repro.core.features import DvhFeatures
 from repro.dc.spec import (
     BOOL, COUNT, POS_INT, POSITIVE, STRING, list_of, load_document, section,
@@ -361,8 +360,7 @@ def _cluster_cell(variant, hosts, seed) -> dict:
 
 # ----------------------------------------------------------------------
 def _digest(rows: List[dict]) -> str:
-    blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_sha256(rows)
 
 
 def run_study(

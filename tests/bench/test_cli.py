@@ -154,6 +154,25 @@ def test_migration_command(capsys):
     assert "MIGRATION NOT SUPPORTED" in out
 
 
+@pytest.mark.parametrize("audit", [False, True])
+def test_migration_json_is_rows_and_audit(capsys, audit):
+    import json
+
+    argv = ["migration", "--json"] + (["--audit"] if audit else [])
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"rows", "audit"}
+    assert [r["supported"] for r in data["rows"]] == [True] * 4 + [False]
+    assert data["rows"][-1]["scenario"] == "nested VM (passthrough)"
+    assert set(data["rows"][0]) == {
+        "scenario", "supported", "total_s", "downtime_s", "bytes_transferred",
+    }
+    if audit:
+        assert data["audit"]["ok"] is True and data["audit"]["checks_run"] > 0
+    else:
+        assert data["audit"] is None
+
+
 def test_analyze_command(capsys):
     assert main(["analyze", "hackbench", "--scale", "0.1"]) == 0
     out = capsys.readouterr().out

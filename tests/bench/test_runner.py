@@ -6,11 +6,11 @@ import json
 import pytest
 
 from repro.bench.configs import (
-    CONFIG_SETS,
     FIG7_CONFIGS,
     FIG8_CONFIGS,
     FIG9_CONFIGS,
     FIG10_CONFIGS,
+    FIGURES,
     TABLE3_CONFIGS,
 )
 from repro.bench.runner import (
@@ -85,9 +85,11 @@ def test_migration_experiment_rows_and_format():
 # Parallel harness
 # ----------------------------------------------------------------------
 def test_config_sets_registry_covers_every_figure():
-    assert set(CONFIG_SETS) == {"table3", "7", "8", "9", "10"}
-    assert CONFIG_SETS["7"] is FIG7_CONFIGS
-    assert CONFIG_SETS["table3"] is TABLE3_CONFIGS
+    assert set(FIGURES) == {"7", "8", "9", "10"}
+    assert FIGURES["7"][1] is FIG7_CONFIGS
+    assert FIGURES["10"][1] is FIG10_CONFIGS
+    for number, (title, _configs) in FIGURES.items():
+        assert title.startswith(f"Figure {number}:")
 
 
 def _figure_bytes(result) -> bytes:

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.bench.configs import CONFIG_SETS
+from repro.bench.configs import FIGURES, TABLE3_CONFIGS
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig, build_stack
 from repro.workloads.microbench import run_microbenchmark
@@ -50,7 +50,9 @@ def _super_nesting_configs() -> List[Tuple[str, StackConfig]]:
 def parity_configs() -> List[Tuple[str, StackConfig]]:
     """Every benchmark configuration, labeled ``set:name``."""
     out: List[Tuple[str, StackConfig]] = []
-    for set_name, configs in sorted(CONFIG_SETS.items()):
+    config_sets = {"table3": TABLE3_CONFIGS}
+    config_sets.update((number, configs) for number, (_t, configs) in FIGURES.items())
+    for set_name, configs in sorted(config_sets.items()):
         for label, factory in configs:
             out.append((f"{set_name}:{label}", factory()))
     out.extend(_super_nesting_configs())
