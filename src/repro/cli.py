@@ -17,20 +17,25 @@ Usage (after ``pip install -e .``)::
     python -m repro scenarios run --count 10
     python -m repro study --json
 
-Each leaf parser names the function that runs it (``set_defaults(run=...)``)
-and :func:`main` calls it.  Every subcommand uniformly accepts ``--seed``, ``--no-fast-forward``,
-``--audit``, ``--jobs``, and ``--json`` (``--seed`` and
-``--no-fast-forward`` also work before the subcommand name): the same
-seed reproduces the same run bit for bit, with or without fast-forward
-and at any jobs count.
+Each leaf parser names its runner; the runner returns an :class:`Output`
+and prints nothing, and :func:`main` prints it once: ``data`` as one
+JSON document under ``--json``, else ``text``.  Every leaf accepts
+``--seed``, ``--no-fast-forward`` (both also before the subcommand) and
+``--json``; only leaves that fan cells over processes accept ``--jobs``,
+only leaves that arm the auditor accept ``--audit``, and a text-only
+flag (``--chart``, ``--report``, ``--verbose``, ``--chains``) with
+``--json`` is a parse error.  The same seed reproduces the same run bit
+for bit, with or without fast-forward and at any jobs count.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import List, Optional
+from dataclasses import asdict, replace
+from typing import Any, List, NamedTuple, Optional
 
 from repro.bench.configs import FIGURES
 from repro.core.features import DVH_PRESETS
@@ -40,6 +45,35 @@ from repro.workloads.apps import app_names, run_app
 from repro.workloads.microbench import MICROBENCHMARKS, run_microbenchmark
 
 __all__ = ["main", "build_parser"]
+
+
+class Output(NamedTuple):
+    """What a runner hands :func:`main`: ``data`` is printed as JSON
+    under ``--json``, ``text`` otherwise; ``ok`` False exits 1."""
+
+    data: Any
+    text: str
+    ok: bool = True
+
+
+class UserError(Exception):
+    """Bad user input: :func:`main` prints the message, exit status 1."""
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value: ..." message
+    return parse
+
+
+_POSITIVE, _NON_NEGATIVE = _int_at_least(1), _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,13 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_args(p):
-        """The uniform flag set every subcommand accepts: --seed,
-        --no-fast-forward, --audit, --jobs, --json.  SUPPRESS defaults
-        keep a pre-subcommand `--seed N` / `--no-fast-forward` from
-        being clobbered when the flag follows the subcommand name.
-        Subcommands without parallel cells, auditing, or a JSON shape
-        simply ignore the unused flags."""
+    def leaf(parent, name, run, help, jobs=False, audit=False):
+        """A leaf whose parser names its runner, with --seed,
+        --no-fast-forward, --json, and --jobs/--audit if ``run`` reads
+        them.  SUPPRESS defaults keep a pre-subcommand `--seed N` from
+        being clobbered.  Returns ``(parser, group)``: a text-only flag
+        added to ``group`` is a parse error together with --json."""
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument(
             "--seed", type=int, default=argparse.SUPPRESS, help="simulation seed"
         )
@@ -81,40 +116,44 @@ def build_parser() -> argparse.ArgumentParser:
             default=argparse.SUPPRESS,
             help="micro-step every event (no epoch skipping)",
         )
-        p.add_argument(
-            "--audit",
-            action="store_true",
-            help="arm the runtime invariant auditor (exit 1 on violations)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for independent cells (0 = one per CPU)",
-        )
-        p.add_argument(
+        if audit:
+            p.add_argument(
+                "--audit",
+                action="store_true",
+                help="arm the runtime invariant auditor (exit 1 on violations)",
+            )
+        if jobs:
+            p.add_argument(
+                "--jobs",
+                type=_NON_NEGATIVE,
+                default=1,
+                help="worker processes for independent cells (0 = one per CPU)",
+            )
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(
             "--json", action="store_true", help="print machine-readable JSON"
         )
+        return p, group
 
-    t3 = sub.add_parser("table3", help="Table 3: microbenchmark cycles")
-    t3.set_defaults(run=_run_table3)
-    add_common_args(t3)
+    leaf(sub, "table3", _run_table3, "Table 3: microbenchmark cycles", jobs=True)
 
-    fig = sub.add_parser("figure", help="Figures 7/8/9/10: application overheads")
-    fig.set_defaults(run=_run_figure)
+    fig, text_only = leaf(
+        sub, "figure", _run_figure, "Figures 7/8/9/10: application overheads",
+        jobs=True,
+    )
     fig.add_argument("number", choices=list(FIGURES))
     fig.add_argument("--apps", nargs="*", choices=app_names(), default=None)
     fig.add_argument("--scale", type=float, default=None, help="txn-count scale")
-    fig.add_argument(
+    text_only.add_argument(
         "--chart", action="store_true", help="render as an ASCII bar chart"
     )
-    add_common_args(fig)
 
-    mig = sub.add_parser("migration", help="the Section 4 migration experiment")
-    mig.set_defaults(run=_run_migration)
-    add_common_args(mig)
+    leaf(
+        sub, "migration", _run_migration, "the Section 4 migration experiment",
+        audit=True,
+    )
 
-    def add_stack_args(p):
+    def add_stack_args(p, slo=False):
         p.add_argument("--levels", type=int, default=2, choices=[0, 1, 2, 3, 4, 5])
         p.add_argument(
             "--io", default=None, choices=["native", "virtio", "passthrough", "vp"]
@@ -128,29 +167,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="platform cost profile (riscv implies the hs guest "
             "hypervisor with hedeleg/hideleg trap delegation)",
         )
+        if slo:
+            p.add_argument(
+                "--slo",
+                action="store_true",
+                help="capture per-request latency histograms (zero-cost "
+                "when off) and report the latency percentiles",
+            )
 
-    def add_slo_arg(p):
-        p.add_argument(
-            "--slo",
-            action="store_true",
-            help="capture per-request latency histograms (zero-cost when "
-            "off) and print the percentile table",
-        )
-
-    micro = sub.add_parser("micro", help="one Table 1 microbenchmark")
-    micro.set_defaults(run=_run_micro)
-    micro.add_argument("name", choices=sorted(MICROBENCHMARKS))
-    micro.add_argument("--iterations", type=int, default=30)
-    add_stack_args(micro)
-    add_slo_arg(micro)
-    add_common_args(micro)
-
-    trace = sub.add_parser(
-        "trace",
-        help="span-level exit-chain tracing: where every cycle of the "
-        "trap path goes, per chain",
+    micro, _ = leaf(
+        sub, "micro", _run_micro, "one Table 1 microbenchmark", audit=True
     )
-    trace.set_defaults(run=_run_trace)
+    micro.add_argument("name", choices=sorted(MICROBENCHMARKS))
+    micro.add_argument("--iterations", type=_POSITIVE, default=30)
+    add_stack_args(micro, slo=True)
+
+    trace, text_only = leaf(
+        sub,
+        "trace",
+        _run_trace,
+        "span-level exit-chain tracing: where every cycle of the trap path "
+        "goes, per chain",
+    )
     trace.add_argument(
         "name",
         nargs="?",
@@ -158,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(MICROBENCHMARKS),
         help="microbenchmark to trace (default: ProgramTimer)",
     )
-    trace.add_argument("--iterations", type=int, default=3)
-    trace.add_argument(
+    trace.add_argument("--iterations", type=_POSITIVE, default=3)
+    text_only.add_argument(
         "--chains",
         type=int,
         nargs="?",
@@ -170,26 +208,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--sites",
-        type=int,
+        type=_NON_NEGATIVE,
         default=12,
         help="show the top N (level, reason, handler) sites by cycles",
     )
     add_stack_args(trace)
-    add_common_args(trace)
 
-    analyze = sub.add_parser(
-        "analyze", help="exit breakdown: why a workload is slow per config"
+    analyze, _ = leaf(
+        sub, "analyze", _run_analyze,
+        "exit breakdown: why a workload is slow per config",
     )
-    analyze.set_defaults(run=_run_analyze)
     analyze.add_argument("name", choices=app_names())
     analyze.add_argument("--scale", type=float, default=0.25)
-    add_common_args(analyze)
 
-    app = sub.add_parser("app", help="one Table 2 application benchmark")
-    app.set_defaults(run=_run_app)
+    app, text_only = leaf(
+        sub, "app", _run_app, "one Table 2 application benchmark", audit=True
+    )
     app.add_argument("name", choices=app_names())
     app.add_argument("--scale", type=float, default=0.4)
-    app.add_argument(
+    text_only.add_argument(
         "--report", action="store_true", help="print the exit/cycle report"
     )
     app.add_argument(
@@ -206,20 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TPS",
         help="offered transactions/second for --arrival poisson",
     )
-    add_stack_args(app)
-    add_slo_arg(app)
-    add_common_args(app)
+    add_stack_args(app, slo=True)
 
     faults = sub.add_parser(
         "faults", help="fault injection: run a plan or a fuzz campaign"
     )
     fsub = faults.add_subparsers(dest="mode", required=True)
 
-    fuzz = fsub.add_parser(
-        "fuzz", help="trap-chain fuzz campaign with per-episode invariants"
+    fuzz, text_only = leaf(
+        fsub, "fuzz", _run_fuzz,
+        "trap-chain fuzz campaign with per-episode invariants",
+        jobs=True, audit=True,
     )
-    fuzz.set_defaults(run=_run_fuzz)
-    fuzz.add_argument("--episodes", type=int, default=500)
+    fuzz.add_argument("--episodes", type=_NON_NEGATIVE, default=500)
     fuzz.add_argument(
         "--levels", type=int, nargs="*", default=[0, 1, 2, 3], choices=[0, 1, 2, 3]
     )
@@ -227,19 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--ops", type=int, default=20, help="ops per worker vCPU")
     fuzz.add_argument(
         "--replay-every",
-        type=int,
+        type=_NON_NEGATIVE,
         default=10,
         help="replay every Nth episode and require a byte-identical digest",
     )
-    fuzz.add_argument(
+    text_only.add_argument(
         "--verbose", action="store_true", help="print failing episodes' plans"
     )
-    add_common_args(fuzz)
 
-    plan = fsub.add_parser(
-        "plan", help="one seed-derived fault plan against one stack"
+    plan, text_only = leaf(
+        fsub, "plan", _run_plan, "one seed-derived fault plan against one stack",
+        audit=True,
     )
-    plan.set_defaults(run=_run_plan)
     plan.add_argument(
         "--classes",
         nargs="*",
@@ -249,11 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--intensity", type=float, default=0.05)
     plan.add_argument("--ops", type=int, default=30, help="ops per worker vCPU")
-    plan.add_argument(
+    text_only.add_argument(
         "--report", action="store_true", help="print the full exit/cycle report"
     )
     add_stack_args(plan)
-    add_common_args(plan)
 
     dc = sub.add_parser(
         "dc",
@@ -282,66 +316,62 @@ def build_parser() -> argparse.ArgumentParser:
             help="force-enable latency telemetry and the SLO gate even "
             "when the spec's slo: block is absent or disabled",
         )
-        add_common_args(p)
 
-    ddemo = dsub.add_parser(
-        "demo",
-        help="run the built-in small fleet: admissions, rebalancing, "
-        "a full rolling-upgrade wave, pinned-host report",
+    ddemo, _ = leaf(
+        dsub, "demo", _run_dc,
+        "run the built-in small fleet: admissions, rebalancing, a full "
+        "rolling-upgrade wave, pinned-host report",
     )
-    ddemo.set_defaults(run=_run_dc, spec="small")
+    ddemo.set_defaults(spec="small")
     add_dc_args(ddemo, with_spec=False)
 
-    drun = dsub.add_parser("run", help="run a datacenter spec to completion")
-    drun.set_defaults(run=_run_dc)
-    add_dc_args(drun)
+    add_dc_args(leaf(dsub, "run", _run_dc, "run a datacenter spec to completion")[0])
 
-    dsweep = dsub.add_parser(
-        "sweep", help="run one spec across a range of seeds"
+    dsweep, _ = leaf(
+        dsub, "sweep", _run_dc_sweep, "run one spec across a range of seeds",
+        jobs=True,
     )
-    dsweep.set_defaults(run=_run_dc_sweep)
     dsweep.add_argument(
-        "--seeds", type=int, default=4, help="number of seeds (0..N-1)"
+        "--seeds",
+        type=_POSITIVE,
+        default=4,
+        help="number of seeds: --seed .. --seed + N - 1",
     )
     add_dc_args(dsweep)
 
-    dval = dsub.add_parser(
-        "validate", help="parse and validate a spec file, print its shape"
+    dval, _ = leaf(
+        dsub, "validate", _run_dc_validate,
+        "parse and validate a spec file, print its shape",
     )
-    dval.set_defaults(run=_run_dc_validate)
     dval.add_argument("--spec", default="small", help="spec name or path")
-    add_common_args(dval)
 
-    study = sub.add_parser(
-        "study",
-        help="head-to-head: baseline vs DVH vs OoH vs DVH+OoH across "
-        "micro-ops, apps, and live migration (repro.study)",
+    study, _ = leaf(
+        sub, "study", _run_study,
+        "head-to-head: baseline vs DVH vs OoH vs DVH+OoH across micro-ops, "
+        "apps, and live migration (repro.study)",
+        jobs=True,
     )
-    study.set_defaults(run=_run_study)
     study.add_argument(
         "--spec",
         default=None,
         help="path to a JSON study-matrix spec (default: the built-in "
         "full matrix; see examples/study_matrix.json)",
     )
-    add_common_args(study)
 
-    audit = sub.add_parser(
-        "audit",
-        help="runtime invariant audit: drive the migration/cluster fault "
-        "matrix and a fuzz campaign with every auditor check armed",
+    audit, text_only = leaf(
+        sub, "audit", _run_audit,
+        "runtime invariant audit: drive the migration/cluster fault matrix "
+        "and a fuzz campaign with every auditor check armed",
     )
-    audit.set_defaults(run=_run_audit)
     audit.add_argument(
         "--episodes",
-        type=int,
+        type=_NON_NEGATIVE,
         default=500,
         help="fuzz-campaign episodes (0 skips the fuzz leg)",
     )
-    audit.add_argument(
+    text_only.add_argument(
         "--verbose", action="store_true", help="print per-scenario detail"
     )
-    add_common_args(audit)
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -350,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scsub = scenarios.add_subparsers(dest="mode", required=True)
 
-    def add_scenario_args(p):
+    def scenario_leaf(name, run, help, **common):
+        p, _ = leaf(scsub, name, run, help, **common)
         p.add_argument(
-            "--count", type=int, default=10, help="scenarios to generate"
+            "--count", type=_POSITIVE, default=10, help="scenarios to generate"
         )
         p.add_argument(
             "--arch",
@@ -361,71 +392,28 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="restrict the architecture pool (default: all three)",
         )
-        add_common_args(p)
+        return p
 
-    gen = scsub.add_parser(
-        "gen",
-        help="print canonical scenario specs, one JSON line each "
-        "(same seed => byte-identical bytes)",
+    scenario_leaf(
+        "gen", _run_scenarios_gen,
+        "print canonical scenario specs, one JSON line each (same seed => "
+        "byte-identical bytes)",
     )
-    gen.set_defaults(run=_run_scenarios_gen)
-    add_scenario_args(gen)
-
-    run_p = scsub.add_parser(
-        "run", help="generate AND run scenarios, checking invariants"
+    scenario_leaf(
+        "run", _run_scenarios_run,
+        "generate AND run scenarios, checking invariants",
+        jobs=True, audit=True,
     )
-    run_p.set_defaults(run=_run_scenarios_run)
-    add_scenario_args(run_p)
-
-    shrink = scsub.add_parser(
-        "shrink", help="greedily minimize one failing scenario"
+    scenario_leaf(
+        "shrink", _run_scenarios_shrink, "greedily minimize one failing scenario"
+    ).add_argument(
+        "--index",
+        type=int,
+        default=0,
+        help="scenario index within the seed (0 .. --count - 1)",
     )
-    shrink.set_defaults(run=_run_scenarios_shrink)
-    shrink.add_argument(
-        "--index", type=int, default=0, help="scenario index within the seed"
-    )
-    add_scenario_args(shrink)
 
     return parser
-
-
-def _stack_config(args) -> StackConfig:
-    io = args.io
-    if io is None:
-        if args.levels == 0:
-            io = "native"
-        elif DVH_PRESETS[args.dvh]().virtual_passthrough and args.levels >= 2:
-            io = "vp"
-        else:
-            io = "virtio"
-    return StackConfig(
-        levels=args.levels,
-        io_model=io,
-        dvh=DVH_PRESETS[args.dvh](),
-        guest_hv=args.guest_hv,
-        seed=args.seed,
-        arch=args.arch,
-    )
-
-
-def _make_auditor(args):
-    """An armed :class:`repro.audit.Auditor` when ``--audit`` was given,
-    else None (the un-audited run stays byte-identical)."""
-    if not getattr(args, "audit", False):
-        return None
-    from repro.audit import Auditor
-
-    return Auditor()
-
-
-def _finish_audit(auditor) -> int:
-    """Render an armed auditor's report; non-zero on violations."""
-    if auditor is None:
-        return 0
-    report = auditor.finish()
-    print()
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -438,7 +426,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_FAST_FORWARD"] = "0"
 
     try:
-        status = args.run(args)
+        out = args.run(args)
+        text = json.dumps(out.data, indent=2, sort_keys=True) if args.json else out.text
+    except UserError as exc:
+        out, text = Output(None, "", ok=False), str(exc)
+    try:
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # A downstream reader (`| head`) closing the pipe early is a
@@ -447,177 +440,225 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    return status
+    return 0 if out.ok else 1
 
 
-def _run_table3(args) -> int:
-    from repro.bench import format_table3, run_table3
-
-    print(format_table3(run_table3(jobs=args.jobs, seed=args.seed)))
-    return 0
-
-
-def _run_figure(args) -> int:
-    from repro.bench import format_figure, run_figure
-
-    scales = None
-    if args.scale is not None:
-        scales = {lvl: args.scale for lvl in range(6)}
-    result = run_figure(
-        args.number,
-        apps=args.apps,
-        scales=scales,
-        jobs=args.jobs,
+def _stack_config(args) -> StackConfig:
+    dvh = DVH_PRESETS[args.dvh]()
+    io = args.io
+    if io is None:
+        nested_vp = dvh.virtual_passthrough and args.levels >= 2
+        io = "native" if args.levels == 0 else "vp" if nested_vp else "virtio"
+    return StackConfig(
+        levels=args.levels,
+        io_model=io,
+        dvh=dvh,
+        guest_hv=args.guest_hv,
         seed=args.seed,
+        arch=args.arch,
     )
-    if args.chart:
-        from repro.bench.plot import ascii_figure
-
-        print(ascii_figure(result))
-    else:
-        print(format_figure(result))
-    return 0
 
 
-def _run_migration(args) -> int:
+def _stack_data(args, stack) -> dict:
+    """What a single-stack leaf (micro, trace, app) ran, on what."""
+    return {"name": args.name, "dvh": args.dvh, "config": asdict(stack.config)}
+
+
+def _app_data(result) -> dict:
+    """An ``AppResult`` without its per-transaction latency list."""
+    return {k: v for k, v in asdict(result).items() if k != "latencies"}
+
+
+def _audited(args, run) -> Output:
+    """``run(auditor)`` with the ``--audit`` auditor, or None (then the
+    run stays byte-identical).  The report is ``data["audit"]`` (None if
+    unarmed), its rendering follows the text, a violation fails the run."""
+    auditor = None
+    if args.audit:
+        from repro.audit import Auditor
+
+        auditor = Auditor()
+    out = run(auditor)
+    report = auditor.finish() if auditor is not None else None
+    out.data["audit"] = report.as_dict() if report is not None else None
+    if report is None:
+        return out
+    return Output(out.data, f"{out.text}\n\n{report.render()}", out.ok and report.ok)
+
+
+def _with_latency(out: Output, stack) -> Output:
+    """``--slo``: the per-series latency percentiles join the data
+    (``latency``) and their table follows the text."""
+    from repro.cluster.telemetry import percentile_table
+    from repro.metrics.report import latency_report
+
+    io_model = stack.config.io_model
+    out.data["latency"] = percentile_table(stack.metrics, lambda _series: io_model)
+    table = latency_report(stack.metrics, stack.machine.freq_hz)
+    return out._replace(text=f"{out.text}\n\n{table}")
+
+
+def _run_table3(args) -> Output:
+    from repro.bench import PAPER_TABLE3, format_table3, run_table3
+
+    result = run_table3(jobs=args.jobs, seed=args.seed)
+    return Output({**asdict(result), "paper": PAPER_TABLE3}, format_table3(result))
+
+
+def _run_figure(args) -> Output:
+    from repro.bench import format_figure, run_figure
+    from repro.bench.plot import ascii_figure
+
+    scales = None if args.scale is None else {lvl: args.scale for lvl in range(6)}
+    result = run_figure(
+        args.number, apps=args.apps, scales=scales, jobs=args.jobs, seed=args.seed
+    )
+    data = {
+        "title": result.title,
+        "configs": result.configs,
+        "overheads": result.overheads,
+        "native": {app: _app_data(r) for app, r in result.native.items()},
+    }
+    return Output(data, (ascii_figure if args.chart else format_figure)(result))
+
+
+def _run_migration(args) -> Output:
     from repro.bench import format_migration, run_migration_experiment
 
-    auditor = _make_auditor(args)
-    rows = run_migration_experiment(seed=args.seed, audit=auditor)
-    if not args.json:
-        print(format_migration(rows))
-        return _finish_audit(auditor)
-    import json
-    from dataclasses import asdict
+    def run(auditor):
+        rows = run_migration_experiment(seed=args.seed, audit=auditor)
+        return Output({"rows": [asdict(row) for row in rows]}, format_migration(rows))
 
-    report = auditor.finish() if auditor is not None else None
-    payload = {
-        "rows": [asdict(row) for row in rows],
-        "audit": report.as_dict() if report is not None else None,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if report is None or report.ok else 1
+    return _audited(args, run)
 
 
-def _armed_stack(args):
-    """The configured stack for ``micro`` and ``app``, with the
-    ``--audit`` auditor attached and ``--slo`` request capture on.
-    Returns ``(stack, auditor)``."""
+def _armed_stack(args, auditor):
+    """The configured stack for ``micro`` and ``app``, with ``auditor``
+    attached and ``--slo`` request capture on."""
     stack = build_stack(_stack_config(args))
-    auditor = _make_auditor(args)
     if auditor is not None:
         auditor.attach_stack(stack)
     if args.slo:
         stack.machine.enable_request_capture(series=args.name)
-    return stack, auditor
+    return stack
 
 
-def _print_latency(stack) -> None:
-    from repro.metrics.report import latency_report
-
-    print()
-    print(latency_report(stack.metrics, stack.machine.freq_hz))
-
-
-def _run_micro(args) -> int:
-    stack, auditor = _armed_stack(args)
-    cycles = run_microbenchmark(stack, args.name, args.iterations)
-    print(
-        f"{args.name} (levels={args.levels}, dvh={args.dvh}): "
-        f"{cycles:,.0f} cycles/op"
-    )
-    if args.slo:
-        _print_latency(stack)
-    return _finish_audit(auditor)
-
-
-def _run_app(args) -> int:
-    stack, auditor = _armed_stack(args)
-    try:
-        result = run_app(
-            stack,
-            args.name,
-            scale=args.scale,
-            arrival=args.arrival,
-            offered_tps=args.offered,
+def _run_micro(args) -> Output:
+    def run(auditor):
+        stack = _armed_stack(args, auditor)
+        cycles = run_microbenchmark(stack, args.name, args.iterations)
+        out = Output(
+            {**_stack_data(args, stack), "cycles_per_op": cycles},
+            f"{args.name} (levels={args.levels}, dvh={args.dvh}): "
+            f"{cycles:,.0f} cycles/op",
         )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 1
-    arrival = f", arrival={args.arrival}" if args.arrival != "closed" else ""
-    print(
-        f"{args.name} (levels={args.levels}, io={stack.config.io_model}, "
-        f"dvh={args.dvh}{arrival}): {result.value:,.1f} {result.unit} "
-        f"over {result.txns} transactions in {result.elapsed_s * 1000:.2f} ms"
-    )
-    if args.slo and not args.report:
-        _print_latency(stack)
-    if args.report:
-        from repro.metrics.report import full_report
+        return _with_latency(out, stack) if args.slo else out
 
-        print()
-        print(full_report(stack.metrics, stack.machine.freq_hz, sim=stack.sim))
-    return _finish_audit(auditor)
+    return _audited(args, run)
 
 
-def _run_analyze(args) -> int:
+def _run_app(args) -> Output:
+    def run(auditor):
+        stack = _armed_stack(args, auditor)
+        try:
+            result = run_app(
+                stack,
+                args.name,
+                scale=args.scale,
+                arrival=args.arrival,
+                offered_tps=args.offered,
+            )
+        except ValueError as exc:
+            raise UserError(f"error: {exc}") from None
+        arrival = f", arrival={args.arrival}" if args.arrival != "closed" else ""
+        text = (
+            f"{args.name} (levels={args.levels}, io={stack.config.io_model}, "
+            f"dvh={args.dvh}{arrival}): {result.value:,.1f} {result.unit} "
+            f"over {result.txns} transactions in {result.elapsed_s * 1000:.2f} ms"
+        )
+        if args.report:
+            from repro.metrics.report import full_report
+
+            report = full_report(stack.metrics, stack.machine.freq_hz, sim=stack.sim)
+            text = f"{text}\n\n{report}"
+        data = {**_stack_data(args, stack), **_app_data(result)}
+        data.update(arrival=args.arrival, offered_tps=args.offered)
+        out = Output(data, text)
+        return _with_latency(out, stack) if args.slo and not args.report else out
+
+    return _audited(args, run)
+
+
+def _run_analyze(args) -> Output:
     from repro.bench.analysis import exit_breakdown, format_breakdown
 
     rows = exit_breakdown(args.name, scale=args.scale, seed=args.seed)
-    print(format_breakdown(rows, app=args.name))
-    return 0
+    data = [asdict(row) for row in rows]
+    for row in data:  # JSON keys are strings: (kind, mode) -> "kind/mode"
+        per_txn = row["interrupts_per_txn"]
+        row["interrupts_per_txn"] = {"/".join(k): n for k, n in per_txn.items()}
+    text = format_breakdown(rows, app=args.name)
+    return Output({"app": args.name, "rows": data}, text)
 
 
-def _run_audit(args) -> int:
+def _run_audit(args) -> Output:
     from repro.audit.runner import render_audit, run_audit
 
     run = run_audit(seed=args.seed, episodes=args.episodes)
-    print(render_audit(run, verbose=args.verbose))
-    return 0 if run.ok else 1
+    text = render_audit(run, verbose=args.verbose)
+    return Output({**asdict(run), "ok": run.ok}, text, run.ok)
 
 
-def _run_trace(args) -> int:
+def _run_trace(args) -> Output:
     """The ``trace`` subcommand: run a microbenchmark with span tracing
     on and show where the trap path's cycles went."""
     stack = build_stack(_stack_config(args))
     collector = stack.machine.enable_span_tracing()
     cycles = run_microbenchmark(stack, args.name, args.iterations)
     chains = len(collector.roots) + collector.chains_evicted
-    print(
+    still_open = collector.spans_opened - collector.spans_closed
+    reconcile = collector.reconcile(stack.metrics)
+    sites = collector.site_rows()
+    top = sites[: args.sites]
+    lines = [
         f"{args.name} (levels={args.levels}, io={stack.config.io_model}, "
-        f"dvh={args.dvh}, guest_hv={args.guest_hv}): {cycles:,.0f} cycles/op"
-    )
-    print(
+        f"dvh={args.dvh}, guest_hv={args.guest_hv}): {cycles:,.0f} cycles/op",
         f"{collector.spans_closed} spans closed over {chains} exit chains "
-        f"({collector.spans_opened - collector.spans_closed} still open at drain)"
-    )
-
-    print()
-    print("cycle reconciliation (span-attributed vs Metrics):")
-    print(f"  {'category':<14} {'spans':>14} {'metrics':>14} {'unattributed':>14}")
-    for category, span_cy, metric_cy, rest in collector.reconcile(stack.metrics):
-        print(
-            f"  {category:<14} {span_cy:>14,.0f} {metric_cy:>14,.0f} {rest:>14,.0f}"
-        )
-
-    rows = collector.site_rows()
-    if rows:
-        print()
-        print(f"top dispatch sites (of {len(rows)}):")
-        for level, reason, handler, site_cycles in rows[: args.sites]:
-            print(f"  L{level} {reason:<18} -> {handler:<10} {site_cycles:>14,.0f}")
-
+        f"({still_open} still open at drain)",
+        "",
+        "cycle reconciliation (span-attributed vs Metrics):",
+        f"  {'category':<14} {'spans':>14} {'metrics':>14} {'unattributed':>14}",
+    ]
+    lines += [
+        f"  {category:<14} {span_cy:>14,.0f} {metric_cy:>14,.0f} {rest:>14,.0f}"
+        for category, span_cy, metric_cy, rest in reconcile
+    ]
+    if sites:
+        lines += ["", f"top dispatch sites (of {len(sites)}):"]
+        lines += [
+            f"  L{level} {reason:<18} -> {handler:<10} {site_cycles:>14,.0f}"
+            for level, reason, handler, site_cycles in top
+        ]
     if args.chains:
-        print()
-        print(collector.render_chains(last=args.chains))
-    return 0
+        lines += ["", collector.render_chains(last=args.chains)]
+    data = {
+        **_stack_data(args, stack),
+        "cycles_per_op": cycles,
+        "spans_closed": collector.spans_closed,
+        "spans_open": still_open,
+        "chains": chains,
+        "reconcile": {
+            cat: {"spans": s, "metrics": m, "unattributed": r}
+            for cat, s, m, r in reconcile
+        },
+        "sites": [dict(zip(("level", "reason", "handler", "cycles"), r)) for r in top],
+    }
+    return Output(data, "\n".join(lines))
 
 
-def _run_fuzz(args) -> int:
+def _run_fuzz(args) -> Output:
     """``faults fuzz``: a trap-chain fuzz campaign of machine scenario
     specs, run by :mod:`repro.scenarios.runner`."""
-    import json
-
     from repro.faults import render_campaign
     from repro.scenarios import fuzz_specs, run_scenario, run_scenarios
 
@@ -640,15 +681,12 @@ def _run_fuzz(args) -> int:
                 f"replay divergence: {result['digest'][:16]} != "
                 f"{replay['digest'][:16]}"
             )
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        print(render_campaign(args.seed, specs, results, verbose=args.verbose))
     ok = all(r["outcome"] == "ok" and not r["violations"] for r in results)
-    return 0 if ok else 1
+    text = render_campaign(args.seed, specs, results, verbose=args.verbose)
+    return Output(results, text, ok)
 
 
-def _run_plan(args) -> int:
+def _run_plan(args) -> Output:
     """``faults plan``: one seed-derived plan against one configured
     stack, as a machine scenario spec."""
     from repro.faults import render_plan_run
@@ -670,22 +708,18 @@ def _run_plan(args) -> int:
         intensity=args.intensity,
     )
     result, stack, injector = run_machine(spec, audit=args.audit)
-    print(render_plan_run(stack, injector, ops=result["ops"]))
+    lines = [render_plan_run(stack, injector, ops=result["ops"])]
     if args.report:
         from repro.metrics.report import full_report
 
-        print()
-        print(full_report(stack.metrics, stack.machine.freq_hz, sim=stack.sim))
+        lines += ["", full_report(stack.metrics, stack.machine.freq_hz, sim=stack.sim)]
     violations = result["violations"]
     if result["outcome"] != "ok":
         violations = [result["outcome"]] + violations
     if violations:
-        print()
-        print(f"INVARIANT VIOLATIONS ({len(violations)}):")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    return 0
+        lines += ["", f"INVARIANT VIOLATIONS ({len(violations)}):"]
+        lines += [f"  - {violation}" for violation in violations]
+    return Output({**result, "spec": spec.to_dict()}, "\n".join(lines), not violations)
 
 
 def _scenario_specs(args):
@@ -696,63 +730,58 @@ def _scenario_specs(args):
     return generate_specs(seed=args.seed, count=args.count, arches=arches)
 
 
-def _run_scenarios_gen(args) -> int:
-    for spec in _scenario_specs(args):
-        print(spec.to_json())
-    return 0
+def _run_scenarios_gen(args) -> Output:
+    specs = _scenario_specs(args)
+    return Output(
+        [spec.to_dict() for spec in specs], "\n".join(s.to_json() for s in specs)
+    )
 
 
-def _run_scenarios_run(args) -> int:
-    import json
-
+def _run_scenarios_run(args) -> Output:
     from repro.scenarios import run_scenarios
 
     results = run_scenarios(_scenario_specs(args), jobs=args.jobs, audit=args.audit)
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
-        width = max(len(r["desc"]) for r in results) + 2
-        for r in results:
-            status = (
-                "ok"
-                if r["outcome"] == "ok" and not r["violations"]
-                else f"{r['outcome']} ({len(r['violations'])} violation(s))"
-            )
-            print(
-                f"  [{r['index']:>3}] {r['desc']:<{width}} {status}  "
-                f"digest={r['digest'][:12]}"
-            )
+    width = max(len(r["desc"]) for r in results) + 2
+    lines = []
+    for r in results:
+        status = (
+            "ok"
+            if r["outcome"] == "ok" and not r["violations"]
+            else f"{r['outcome']} ({len(r['violations'])} violation(s))"
+        )
+        lines.append(
+            f"  [{r['index']:>3}] {r['desc']:<{width}} {status}  "
+            f"digest={r['digest'][:12]}"
+        )
     bad = [r for r in results if r["outcome"] != "ok" or r["violations"]]
-    if bad and not args.json:
-        for r in bad:
-            for violation in r["violations"]:
-                print(f"      - [{r['index']}] {violation}")
-    return 1 if bad else 0
+    lines += [f"      - [{r['index']}] {v}" for r in bad for v in r["violations"]]
+    return Output(results, "\n".join(lines), not bad)
 
 
-def _run_scenarios_shrink(args) -> int:
+def _run_scenarios_shrink(args) -> Output:
     """Minimize one failing scenario from this campaign."""
     from repro.scenarios import shrink_scenario
 
+    if not 0 <= args.index < args.count:
+        raise UserError(f"error: --index {args.index} is outside [0, {args.count})")
     spec = _scenario_specs(args)[args.index]
+    data = {"index": args.index, "desc": spec.desc}
     try:
         minimal, steps = shrink_scenario(spec)
     except ValueError as exc:
-        print(f"scenario {args.index} ({spec.desc}): {exc}")
-        return 0
-    print(f"shrunk {spec.desc} in {len(steps)} step(s):")
-    for step in steps:
-        print(f"  - {step}")
-    print(minimal.to_json())
-    return 0
+        text = f"scenario {args.index} ({spec.desc}): {exc}"
+        return Output({**data, "reason": str(exc)}, text)
+    lines = [f"shrunk {spec.desc} in {len(steps)} step(s):"]
+    lines += [f"  - {step}" for step in steps] + [minimal.to_json()]
+    data.update(steps=steps, minimal=minimal.to_dict())
+    return Output(data, "\n".join(lines))
 
 
-def _print_percentiles(table, freq_hz: int) -> None:
+def _percentile_lines(table, freq_hz: int) -> List[str]:
     """Render a tenant percentile table (see
     repro.cluster.telemetry.percentile_table) sorted worst-p99 first."""
     if not table:
-        print("tenant percentiles: (no latency samples)")
-        return
+        return ["tenant percentiles: (no latency samples)"]
     with_slo = any("objective_cycles" in row for row in table.values())
     header = (
         f"{'tenant':<8} {'io':<12} {'samples':>7} {'mean cy':>10} "
@@ -761,12 +790,9 @@ def _print_percentiles(table, freq_hz: int) -> None:
     if with_slo:
         header += f" {'objective':>10} {'viol':>6}"
     header += f" {'p99':>10}"
-    print("tenant percentiles (worst p99 first):")
-    print(header)
-    rows = sorted(
-        table.items(), key=lambda kv: (-kv[1]["p99_cycles"], kv[0])
-    )
-    for name, row in rows:
+    lines = ["tenant percentiles (worst p99 first):", header]
+    by_p99 = sorted(table.items(), key=lambda kv: (-kv[1]["p99_cycles"], kv[0]))
+    for name, row in by_p99:
         line = (
             f"{name:<8} {row['io_model'] or '-':<12} {row['samples']:>7} "
             f"{row['mean_cycles']:>10,} {row['p50_cycles']:>10,} "
@@ -780,96 +806,72 @@ def _print_percentiles(table, freq_hz: int) -> None:
                 else f" {'-':>10} {'-':>6}"
             )
         line += f" {row['p99_cycles'] / freq_hz * 1e6:>7.1f} us"
-        print(line)
+        lines.append(line)
+    return lines
 
 
 def _load_dc_spec(args):
-    """The ``--spec`` a ``dc`` leaf names, with ``--slo`` applied; None
-    (after printing ``spec error:``) when it does not load."""
+    """The ``--spec`` a ``dc`` leaf names, with ``--slo`` applied."""
     from repro.dc import load_spec
 
     try:
         spec = load_spec(args.spec)
     except (ValueError, OSError) as exc:
-        print(f"spec error: {exc}")
-        return None
+        raise UserError(f"spec error: {exc}") from None
     if getattr(args, "slo", False) and not spec.slo.enabled:
         # Force-enable latency telemetry and the gate with the spec's
         # slo: block values (or SloSpec defaults when absent).  Same
         # deterministic path as a spec that says enabled: true.
-        from dataclasses import replace
-
         spec = replace(spec, slo=replace(spec.slo, enabled=True))
     return spec
 
 
-def _run_dc_validate(args) -> int:
+def _run_dc_validate(args) -> Output:
     spec = _load_dc_spec(args)
-    if spec is None:
-        return 1
-    print(spec.describe())
-    return 0
+    return Output(asdict(spec), spec.describe())
 
 
-def _run_dc_sweep(args) -> int:
-    """``dc sweep``: one spec across seeds 0..N-1."""
-    import json
-
+def _run_dc_sweep(args) -> Output:
+    """``dc sweep``: one spec across seeds --seed .. --seed + N - 1."""
     from repro.dc import run_sweep
 
-    spec = _load_dc_spec(args)
-    if spec is None:
-        return 1
-    rows = run_sweep(
-        spec,
-        seeds=range(args.seeds),
-        jobs=args.jobs,
-        quiescent=not args.no_quiescent,
-    )
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return 0
-    print(
+    seeds = range(args.seed, args.seed + args.seeds)
+    quiescent = not args.no_quiescent
+    rows = run_sweep(_load_dc_spec(args), seeds, jobs=args.jobs, quiescent=quiescent)
+    lines = [
         f"{'seed':>4} {'events':>7} {'admitted':>8} {'moves':>6} "
         f"{'pinned/wave':>14} {'digest':>18}"
-    )
-    for row in rows:
-        print(
-            f"{row['seed']:>4} {row['events']:>7} {row['admitted']:>8} "
-            f"{row['rebalance_moves']:>6} "
-            f"{str(row['pinned_per_wave']):>14} {row['digest'][:16]:>18}"
-        )
-    return 0
+    ]
+    lines += [
+        f"{row['seed']:>4} {row['events']:>7} {row['admitted']:>8} "
+        f"{row['rebalance_moves']:>6} "
+        f"{str(row['pinned_per_wave']):>14} {row['digest'][:16]:>18}"
+        for row in rows
+    ]
+    return Output(rows, "\n".join(lines))
 
 
-def _run_dc(args) -> int:
+def _run_dc(args) -> Output:
     """``dc demo`` and ``dc run``: one fleet, full control-plane
     lifecycle, with the SLO gate's decisions and the tenant percentile
     table when the spec (or ``--slo``) enables telemetry."""
-    import json
     from collections import Counter
 
     from repro.dc import run_dc
 
     spec = _load_dc_spec(args)
-    if spec is None:
-        return 1
     dc = run_dc(spec, seed=args.seed, quiescent=not args.no_quiescent)
     summary = dc.summary()
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
     topo = spec.topology
-    print(
+    lines = [
         f"dc {spec.name}: {topo.racks} racks x {topo.hosts_per_rack} hosts, "
         f"{topo.spines} spines, {topo.oversubscription:g}:1 oversub, "
         f"policy={spec.control.policy}, seed={args.seed}"
-    )
-    for line in dc.events:
-        print(f"  {line}")
+    ]
+    lines += [f"  {line}" for line in dc.events]
     control = summary.get("control")
     if control:
-        print(
+        lines.append(
             f"control: {control['admitted']} admitted, "
             f"{len(control['rejected'])} rejected, "
             f"{control['rebalance_moves']} rebalance moves, "
@@ -878,48 +880,40 @@ def _run_dc(args) -> int:
         )
         slo = control.get("slo")
         if slo:
-            print(
+            lines.append(
                 f"slo gate: {slo['ticks']} ticks, {slo['samples']} samples, "
                 f"{slo['breaches']} breaches, {slo['migrations']} migrations"
             )
             actions = Counter((r["io_model"], r["action"]) for r in slo["reports"])
-            for (io_model, action), n in sorted(actions.items()):
-                print(f"  {io_model:<12} {action:<10} x{n}")
+            lines += [
+                f"  {io_model:<12} {action:<10} x{n}"
+                for (io_model, action), n in sorted(actions.items())
+            ]
     fabric = summary["fabric"]
-    print(
+    lines += [
         f"fabric: {fabric['frames']} frames, "
         f"{fabric['migration_bytes']:,} migration bytes, "
         f"{fabric['net_bytes']:,} net bytes, "
-        f"{fabric.get('trunk_bytes', 0):,} trunk bytes"
-    )
-    print(
+        f"{fabric.get('trunk_bytes', 0):,} trunk bytes",
         f"hosts: {summary['hosts_booted']}/{summary['hosts_total']} booted "
-        f"({summary['boots']} boots) "
-        f"(digest {summary['digest'][:16]})"
-    )
+        f"({summary['boots']} boots) (digest {summary['digest'][:16]})",
+    ]
     if summary.get("tenant_percentiles"):
-        print()
-        _print_percentiles(summary["tenant_percentiles"], freq_hz=dc.sim.freq_hz)
-    return 0
+        lines.append("")
+        lines += _percentile_lines(summary["tenant_percentiles"], dc.sim.freq_hz)
+    return Output(summary, "\n".join(lines))
 
 
-def _run_study(args) -> int:
+def _run_study(args) -> Output:
     """The ``study`` subcommand: the 4-way head-to-head matrix."""
-    import json
-
     from repro.study import StudySpec, render_study, run_study
 
     try:
         spec = StudySpec.from_file(args.spec) if args.spec else StudySpec()
     except (ValueError, OSError) as exc:
-        print(f"spec error: {exc}")
-        return 1
+        raise UserError(f"spec error: {exc}") from None
     result = run_study(spec, seed=args.seed, jobs=args.jobs)
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        return 0
-    print(render_study(result))
-    return 0
+    return Output(result.to_json(), render_study(result))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 
 def test_parser_requires_command():
@@ -180,7 +185,8 @@ def test_analyze_command(capsys):
 
 
 # ----------------------------------------------------------------------
-# Flag parity: every leaf subcommand accepts the uniform flag set
+# Flag parity: every leaf takes --seed, --no-fast-forward and --json;
+# --jobs and --audit only where its runner reads them
 # ----------------------------------------------------------------------
 #: Minimal valid argv for every leaf subcommand the parser defines.
 LEAF_COMMANDS = [
@@ -204,19 +210,141 @@ LEAF_COMMANDS = [
     ["scenarios", "shrink"],
 ]
 
+#: The optional run flags each leaf accepts (keyed by its argv).
+LEAF_FLAGS = {
+    "table3": {"--jobs"},
+    "figure-7": {"--jobs"},
+    "migration": {"--audit"},
+    "micro-Hypercall": {"--audit"},
+    "trace": set(),
+    "analyze-hackbench": set(),
+    "app-hackbench": {"--audit"},
+    "faults-fuzz": {"--jobs", "--audit"},
+    "faults-plan": {"--audit"},
+    "dc-demo": set(),
+    "dc-run": set(),
+    "dc-sweep": {"--jobs"},
+    "dc-validate": set(),
+    "study": {"--jobs"},
+    "audit": set(),
+    "scenarios-gen": set(),
+    "scenarios-run": {"--jobs", "--audit"},
+    "scenarios-shrink": set(),
+}
+
+FLAG_ARGV = {"--jobs": ["--jobs=3"], "--audit": ["--audit"]}
+
+
+def _parse_exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return exc.value.code
+
 
 @pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=lambda a: "-".join(a))
-def test_flag_parity_on_every_subcommand(argv):
+def test_flag_parity_on_every_subcommand(argv, capsys):
+    accepted = LEAF_FLAGS["-".join(argv)]
+    extra = [word for flag in sorted(accepted) for word in FLAG_ARGV[flag]]
     args = build_parser().parse_args(
-        argv
-        + ["--seed", "7", "--no-fast-forward", "--audit", "--jobs", "3",
-           "--json"]
+        argv + ["--seed", "7", "--no-fast-forward", "--json"] + extra
     )
     assert args.seed == 7
     assert args.no_fast_forward is True
-    assert args.audit is True
-    assert args.jobs == 3
     assert args.json is True
+    assert getattr(args, "jobs", None) == (3 if "--jobs" in accepted else None)
+    assert getattr(args, "audit", None) == (True if "--audit" in accepted else None)
+    for flag in sorted(set(FLAG_ARGV) - accepted):
+        assert _parse_exit_code(argv + FLAG_ARGV[flag]) == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: Each leaf's text-only rendering flag; --json drops the text.
+TEXT_ONLY_FLAGS = [
+    (["figure", "7"], "--chart"),
+    (["trace"], "--chains"),
+    (["app", "hackbench"], "--report"),
+    (["faults", "fuzz"], "--verbose"),
+    (["faults", "plan"], "--report"),
+    (["audit"], "--verbose"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", TEXT_ONLY_FLAGS, ids=lambda v: "-".join(v) if isinstance(v, list) else v
+)
+def test_text_only_flag_with_json_is_a_parse_error(argv, flag, capsys):
+    assert _parse_exit_code(argv + ["--json", flag]) == 2
+    assert "not allowed with argument --json" in capsys.readouterr().err
+    build_parser().parse_args(argv + [flag])  # fine on its own
+
+
+#: A small run of every leaf, for the one-JSON-document check.
+SMALL_ARGV = {
+    "table3": ["table3"],
+    "figure-7": ["figure", "7", "--apps", "netperf_rr", "--scale", "0.1"],
+    "migration": ["migration"],
+    "micro-Hypercall": ["micro", "Hypercall", "--iterations", "5", "--slo"],
+    "trace": ["trace", "--iterations", "1"],
+    "analyze-hackbench": ["analyze", "hackbench", "--scale", "0.1"],
+    "app-hackbench": ["app", "netperf_rr", "--levels", "0", "--scale", "0.1", "--slo"],
+    "faults-fuzz": ["faults", "fuzz", "--episodes", "2"],
+    "faults-plan": ["faults", "plan"],
+    "dc-demo": ["dc", "demo"],
+    "dc-run": ["dc", "run"],
+    "dc-sweep": ["dc", "sweep", "--seeds", "1"],
+    "dc-validate": ["dc", "validate"],
+    "study": ["study", "--spec", os.path.join(EXAMPLES, "study_smoke.json")],
+    "audit": ["audit", "--episodes", "0"],
+    "scenarios-gen": ["scenarios", "gen", "--count", "2"],
+    "scenarios-run": ["scenarios", "run", "--count", "2"],
+    "scenarios-shrink": ["scenarios", "shrink", "--count", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=lambda a: "-".join(a))
+def test_json_prints_one_document(argv, capsys):
+    key = "-".join(argv)
+    assert main(SMALL_ARGV[key] + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    if key in ("micro-Hypercall", "app-hackbench"):
+        (row,) = data["latency"].values()
+        assert row["samples"] > 0 and row["p99_cycles"] >= row["p50_cycles"]
+    if key == "analyze-hackbench":
+        assert all(isinstance(k, str) for r in data["rows"]
+                   for k in r["interrupts_per_txn"])
+
+
+# ----------------------------------------------------------------------
+# Counts are checked when the command line is parsed
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenarios", "run", "--count", "0"],
+        ["micro", "Hypercall", "--iterations", "0"],
+        ["trace", "--iterations", "0"],
+        ["dc", "sweep", "--seeds", "0"],
+        ["faults", "fuzz", "--episodes", "-1"],
+        ["audit", "--episodes", "-1"],
+        ["table3", "--jobs", "-2"],
+        ["faults", "fuzz", "--replay-every", "-1"],
+        ["trace", "--sites", "-2"],
+        ["micro", "Hypercall", "--iterations", "x"],
+    ],
+    ids=lambda a: "-".join(a),
+)
+def test_count_below_its_bound_is_a_parse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >=" in err or "invalid int value" in err
+
+
+@pytest.mark.parametrize("index", ["5", "2", "-1"])
+def test_shrink_index_outside_count_exits_1(index, capsys):
+    assert main(["scenarios", "shrink", "--count", "2", "--index", index]) == 1
+    assert capsys.readouterr().out == f"error: --index {index} is outside [0, 2)\n"
 
 
 @pytest.mark.parametrize("argv", LEAF_COMMANDS, ids=lambda a: "-".join(a))

@@ -83,6 +83,16 @@ def test_dc_sweep_table_and_json(capsys):
     assert "digest" in out and "pinned/wave" in out
 
 
+def test_dc_sweep_starts_at_seed(capsys):
+    """`dc sweep --seed S --seeds N` sweeps seeds S .. S+N-1: its row
+    for seed 5 is the `dc run --seed 5` digest."""
+    assert main(["dc", "sweep", "--seed", "5", "--seeds", "1", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert main(["dc", "run", "--seed", "5", "--json"]) == 0
+    assert row["seed"] == 5
+    assert row["digest"] == json.loads(capsys.readouterr().out)["digest"]
+
+
 def test_dc_seed_before_subcommand_threads_through(capsys):
     assert main(["--seed", "1", "dc", "demo", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)

@@ -35,6 +35,7 @@ SRC = os.path.join(ROOT, "src", "repro")
 #: enough that the whole profiled pass takes a few minutes.
 PATHS: Tuple[Tuple[str, ...], ...] = (
     ("table3",),
+    ("table3", "--json"),
     ("figure", "7"),
     ("figure", "8", "--scale", "0.5"),
     ("figure", "9", "--scale", "0.1"),
@@ -59,6 +60,7 @@ PATHS: Tuple[Tuple[str, ...], ...] = (
     ("dc", "validate", "--spec", "slo"),
     ("study", "--spec", os.path.join(ROOT, "examples", "study_smoke.json")),
     ("audit", "--episodes", "5"),
+    ("audit", "--episodes", "5", "--json"),
     ("scenarios", "gen", "--count", "5"),
     ("scenarios", "run", "--count", "10", "--audit"),
     ("scenarios", "shrink", "--count", "3"),
