@@ -14,7 +14,7 @@ where one hypercall multiplies into 332 exits.  A fourth, **dirty
 write**, measures the memory layer under pre-copy dirty logging:
 ``MemorySpace.write_range`` calls per host second with one dirty log
 attached.  A fifth, **fleet place**, measures tenant admission in a
-large fleet: placement-policy choices plus admissions per host second
+large fleet: placement-index choices plus admissions per host second
 on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
 runs the study's migration cells (a live migration beside a tenant
 re-dirtying memory) and reports simulated dirtier bursts per host
@@ -56,7 +56,7 @@ MIN_DIRTY_WRITES_PER_SEC = 100_000.0
 
 #: Conservative floor for fleet placements, about 10x under what a
 #: 2020s-era core sustains (host boots included).
-MIN_PLACEMENTS_PER_SEC = 200.0
+MIN_PLACEMENTS_PER_SEC = 300.0
 
 #: Conservative floor for migration-dirtier bursts: about 10x under
 #: what the run-ahead sustains on a 2020s-era core, and above the
@@ -264,13 +264,14 @@ def bench_fleet_place(tenants: int = 240, hosts: int = 200) -> Dict[str, float]:
     """Host cost of admitting a tenant into a large fleet: ``tenants``
     placed by the bin-pack policy onto ``hosts`` lazily booted hosts
     (the ``fleet`` spec's shape: its io-model mix, 1-2 GB, 800-2,400
-    load), each then admitted on the host chosen.  Every choice asks
-    every host whether the tenant fits; a host boots on its first
-    tenant.  ``hosts_booted`` counts the boots inside the timing."""
+    load), each then admitted on the host chosen.  Every choice walks
+    the fleet's placement index best first and stops at the first host
+    that fits; a host boots on its first tenant.  ``hosts_booted``
+    counts the boots inside the timing."""
     from time import perf_counter
 
     from repro.cluster.host import ClusterHost, TenantSpec
-    from repro.cluster.placement import BinPackPolicy
+    from repro.cluster.placement import BinPackPolicy, PlacementIndex
     from repro.sim import default_costs
 
     sim = Simulator(seed=0)
@@ -286,10 +287,10 @@ def bench_fleet_place(tenants: int = 240, hosts: int = 200) -> Dict[str, float]:
         )
         for i in range(tenants)
     ]
-    policy = BinPackPolicy()
+    index = PlacementIndex(BinPackPolicy(), fleet)
     t0 = perf_counter()
     for spec in specs:
-        policy.choose(fleet, spec).admit(spec)
+        index.choose(spec).admit(spec)
     wall = perf_counter() - t0
     return {
         "tenants": float(tenants),

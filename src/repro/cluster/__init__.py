@@ -32,6 +32,7 @@ from repro.cluster.placement import (
     BinPackPolicy,
     LoadBalancePolicy,
     PlacementError,
+    PlacementIndex,
     PlacementPolicy,
     SpreadPolicy,
     make_policy,
@@ -54,6 +55,7 @@ __all__ = [
     "Orchestrator",
     "MigrationRecord",
     "PlacementPolicy",
+    "PlacementIndex",
     "PlacementError",
     "BinPackPolicy",
     "SpreadPolicy",
@@ -84,7 +86,9 @@ class Fleet:
         self.sim = Simulator(seed=seed)
         self.costs = costs
         self.fabric = fabric(self.sim)
-        self.policy = make_policy(policy)
+        #: The fleet's hosts ranked by its placement policy: every
+        #: placement and migration destination is chosen here.
+        self.placement = PlacementIndex(make_policy(policy))
         #: The deterministic event trace: every placement, migration and
         #: fault decision, stamped with the shared simulated clock.
         self.events: List[str] = []
@@ -96,6 +100,10 @@ class Fleet:
         #: Runtime invariant auditor (see repro.audit), or None =
         #: auditing off; the orchestrator consults it.
         self.audit = None
+
+    def _add_host(self, host: ClusterHost) -> None:
+        self.hosts.append(host)
+        self.placement.add(host)
 
     def _arm_faults(self, plan: Optional[FaultPlan]) -> None:
         if plan is not None and not plan.is_empty:
@@ -170,7 +178,7 @@ class Cluster(Fleet):
                 seed=seed + i,
             )
             host.port = self.fabric.attach(host.name)
-            self.hosts.append(host)
+            self._add_host(host)
         self._arm_faults(fault_plan)
         # Drain boot-time backend startup so the trace starts quiet.
         self.sim.run()
@@ -186,8 +194,8 @@ class Cluster(Fleet):
     # Placement
     # ------------------------------------------------------------------
     def place(self, spec: TenantSpec) -> Tenant:
-        """Admit a tenant on the host the policy picks."""
-        host = self.policy.choose(self.hosts, spec)
+        """Admit a tenant on the host the placement index picks."""
+        host = self.placement.choose(spec)
         tenant = host.admit(spec)
         self.sim.run()  # settle backend startup deterministically
         self.log(

@@ -181,6 +181,9 @@ class ClusterHost:
         self._cycle_load = 0
         self._mem_reserved = 0
         self._load_reserved = 0
+        #: The fleet's :class:`~repro.cluster.placement.PlacementIndex`
+        #: (set when the host joins it), told whenever the books change.
+        self.placement = None
         #: How many times this host's system stack has been built (a
         #: quiescent host that never sees a tenant stays at zero).
         self.boots = 0
@@ -352,6 +355,8 @@ class ClusterHost:
         self._tenants[tenant.spec.name] = tenant
         self._mem_committed += tenant.memory_bytes
         self._cycle_load += tenant.spec.load
+        if self.placement is not None:
+            self.placement.update(self)
 
     def _install_grants(self, grants: GrantSet) -> None:
         """Hand the named OoH features to this host's guest hypervisor
@@ -432,6 +437,8 @@ class ClusterHost:
         tenant = self._tenants.pop(name)
         self._mem_committed -= tenant.memory_bytes
         self._cycle_load -= tenant.spec.load
+        if self.placement is not None:
+            self.placement.update(self)
         if self.machine is not None:
             self.machine.nic.unregister_flow(self._vm_name(tenant.spec))
         return tenant

@@ -348,18 +348,15 @@ class Orchestrator:
     # Destination selection and host drains
     # ------------------------------------------------------------------
     def pick_destination(self, spec, exclude=()) -> "object":
-        """Choose a destination host for ``spec`` through the cluster's
-        placement policy with ``exclude``-named hosts removed from the
-        candidate set (the evacuating host, cordoned or rebooting hosts).
+        """Choose a destination host for ``spec`` from the fleet's
+        placement index, never one named in ``exclude`` (the evacuating
+        host, cordoned or rebooting hosts).
 
-        The policy itself filters hosts that no longer fit — a host that
-        became infeasible mid-wave simply drops out of the ranking
-        rather than being re-ranked and rejected one tenant at a time.
-        Raises :class:`~repro.cluster.placement.PlacementError` when no
+        Hosts that no longer fit are skipped, so a host that became
+        infeasible mid-wave simply drops out of the ranking.  Raises
+        :class:`~repro.cluster.placement.PlacementError` when no
         candidate fits."""
-        excluded = set(exclude)
-        candidates = [h for h in self.cluster.hosts if h.name not in excluded]
-        return self.cluster.policy.choose(candidates, spec)
+        return self.cluster.placement.choose(spec, exclude)
 
     def evacuate(
         self,

@@ -87,7 +87,7 @@ class Datacenter(Fleet):
                     load_capacity=spec.hosts.load_capacity,
                 )
                 host.port = self.fabric.attach(host.name, rack=rack)
-                self.hosts.append(host)
+                self._add_host(host)
                 idx += 1
         #: The attached ControlPlane (set by ControlPlane.__init__).
         self.control = None
@@ -159,7 +159,7 @@ class Datacenter(Fleet):
             "version": self.spec.version,
             "seed": self.seed,
             "quiescent": self.quiescent,
-            "policy": self.policy.name,
+            "policy": self.placement.policy.name,
             "sim_cycles": self.sim.now,
             "hosts_total": len(self.hosts),
             "hosts_booted": sum(1 for h in self.hosts if h.booted),

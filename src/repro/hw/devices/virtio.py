@@ -49,9 +49,13 @@ class Virtqueue:
             raise ValueError("virtqueue size must be a power of two")
         self.index = index
         self.size = size
-        #: Descriptor table; an entry is made the first time its id is
-        #: handed out (most queues never post more than a few buffers).
-        self.desc: List[Optional[Descriptor]] = [None] * size
+        #: Descriptor table and both rings, made on the first
+        #: ``add_buffer`` (most queues never post a buffer); ``None``
+        #: until then.  A table entry is made the first time its id is
+        #: handed out (the rest post no more than a few buffers).
+        self.desc: Optional[List[Optional[Descriptor]]] = None
+        self.avail_ring: Optional[List[int]] = None
+        self.used_ring: Optional[List[Tuple[int, int]]] = None
         #: Reaped ids, reused last-in first-out ahead of ``_unused``.
         self._free: List[int] = []
         #: Ids ``0 .. _unused - 1`` were never handed out; they sit
@@ -59,10 +63,8 @@ class Virtqueue:
         #: in the same order as from a stack preloaded with every id.
         self._unused = size
         # Ring state: monotonically increasing indices, slots = idx % size.
-        self.avail_ring: List[int] = [0] * size
         self.avail_idx = 0  # driver-owned producer index
         self.last_avail = 0  # device-owned consumer index
-        self.used_ring: List[Tuple[int, int]] = [(0, 0)] * size
         self.used_idx = 0  # device-owned producer index
         self.last_used = 0  # driver-owned consumer index
 
@@ -76,14 +78,20 @@ class Virtqueue:
             raise VirtqueueFull(f"queue {self.index} has no free descriptors")
         if self.avail_idx - self.last_avail >= self.size:
             raise VirtqueueFull(f"queue {self.index} avail ring full")
+        desc = self.desc
+        if desc is None:
+            size = self.size
+            desc = self.desc = [None] * size
+            self.avail_ring = [0] * size
+            self.used_ring = [(0, 0)] * size
         if free:
             desc_id = free.pop()
-            d = self.desc[desc_id]
+            d = desc[desc_id]
             d.addr, d.length, d.in_use, d.payload = addr, length, True, payload
         else:
             self._unused -= 1
             desc_id = self._unused
-            self.desc[desc_id] = Descriptor(addr, length, True, payload)
+            desc[desc_id] = Descriptor(addr, length, True, payload)
         self.avail_ring[self.avail_idx % self.size] = desc_id
         self.avail_idx += 1
         return desc_id
@@ -119,7 +127,7 @@ class Virtqueue:
         """Complete a buffer; ``payload`` (if given) replaces the
         descriptor's payload — how a device hands received data to the
         driver."""
-        d = self.desc[desc_id]
+        d = self.desc[desc_id] if self.desc is not None else None
         if d is None or not d.in_use:
             raise ValueError(f"descriptor {desc_id} not in use")
         if payload is not Virtqueue._KEEP:

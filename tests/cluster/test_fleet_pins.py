@@ -2,8 +2,8 @@
 
 Other cluster tests check that two runs agree; these check that a run
 agrees with known bytes: the scenario engine's cluster run, one
-cross-host migration, the CLI's dc and slo digests, and the
-orchestrator's failed-attempt, backoff and evacuation paths.  A change
+cross-host migration, the CLI's dc, slo and 200-host fleet digests,
+and the orchestrator's failed-attempt, backoff and evacuation paths.  A change
 that moves any of these digests changes simulated output and must say
 so.
 """
@@ -30,8 +30,12 @@ from repro.scenarios import ScenarioSpec, mixed_tenant_draws, run_scenario
             ["dc", "run", "--spec", "slo", "--json"],
             "effd3aea3616a3501fe31ade49607a99d1a05e729ce2822ce92b33ac8675a690",
         ),
+        (
+            ["dc", "run", "--spec", "fleet", "--json"],
+            "4c5eaa929cdea7631fa2fc9ad012c3c39ebbcb399d84c9f1982e07fa2b23a2a9",
+        ),
     ],
-    ids=["dc-demo", "slo"],
+    ids=["dc-demo", "slo", "fleet"],
 )
 def test_cli_digest_pins(capsys, argv, digest):
     assert main(argv) == 0

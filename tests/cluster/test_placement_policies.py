@@ -1,5 +1,6 @@
 """Direct tests of repro.cluster.placement: key functions, tie-breaks,
-error paths — no Cluster scaffolding, just lazy hosts and policies."""
+error paths — no Cluster scaffolding, just lazy hosts, policies and the
+placement index that ranks them."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cluster.placement import (
     BinPackPolicy,
     LoadBalancePolicy,
     PlacementError,
+    PlacementIndex,
     SpreadPolicy,
     make_policy,
 )
@@ -19,6 +21,11 @@ def lazy_hosts(names):
     sim = Simulator(seed=0)
     costs = default_costs()
     return [ClusterHost(n, sim, costs, lazy=True) for n in names]
+
+
+def choose(policy, hosts, spec):
+    """The host a fresh index over ``hosts`` picks for ``spec``."""
+    return PlacementIndex(policy, hosts).choose(spec)
 
 
 def charge(host, name, memory_gb=4, load=1_000):
@@ -39,10 +46,10 @@ class _FakeTenant:
 def test_bin_pack_tie_breaks_by_name():
     hosts = lazy_hosts(["hz", "ha", "hm"])
     # All empty: -mem_committed is 0 everywhere, name decides.
-    pick = BinPackPolicy().choose(hosts, TenantSpec(name="t"))
+    pick = choose(BinPackPolicy(), hosts, TenantSpec(name="t"))
     assert pick.name == "ha"
     # Reversed input order, same answer.
-    pick = BinPackPolicy().choose(list(reversed(hosts)), TenantSpec(name="t"))
+    pick = choose(BinPackPolicy(), list(reversed(hosts)), TenantSpec(name="t"))
     assert pick.name == "ha"
 
 
@@ -50,9 +57,9 @@ def test_spread_tie_breaks_by_name():
     hosts = lazy_hosts(["hz", "ha", "hm"])
     for h in hosts:
         charge(h, f"pre-{h.name}")  # one tenant each: equal keys
-    pick = SpreadPolicy().choose(hosts, TenantSpec(name="t"))
+    pick = choose(SpreadPolicy(), hosts, TenantSpec(name="t"))
     assert pick.name == "ha"
-    pick = SpreadPolicy().choose(list(reversed(hosts)), TenantSpec(name="t"))
+    pick = choose(SpreadPolicy(), list(reversed(hosts)), TenantSpec(name="t"))
     assert pick.name == "ha"
 
 
@@ -60,30 +67,29 @@ def test_load_balance_tie_breaks_by_name():
     hosts = lazy_hosts(["hz", "ha", "hm"])
     for h in hosts:
         charge(h, f"pre-{h.name}", load=500)  # equal cycle load
-    pick = LoadBalancePolicy().choose(hosts, TenantSpec(name="t"))
+    pick = choose(LoadBalancePolicy(), hosts, TenantSpec(name="t"))
     assert pick.name == "ha"
-    pick = LoadBalancePolicy().choose(
-        list(reversed(hosts)), TenantSpec(name="t")
-    )
+    pick = choose(LoadBalancePolicy(), list(reversed(hosts)), TenantSpec(name="t"))
     assert pick.name == "ha"
 
 
 # ----------------------------------------------------------------------
 # Keys actually rank (not just tie-break)
 # ----------------------------------------------------------------------
+# (indexed first, charged after: the index re-ranks on the host's books)
 def test_bin_pack_prefers_fullest_feasible():
     a, b = lazy_hosts(["a", "b"])
+    index = PlacementIndex(BinPackPolicy(), [a, b])
     charge(b, "big", memory_gb=32)
-    pick = BinPackPolicy().choose([a, b], TenantSpec(name="t", memory_gb=4))
-    assert pick.name == "b"
+    assert index.choose(TenantSpec(name="t", memory_gb=4)).name == "b"
 
 
 def test_load_balance_prefers_coldest():
     a, b = lazy_hosts(["a", "b"])
+    index = PlacementIndex(LoadBalancePolicy(), [a, b])
     charge(a, "hot", load=9_000)
     charge(b, "cold", load=100)
-    pick = LoadBalancePolicy().choose([a, b], TenantSpec(name="t"))
-    assert pick.name == "b"
+    assert index.choose(TenantSpec(name="t")).name == "b"
 
 
 # ----------------------------------------------------------------------
@@ -92,12 +98,12 @@ def test_load_balance_prefers_coldest():
 def test_placement_error_when_no_host_fits_memory():
     hosts = lazy_hosts(["a", "b"])
     with pytest.raises(PlacementError, match="no host fits"):
-        BinPackPolicy().choose(hosts, TenantSpec(name="t", memory_gb=10_000))
+        choose(BinPackPolicy(), hosts, TenantSpec(name="t", memory_gb=10_000))
 
 
 def test_placement_error_on_empty_host_list():
     with pytest.raises(PlacementError):
-        SpreadPolicy().choose([], TenantSpec(name="t"))
+        choose(SpreadPolicy(), [], TenantSpec(name="t"))
 
 
 def test_make_policy_unknown_name_lists_choices():

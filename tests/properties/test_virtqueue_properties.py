@@ -1,5 +1,6 @@
 """Property tests for virtqueue ring invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,7 +163,10 @@ queue_ops = st.one_of(
 def test_lazy_descriptors_match_eager_table(size, program):
     """Ids, payloads, free counts and where ``VirtqueueFull`` (or the
     ``ValueError`` of completing an idle descriptor) is raised agree
-    with the eager model, step by step."""
+    with the eager model, step by step.  The table and rings are made
+    on the first post: until then none exists, and a never-posted queue
+    pops nothing, reaps nothing, refuses every completion and has
+    nothing to corrupt."""
     lazy, eager = Virtqueue(0, size), EagerQueue(size)
     popped = []  # ids the device took, not yet completed
     counter = 0
@@ -173,7 +177,29 @@ def test_lazy_descriptors_match_eager_table(size, program):
         assert lazy.free_descriptors == eager.free_descriptors
         assert lazy.avail_pending == eager.avail_idx - eager.last_avail
         assert lazy.used_pending == eager.used_idx - eager.last_used
+        rings = (lazy.desc, lazy.avail_ring, lazy.used_ring)
+        if eager.avail_idx:
+            assert None not in rings
+        else:
+            assert rings == (None, None, None)
         return got
+
+    step(lazy.pop_avail, eager.pop_avail)
+    assert lazy.pop_avail() is None
+    step(lazy.reap_used, eager.reap_used)
+    assert lazy.reap_used() == []
+    for desc_id in {0, size - 1}:
+        step(
+            lambda: _outcome(lazy.push_used, desc_id, 64),
+            lambda: _outcome(eager.push_used, desc_id, 64),
+        )
+        with pytest.raises(ValueError, match="not in use"):
+            lazy.push_used(desc_id, 64, payload="rx")
+    step(
+        lambda: lazy.corrupt_next_avail(1, 1),
+        lambda: eager.corrupt_next_avail(1, 1),
+    )
+    assert lazy.corrupt_next_avail(1, 1) is False
 
     for op, *args in program:
         if op == "add":
