@@ -18,7 +18,9 @@ large fleet: placement-index choices plus admissions per host second
 on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
 runs the study's migration cells (a live migration beside a tenant
 re-dirtying memory) and reports simulated dirtier bursts per host
-second, the rate the dirtier's run-ahead sets.
+second, the rate the dirtier's run-ahead sets.  A seventh, **fabric
+frames**, runs stop-and-wait cross-rack flows on a small spine-leaf
+fabric and reports delivered frames per host second.
 
 Run directly to print and optionally record results::
 
@@ -26,7 +28,7 @@ Run directly to print and optionally record results::
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
 ``--check`` enforces conservative events/sec, exits/sec, writes/sec,
-placements/sec and bursts/sec floors (for CI smoke).  With ``--baseline
+placements/sec, bursts/sec and frames/sec floors (for CI smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
 trips even on hosts fast enough to clear the absolute floor.
@@ -62,6 +64,10 @@ MIN_PLACEMENTS_PER_SEC = 300.0
 #: what the run-ahead sustains on a 2020s-era core, and above the
 #: roughly 430k/s the same cells reach stepped burst by burst.
 MIN_DIRTIER_BURSTS_PER_SEC = 1_000_000.0
+
+#: Conservative floor for fabric frames, about 10x under what a
+#: 2020s-era core sustains.
+MIN_FABRIC_FRAMES_PER_SEC = 7_000.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -329,6 +335,46 @@ def bench_migration_dirtier(repeats: int = 10) -> Dict[str, float]:
     }
 
 
+def bench_fabric_frames(
+    frames: int = 2_000, hosts_per_rack: int = 2
+) -> Dict[str, float]:
+    """Host cost of the fleet fabric's data path: every host of rack 0
+    runs a stop-and-wait flow of ``frames`` 64 KiB frames to its peer in
+    rack 1 of a 2-rack, 2-spine fabric, and each peer runs one back, so
+    every frame crosses both trunks and the flows contend for them.
+    Reports delivered frames per host second."""
+    from time import perf_counter
+
+    from repro.dc import SpineLeafFabric
+    from repro.sim import default_costs
+
+    sim = Simulator(seed=0)
+    fabric = SpineLeafFabric(
+        sim, default_costs(), racks=2, hosts_per_rack=hosts_per_rack, spines=2
+    )
+    for rack in range(2):
+        for h in range(hosts_per_rack):
+            fabric.attach(f"r{rack}h{h}", rack=rack)
+
+    def flow(src: str, dst: str):
+        for _ in range(frames):
+            yield from fabric.transfer(src, dst, 64 << 10, "migration")
+
+    for h in range(hosts_per_rack):
+        sim.spawn(flow(f"r0h{h}", f"r1h{h}"))
+        sim.spawn(flow(f"r1h{h}", f"r0h{h}"))
+    t0 = perf_counter()
+    sim.run()
+    wall = perf_counter() - t0
+    delivered = fabric.stats()["frames"]
+    return {
+        "frames": float(delivered),
+        "events": float(sim.stats()["events_executed"]),
+        "wall_s": wall,
+        "frames_per_host_s": delivered / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
@@ -339,6 +385,7 @@ def run_benchmarks() -> Dict[str, Dict[str, float]]:
         "dirty_write": bench_dirty_write(),
         "fleet_place": bench_fleet_place(),
         "migration_dirtier": bench_migration_dirtier(),
+        "fabric_frames": bench_fabric_frames(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -355,15 +402,16 @@ def main(argv=None) -> int:
         help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s, "
         f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s, dirty writes "
         f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s, fleet placement "
-        f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s and the migration "
-        f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s",
+        f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s, the migration "
+        f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s and fabric "
+        f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
         help="with --check: also require ping-pong, exit-path, dirty-write, "
-        "fleet-place and migration-dirtier throughput within "
+        "fleet-place, migration-dirtier and fabric-frame throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -427,6 +475,13 @@ def main(argv=None) -> int:
         f"in {md['wall_s']:.3f}s = "
         f"{md['bursts_per_host_s']:>12,.0f} bursts/s"
     )
+    ff = results["fabric_frames"]
+    print(
+        f"{'fabric_frames':14s} {ff['frames']:>10,.0f} frames "
+        f"({ff['events']:,.0f} events) "
+        f"in {ff['wall_s']:.3f}s = "
+        f"{ff['frames_per_host_s']:>12,.0f} frames/s"
+    )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -486,6 +541,12 @@ def main(argv=None) -> int:
                 "bursts_per_host_s",
                 MIN_DIRTIER_BURSTS_PER_SEC,
                 "bursts/s",
+            ),
+            (
+                "fabric_frames",
+                "frames_per_host_s",
+                MIN_FABRIC_FRAMES_PER_SEC,
+                "frames/s",
             ),
         )
         for name, key, floor, unit in floors:

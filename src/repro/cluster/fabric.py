@@ -24,12 +24,16 @@ the Fabric itself (it exposes ``sim``/``metrics`` like a Machine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-from repro.hw.devices.nic import Packet, Wire
+from repro.hw.devices.nic import Wire
 from repro.metrics import Metrics
 
 __all__ = ["FabricFrame", "FabricPort", "Fabric", "UndeliverableError"]
+
+#: One hop of a route: a wire, its direction and the switch latency
+#: after the frame arrives at its far end (None on the last hop).
+Hop = Tuple[Wire, str, Optional[int]]
 
 
 class UndeliverableError(RuntimeError):
@@ -75,6 +79,42 @@ class FabricPort:
         return self.wire.bytes_carried
 
 
+class _Transit:
+    """One frame's trip along its route: ``arrive`` at the far end of hop
+    ``hop``, then ``forward`` onto the next hop once the switch latency
+    has passed.  Each step is a heap callback's tail action, so when it
+    is due strictly before :meth:`Simulator.horizon` it would be popped
+    next anyway and :meth:`_then` runs it directly.  The first hop is
+    scheduled by :meth:`Fabric.send` and never runs early."""
+
+    __slots__ = ("fabric", "frame", "hops", "hop", "on_wire")
+
+    def __init__(self, fabric: "Fabric", frame: FabricFrame, hops, on_wire) -> None:
+        self.fabric, self.frame, self.hops, self.on_wire = fabric, frame, hops, on_wire
+        self.hop = 0
+
+    def _then(self, when: int, step: Callable[[], None]) -> None:
+        sim = self.fabric.sim
+        horizon = sim.horizon()
+        if horizon is None or when < horizon:
+            sim.now = when
+            step()
+        else:
+            sim.call_at(when, step)
+
+    def arrive(self) -> None:
+        latency = self.hops[self.hop][2]
+        if latency is None:
+            self.fabric._deliver(self.frame)
+        else:
+            self._then(self.fabric.sim.now + latency, self.forward)
+
+    def forward(self) -> None:
+        self.hop += 1
+        wire, direction, _latency = self.hops[self.hop]
+        self._then(wire.occupy(direction, self.on_wire), self.arrive)
+
+
 class Fabric:
     """A deterministic top-of-rack switch over the shared simulator."""
 
@@ -94,6 +134,8 @@ class Fabric:
         self.admin_down: set = set()
         #: Frames dropped because the destination was unknown or lost.
         self.undeliverable = 0
+        #: (src, dst) -> (src_port, hops); see :meth:`_route`.
+        self._routes: Dict[Tuple[str, str], tuple] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -140,53 +182,50 @@ class Fabric:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, frame: FabricFrame) -> None:
-        """Inject ``frame`` at the source port; it serializes on the
-        uplink, crosses the switching core, serializes on the downlink,
-        and lands in the destination port's receiver.
+    def _route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
+        """``(src_port, hops)`` for frames src -> dst, built on first use;
+        hosts are never detached, so a route never goes stale."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self._build_route(src, dst)
+        return route
 
-        Callers that need completion notification send a frame whose
-        delivery triggers an event (see :meth:`transfer`); `send` itself
-        is fire-and-forget, like a NIC tx.
-        """
-        src_port = self.port(frame.src)
-        dst_port = self.port(frame.dst)  # fail fast on unknown dst
+    def _build_route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
+        """Host -> uplink -> switching core -> downlink -> host."""
+        src_port = self.port(src)
+        dst_port = self.port(dst)  # fail fast on unknown dst
+        return src_port, (
+            (src_port.wire, "out", self.costs.fabric_switch_latency),
+            (dst_port.wire, "in", None),
+        )
+
+    def send(self, frame: FabricFrame) -> None:
+        """Inject ``frame`` at the source port; it serializes on each
+        wire of its route in turn, store-and-forward, and lands in the
+        destination port's receiver.  Fire-and-forget, like a NIC tx:
+        :meth:`transfer` waits for delivery."""
+        src_port, hops = self._route(frame.src, frame.dst)
         factor = self.bandwidth_factor()
         # Degraded links stretch serialization: the same frame occupies
         # the (rate-renegotiated) wire longer, expressed as extra
         # on-wire bytes so Wire's busy-until bookkeeping stays exact.
         on_wire = frame.size if factor >= 1.0 else int(frame.size / factor)
         src_port.frames["tx"] += 1
-        pkt = Packet(
-            flow=f"{frame.src}->{frame.dst}",
-            size=frame.size,
-            payload=frame,
-            inbound=False,  # host -> switch uses the uplink's out side
-        )
-        src_port.wire.transmit(
-            pkt, lambda p: self._at_switch(p, dst_port, on_wire), wire_size=on_wire
-        )
+        transit = _Transit(self, frame, hops, on_wire)
+        wire, direction, _latency = hops[0]
+        self.sim.call_at(wire.occupy(direction, on_wire), transit.arrive)
 
-    def _at_switch(self, pkt: Packet, dst_port: FabricPort, on_wire: int) -> None:
-        frame: FabricFrame = pkt.payload
-        # Store-and-forward: the core adds a fixed latency, then the
-        # frame serializes again on the destination downlink.
-        def forward() -> None:
-            down = Packet(
-                flow=pkt.flow, size=frame.size, payload=frame, inbound=True
-            )
-            dst_port.wire.transmit(down, self._deliver, wire_size=on_wire)
-
-        self.sim.call_after(self.costs.fabric_switch_latency, forward)
-
-    def _deliver(self, pkt: Packet) -> None:
-        frame: FabricFrame = pkt.payload
+    def _deliver(self, frame: FabricFrame) -> None:
+        # The event keeps the frame as its value: clearing notify first
+        # leaves no frame <-> event cycle for the cyclic GC to free.
+        notify = frame.notify
+        frame.notify = None
         if self.link_blocked(frame.dst):
             # The destination vanished while the frame was in flight.
             self.undeliverable += 1
             self.metrics.count("fabric_undeliverable")
-            if frame.notify is not None:
-                frame.notify.trigger(None)
+            if notify is not None:
+                notify.trigger(None)
             return
         port = self.ports.get(frame.dst)
         self.metrics.record_cross_host(frame.src, frame.dst, frame.kind, frame.size)
@@ -195,8 +234,8 @@ class Fabric:
             port.frames["rx"] += 1
             if port.receiver is not None:
                 port.receiver(frame)
-        if frame.notify is not None:
-            frame.notify.trigger(frame)
+        if notify is not None:
+            notify.trigger(frame)
 
     # ------------------------------------------------------------------
     # Blocking transfer (for generator processes)
@@ -223,11 +262,15 @@ class Fabric:
     def frame_cycles(
         self, size: int, src: Optional[str] = None, dst: Optional[str] = None
     ) -> int:
-        """Uncontended cycles for one frame end to end (two
-        serializations + propagation + switch core).  ``src``/``dst``
-        are accepted for topology-aware subclasses (a spine-leaf fabric
-        prices cross-rack paths differently); a single ToR ignores them.
-        """
+        """Uncontended cycles for one frame end to end: every hop of the
+        src -> dst route serializes, propagates and crosses its switch.
+        Without attached endpoints, the one-switch path."""
+        if src in self.ports and dst in self.ports:
+            freq = self.sim.freq_hz
+            return sum(
+                int(size * 8 / wire.bps * freq) + wire.latency + (switch or 0)
+                for wire, _direction, switch in self._route(src, dst)[1]
+            )
         serialization = int(size * 8 / self.costs.fabric_bps * self.sim.freq_hz)
         return (
             2 * serialization

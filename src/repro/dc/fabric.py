@@ -19,7 +19,9 @@ Generalizes the single-ToR :class:`~repro.cluster.fabric.Fabric`:
 * path selection is **deterministic ECMP-by-hash**: the (src, dst) pair
   picks a spine via CRC-32 (a stable hash — Python's randomized
   ``hash()`` would break run-to-run determinism), so one flow always
-  takes one path and different flows spread across spines.
+  takes one path and different flows spread across spines.  Racks,
+  spine and trunks are resolved once per (src, dst) pair and cached as
+  the pair's route.
 
 The ``cross_host`` metrics table and fault classes keep working:
 per-link faults target hosts as before, and trunks are addressable as
@@ -29,10 +31,10 @@ per-link faults target hosts as before, and trunks are addressable as
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.cluster.fabric import Fabric, FabricFrame, FabricPort, UndeliverableError
-from repro.hw.devices.nic import Packet, Wire
+from repro.cluster.fabric import Fabric, FabricPort, Hop
+from repro.hw.devices.nic import Wire
 
 __all__ = ["SpineLeafFabric"]
 
@@ -105,6 +107,8 @@ class SpineLeafFabric(Fabric):
     def path_blocked(self, src: str, dst: str) -> bool:
         if super().path_blocked(src, dst):
             return True
+        if self.faults is None:
+            return False
         src_rack = self.rack_of.get(src)
         dst_rack = self.rack_of.get(dst)
         if src_rack is None or dst_rack is None or src_rack == dst_rack:
@@ -117,79 +121,20 @@ class SpineLeafFabric(Fabric):
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, frame: FabricFrame) -> None:
-        src_port = self.port(frame.src)
-        dst_port = self.port(frame.dst)  # fail fast on unknown dst
-        try:
-            src_rack = self.rack_of[frame.src]
-            dst_rack = self.rack_of[frame.dst]
-        except KeyError as exc:
-            raise UndeliverableError(f"{exc.args[0]} has no rack on {self.name}")
-        factor = self.bandwidth_factor()
-        on_wire = frame.size if factor >= 1.0 else int(frame.size / factor)
-        src_port.frames["tx"] += 1
-        pkt = Packet(
-            flow=f"{frame.src}->{frame.dst}",
-            size=frame.size,
-            payload=frame,
-            inbound=False,
-        )
+    def _build_route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
+        """Intra-rack pairs take the base leaf path; cross-rack pairs add
+        the ECMP spine's up and down trunks between the two leaves."""
+        src_port, hops = super()._build_route(src, dst)
+        src_rack, dst_rack = self.rack_of[src], self.rack_of[dst]
         if src_rack == dst_rack:
-            # Intra-rack: host -> leaf -> host, the base fabric's path.
-            src_port.wire.transmit(
-                pkt,
-                lambda p: self._at_switch(p, dst_port, on_wire),
-                wire_size=on_wire,
-            )
-            return
-
-        spine = self.spine_for(frame.src, frame.dst)
-        up_trunk = self.trunks[(src_rack, spine)]
-        down_trunk = self.trunks[(dst_rack, spine)]
-
-        def at_src_leaf(p: Packet) -> None:
-            # Store-and-forward through the source leaf, then uphill.
-            def fwd() -> None:
-                tp = Packet(flow=p.flow, size=frame.size, payload=frame, inbound=False)
-                up_trunk.transmit(tp, at_spine, wire_size=on_wire)
-
-            self.sim.call_after(self.costs.fabric_switch_latency, fwd)
-
-        def at_spine(p: Packet) -> None:
-            def fwd() -> None:
-                tp = Packet(flow=p.flow, size=frame.size, payload=frame, inbound=True)
-                down_trunk.transmit(tp, at_dst_leaf, wire_size=on_wire)
-
-            self.sim.call_after(self.costs.spine_switch_latency, fwd)
-
-        def at_dst_leaf(p: Packet) -> None:
-            # The base handler is exactly the leaf -> host hop:
-            # leaf store-and-forward latency, downlink, delivery.
-            self._at_switch(p, dst_port, on_wire)
-
-        src_port.wire.transmit(pkt, at_src_leaf, wire_size=on_wire)
-
-    def frame_cycles(
-        self, size: int, src: Optional[str] = None, dst: Optional[str] = None
-    ) -> int:
-        """Uncontended end-to-end estimate.  Without endpoints (or for
-        intra-rack pairs) this is the base leaf path; cross-rack pairs
-        add two trunk serializations, two trunk propagations, the second
-        leaf, and the spine core."""
-        base = super().frame_cycles(size)
-        if src is None or dst is None:
-            return base
-        src_rack = self.rack_of.get(src)
-        dst_rack = self.rack_of.get(dst)
-        if src_rack is None or dst_rack is None or src_rack == dst_rack:
-            return base
-        trunk_serialization = int(size * 8 / self.trunk_bps * self.sim.freq_hz)
-        return (
-            base
-            + self.costs.fabric_switch_latency  # second leaf core
-            + 2 * trunk_serialization
-            + 2 * self.costs.spine_latency
-            + self.costs.spine_switch_latency
+            return src_port, hops
+        spine = self.spine_for(src, dst)
+        up, down = hops
+        return src_port, (
+            up,
+            (self.trunks[(src_rack, spine)], "out", self.costs.spine_switch_latency),
+            (self.trunks[(dst_rack, spine)], "in", self.costs.fabric_switch_latency),
+            down,
         )
 
     # ------------------------------------------------------------------

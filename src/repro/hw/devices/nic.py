@@ -56,8 +56,15 @@ class Wire:
         """Schedule delivery of ``packet``; returns the delivery time.
         ``wire_size`` (default ``packet.size``) is the on-wire byte count
         including protocol headers."""
-        direction = "in" if packet.inbound else "out"
-        on_wire = wire_size if wire_size is not None else packet.size
+        size = packet.size if wire_size is None else wire_size
+        arrival = self.occupy("in" if packet.inbound else "out", size)
+        self.sim.call_at(arrival, lambda: deliver(packet))
+        return arrival
+
+    def occupy(self, direction: str, on_wire: int) -> int:
+        """Serialize ``on_wire`` bytes in ``direction`` ("in" or "out")
+        behind that direction's backlog; returns the cycle the last byte
+        arrives at the far end.  Scheduling the arrival is the caller's."""
         sim = self.sim
         now = sim.now
         serialization = int(on_wire * 8 / self.bps * sim.freq_hz)
@@ -71,9 +78,7 @@ class Wire:
         # included), not the goodput — metering goodput here made the
         # carried-bytes counter drift below the time the wire was busy.
         self.bytes_carried[direction] += on_wire
-        arrival = done + self.latency
-        sim.call_at(arrival, lambda: deliver(packet))
-        return arrival
+        return done + self.latency
 
     def busy_until(self, inbound: bool) -> int:
         """When the given direction's current backlog finishes

@@ -331,7 +331,9 @@ class Simulator:
         entry, capped at the call's ``until + 1``.  A process may apply
         the effects of delays that end strictly before the horizon in
         one step: nothing else can run, or return from :meth:`run`, in
-        between (``repro.core.migration.dirtier``).  With ``queued``
+        between (``repro.core.migration.dirtier``).  A fabric frame's
+        transit runs a hop due strictly before it directly instead of
+        through the heap (``repro.cluster.fabric``).  With ``queued``
         false the heap and ready queue are left out, leaving only the
         running call's own bound (``KvmHypervisor.repeatable_l0_vmx``).
         """

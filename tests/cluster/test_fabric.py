@@ -1,4 +1,6 @@
-"""Fabric: topology, serialization, metering, fault windows."""
+"""Fabric: topology, serialization, metering, fault windows, transits."""
+
+import gc
 
 import pytest
 
@@ -6,6 +8,14 @@ from repro.cluster.fabric import Fabric, FabricFrame, UndeliverableError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
 from repro.sim import Simulator, default_costs
+from tests.cluster.fabric_trace import (
+    record_deliveries,
+    run_both,
+    snapshot,
+    step_events,
+    step_until,
+    stop_and_wait,
+)
 
 
 def make_fabric(num_hosts=2, seed=0):
@@ -170,3 +180,139 @@ def test_fabric_injector_records_fault_metrics():
     assert fabric.link_blocked("host0")
     assert injector.injected[FaultClass.FABRIC_PARTITION] == 1
     assert fabric.metrics.faults[FaultClass.FABRIC_PARTITION] == 1
+
+
+# ----------------------------------------------------------------------
+# Transits: running a hop ahead of the heap changes no observable state
+# ----------------------------------------------------------------------
+def _flows(plan=None, admin_down=None, step=None):
+    """Three stop-and-wait flows on a 4-host ToR, two of them contending
+    for host1's downlink, plus frames sent from plain callbacks (two in
+    the same cycle)."""
+
+    def scenario():
+        sim, fabric = make_fabric(num_hosts=4)
+        if plan is not None:
+            FaultInjector(fabric, plan, seed=1).attach()
+        deliveries = record_deliveries(sim, fabric)
+        failed = []
+        stop_and_wait(sim, fabric, "host0", "host1", 6, 64 << 10, log=failed)
+        stop_and_wait(
+            sim, fabric, "host2", "host1", 6, 16 << 10, kind="migration", log=failed
+        )
+        stop_and_wait(sim, fabric, "host1", "host3", 4, 1 << 20, log=failed)
+        for when in (0, 5_000, 5_000, 40_000):
+            frame = FabricFrame(
+                src="host3", dst="host0", kind="control", size=4096, payload=when
+            )
+            sim.call_at(when, lambda frame=frame: fabric.send(frame))
+        if admin_down is not None:
+            host, start, end = admin_down
+            sim.call_at(start, lambda: fabric.admin_down.add(host))
+            sim.call_at(end, lambda: fabric.admin_down.discard(host))
+        steps = step(sim, fabric) if step is not None else sim.run()
+        return sim, (deliveries, failed, steps, snapshot(sim, fabric))
+
+    return scenario
+
+
+def test_transit_run_ahead_matches_heap_on_contending_flows(monkeypatch):
+    trace, heap_trace, events, heap_events = run_both(monkeypatch, _flows())
+    assert trace == heap_trace
+    deliveries, failed, _end, _state = trace
+    assert len(deliveries) == 6 + 6 + 4 + 4 and failed == []
+    # Running ahead is what saves the heap round trips.
+    assert events < heap_events
+
+
+def test_transit_run_ahead_matches_heap_under_degrade_window(monkeypatch):
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind=FaultClass.FABRIC_DEGRADE, param=0.25, start=100_000, end=700_000
+            )
+        ]
+    )
+    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    assert trace == heap_trace
+    assert trace[3][4][FaultClass.FABRIC_DEGRADE] > 0
+
+
+def test_transit_run_ahead_matches_heap_on_host_loss_mid_flight(monkeypatch):
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind=FaultClass.FABRIC_HOST_LOSS,
+                start=200_000,
+                end=900_000,
+                mechanisms=("host1",),
+            )
+        ]
+    )
+    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    assert trace == heap_trace
+    _deliveries, failed, _end, state = trace
+    assert any("lost in flight" in reason for *_rest, reason in failed)
+    assert state[2]["undeliverable"] > 0
+
+
+def test_transit_run_ahead_matches_heap_across_admin_down(monkeypatch):
+    scenario = _flows(admin_down=("host1", 150_000, 600_000))
+    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, scenario)
+    assert trace == heap_trace
+    assert trace[1]  # some frames hit the dark host
+
+
+@pytest.mark.parametrize("step", [step_until, step_events])
+def test_transit_run_ahead_matches_heap_when_stepped(monkeypatch, step):
+    """State read at every ``run(until=)`` / ``run(max_events=)``
+    return is the micro-stepped state."""
+    trace, heap_trace, _events, _heap_events = run_both(
+        monkeypatch, _flows(step=step)
+    )
+    assert trace == heap_trace
+    assert len(trace[2]) > 10
+
+
+def test_hop_tied_with_an_earlier_callback_runs_after_it():
+    """A callback scheduled for exactly arrival + switch latency was
+    queued before the hop, so it runs first and sees the downlink idle."""
+    sim, fabric = make_fabric()
+    size = 1 << 20
+    fabric.send(FabricFrame(src="host0", dst="host1", kind="net", size=size))
+    uplink = fabric.port("host0").wire
+    arrival = uplink.busy_until(inbound=False) + uplink.latency
+    downlink = fabric.port("host1").wire
+    seen = []
+    sim.call_at(
+        arrival + fabric.costs.fabric_switch_latency,
+        lambda: seen.append(downlink.busy_until(inbound=True)),
+    )
+    done = []
+    fabric.port("host1").receiver = lambda f: done.append(sim.now)
+    sim.run()
+    assert seen == [0]
+    assert done == [fabric.frame_cycles(size)]
+
+
+def test_finished_transfer_leaves_no_cyclic_garbage():
+    """Delivery clears the frame's notify before triggering it, so the
+    frame and its event are freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim, fabric = make_fabric()
+
+        def proc():
+            frame = yield from fabric.transfer("host0", "host1", 4096, kind="net")
+            return frame.size
+
+        assert sim.run_process(proc()) == 4096
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, FabricFrame)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []

@@ -1,4 +1,5 @@
-"""Spine-leaf fabric: ECMP, cross-rack costs, trunk faults, metering."""
+"""Spine-leaf fabric: ECMP, cross-rack costs, trunk faults, metering,
+transits."""
 
 import pytest
 
@@ -7,6 +8,14 @@ from repro.dc import SpineLeafFabric
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.sim import Simulator, default_costs
+from tests.cluster.fabric_trace import (
+    record_deliveries,
+    run_both,
+    snapshot,
+    step_events,
+    step_until,
+    stop_and_wait,
+)
 
 
 def make_fabric(racks=2, hosts_per_rack=2, spines=2, oversub=2.0, seed=0):
@@ -146,3 +155,113 @@ def test_unattached_host_is_undeliverable():
     _, fabric = make_fabric()
     with pytest.raises(UndeliverableError):
         fabric.send(FabricFrame(src="r0h0", dst="ghost", kind="net", size=64))
+
+
+# ----------------------------------------------------------------------
+# Transits: running a hop ahead of the heap changes no observable state
+# ----------------------------------------------------------------------
+def _flows(plan=None, step=None):
+    """Stop-and-wait flows over one spine: two cross-rack flows contend
+    for the same trunks, one runs the other way, one stays in its rack,
+    and plain callbacks send frames of their own."""
+
+    def scenario():
+        sim, fabric = make_fabric(spines=1)
+        if plan is not None:
+            fabric.faults = FaultInjector(fabric, plan, seed=0).attach()
+        deliveries = record_deliveries(sim, fabric)
+        failed = []
+        stop_and_wait(sim, fabric, "r0h0", "r1h0", 5, 256 << 10, log=failed)
+        stop_and_wait(
+            sim, fabric, "r0h1", "r1h1", 5, 64 << 10, kind="migration", log=failed
+        )
+        stop_and_wait(sim, fabric, "r1h1", "r0h0", 4, 128 << 10, log=failed)
+        stop_and_wait(sim, fabric, "r1h0", "r1h1", 6, 32 << 10, log=failed)
+        for when, src, dst in ((0, "r0h0", "r1h1"), (3_000, "r1h0", "r0h1")):
+            frame = FabricFrame(
+                src=src, dst=dst, kind="control", size=4096, payload=when
+            )
+            sim.call_at(when, lambda frame=frame: fabric.send(frame))
+        steps = step(sim, fabric) if step is not None else sim.run()
+        return sim, (deliveries, failed, steps, snapshot(sim, fabric))
+
+    return scenario
+
+
+def test_transit_run_ahead_matches_heap_on_shared_trunk(monkeypatch):
+    trace, heap_trace, events, heap_events = run_both(monkeypatch, _flows())
+    assert trace == heap_trace
+    deliveries, failed, _end, state = trace
+    assert len(deliveries) == 5 + 5 + 4 + 6 + 2 and failed == []
+    assert state[2]["trunk_bytes"] > 0
+    assert events < heap_events
+
+
+def test_transit_run_ahead_matches_heap_across_trunk_partition(monkeypatch):
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="fabric_partition",
+                start=100_000,
+                end=400_000,
+                mechanisms=(SpineLeafFabric.trunk_name(1, 0),),
+            )
+        ]
+    )
+    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    assert trace == heap_trace
+    assert any("partitioned" in reason for *_rest, reason in trace[1])
+
+
+def test_transit_run_ahead_matches_heap_on_host_loss_mid_flight(monkeypatch):
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="fabric_host_loss",
+                start=150_000,
+                end=500_000,
+                mechanisms=("r1h0",),
+            )
+        ]
+    )
+    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    assert trace == heap_trace
+    assert any("lost in flight" in reason for *_rest, reason in trace[1])
+
+
+@pytest.mark.parametrize("step", [step_until, step_events])
+def test_transit_run_ahead_matches_heap_when_stepped(monkeypatch, step):
+    trace, heap_trace, _events, _heap_events = run_both(
+        monkeypatch, _flows(step=step)
+    )
+    assert trace == heap_trace
+    assert len(trace[2]) > 10
+
+
+def test_cross_rack_hop_tied_with_an_earlier_callback_runs_after_it():
+    """A callback due at exactly spine arrival + spine switch latency was
+    queued before the hop onto the down trunk, so it sees that trunk idle."""
+    sim, fabric = make_fabric(spines=1)
+    size = 1 << 20
+    fabric.send(FabricFrame(src="r0h0", dst="r1h0", kind="net", size=size))
+    costs = fabric.costs
+    uplink = fabric.port("r0h0").wire
+    trunk_serialization = int(size * 8 / fabric.trunk_bps * sim.freq_hz)
+    spine_arrival = (
+        uplink.busy_until(inbound=False)
+        + uplink.latency
+        + costs.fabric_switch_latency
+        + trunk_serialization
+        + costs.spine_latency
+    )
+    down_trunk = fabric.trunks[(1, 0)]
+    seen = []
+    sim.call_at(
+        spine_arrival + costs.spine_switch_latency,
+        lambda: seen.append(down_trunk.busy_until(inbound=True)),
+    )
+    done = []
+    fabric.port("r1h0").receiver = lambda f: done.append(sim.now)
+    sim.run()
+    assert seen == [0]
+    assert done == [fabric.frame_cycles(size, "r0h0", "r1h0")]

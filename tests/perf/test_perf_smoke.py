@@ -61,3 +61,19 @@ def test_check_mode_fails_below_dirty_write_floor(monkeypatch, capsys):
     )
     assert perf_engine.main(["--check"]) == 1
     assert "dirty_write" in capsys.readouterr().err
+
+
+def test_fabric_frames_delivers_every_frame():
+    """Four stop-and-wait cross-rack flows of 50 frames each: every
+    frame is delivered, whatever the transit runs ahead of the heap."""
+    stats = perf_engine.bench_fabric_frames(frames=50)
+    assert stats["frames"] == 4 * 50
+    assert stats["frames_per_host_s"] > 0
+
+
+def test_check_mode_fails_below_fabric_frames_floor(monkeypatch, capsys):
+    monkeypatch.setattr(
+        perf_engine, "MIN_FABRIC_FRAMES_PER_SEC", sys.float_info.max
+    )
+    assert perf_engine.main(["--check"]) == 1
+    assert "fabric_frames" in capsys.readouterr().err
