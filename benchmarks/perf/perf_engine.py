@@ -121,7 +121,7 @@ def bench_periodic_phase(epochs: int = 200_000, period: int = 1_000) -> Dict[str
 
     sim = Simulator(fast_forward=True)
     metrics = Metrics()
-    sim.ff.register_metrics(metrics)
+    sim.ff.attach(metrics)
 
     def loop():
         src = sim.ff.source("bench:periodic")

@@ -34,11 +34,15 @@ __all__ = ["FabricFrame", "FabricPort", "Fabric", "UndeliverableError"]
 #: One hop of a route: a wire, its direction and the switch latency
 #: after the frame arrives at its far end (None on the last hop).
 Hop = Tuple[Wire, str, Optional[int]]
+#: A cached route: the source port, the hops, and the fault names of the
+#: trunks the hops cross (none on a single ToR).
+Route = Tuple["FabricPort", Tuple[Hop, ...], Tuple[str, ...]]
 
 
 class UndeliverableError(RuntimeError):
     """A frame could not be delivered: unknown destination, or the
-    destination host is lost while the frame is in flight."""
+    destination link or a trunk on the route goes dark while the frame
+    is in flight."""
 
 
 @dataclass(slots=True)
@@ -134,8 +138,8 @@ class Fabric:
         self.admin_down: set = set()
         #: Frames dropped because the destination was unknown or lost.
         self.undeliverable = 0
-        #: (src, dst) -> (src_port, hops); see :meth:`_route`.
-        self._routes: Dict[Tuple[str, str], tuple] = {}
+        #: (src, dst) -> (src_port, hops, trunks); see :meth:`_route`.
+        self._routes: Dict[Tuple[str, str], Route] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -171,8 +175,18 @@ class Fabric:
         )
 
     def path_blocked(self, src: str, dst: str) -> bool:
-        """A frame src -> dst needs both ports usable."""
-        return self.link_blocked(src) or self.link_blocked(dst)
+        """A frame src -> dst needs both ports, and every trunk on its
+        route, usable."""
+        if self.link_blocked(src) or self.link_blocked(dst):
+            return True
+        if self.faults is None or src not in self.ports or dst not in self.ports:
+            return False
+        return self._trunk_down(src, dst)
+
+    def _trunk_down(self, src: str, dst: str) -> bool:
+        """Is a trunk on the src -> dst route inside a partition window?"""
+        faults = self.faults
+        return any(faults.fabric_link_down(trunk) for trunk in self._route(src, dst)[2])
 
     def bandwidth_factor(self) -> float:
         if self.faults is None:
@@ -182,29 +196,30 @@ class Fabric:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
-        """``(src_port, hops)`` for frames src -> dst, built on first use;
-        hosts are never detached, so a route never goes stale."""
+    def _route(self, src: str, dst: str) -> Route:
+        """``(src_port, hops, trunks)`` for frames src -> dst, built on
+        first use; hosts are never detached, so a route never goes
+        stale."""
         route = self._routes.get((src, dst))
         if route is None:
             route = self._routes[(src, dst)] = self._build_route(src, dst)
         return route
 
-    def _build_route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
+    def _build_route(self, src: str, dst: str) -> Route:
         """Host -> uplink -> switching core -> downlink -> host."""
         src_port = self.port(src)
         dst_port = self.port(dst)  # fail fast on unknown dst
         return src_port, (
             (src_port.wire, "out", self.costs.fabric_switch_latency),
             (dst_port.wire, "in", None),
-        )
+        ), ()
 
     def send(self, frame: FabricFrame) -> None:
         """Inject ``frame`` at the source port; it serializes on each
         wire of its route in turn, store-and-forward, and lands in the
         destination port's receiver.  Fire-and-forget, like a NIC tx:
         :meth:`transfer` waits for delivery."""
-        src_port, hops = self._route(frame.src, frame.dst)
+        src_port, hops, _trunks = self._route(frame.src, frame.dst)
         factor = self.bandwidth_factor()
         # Degraded links stretch serialization: the same frame occupies
         # the (rate-renegotiated) wire longer, expressed as extra
@@ -220,8 +235,9 @@ class Fabric:
         # leaves no frame <-> event cycle for the cyclic GC to free.
         notify = frame.notify
         frame.notify = None
-        if self.link_blocked(frame.dst):
-            # The destination vanished while the frame was in flight.
+        if frame.dst in self.admin_down or (
+            self.faults is not None and self._faulted_in_flight(frame)
+        ):
             self.undeliverable += 1
             self.metrics.count("fabric_undeliverable")
             if notify is not None:
@@ -236,6 +252,18 @@ class Fabric:
                 port.receiver(frame)
         if notify is not None:
             notify.trigger(frame)
+
+    def _faulted_in_flight(self, frame: FabricFrame) -> bool:
+        """Did the destination link, or a trunk on the frame's route, go
+        dark while the frame was in flight?  The source link is not
+        consulted: the frame has already left it."""
+        faults = self.faults
+        dst = frame.dst
+        return (
+            faults.fabric_link_down(dst)
+            or faults.fabric_host_lost(dst)
+            or self._trunk_down(frame.src, dst)
+        )
 
     # ------------------------------------------------------------------
     # Blocking transfer (for generator processes)

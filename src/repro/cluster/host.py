@@ -233,19 +233,14 @@ class ClusterHost:
 
     def shutdown(self) -> None:
         """Tear the system stack down (the power-off half of a kernel
-        upgrade).  Only a tenant-free host may shut down.  The machine's
-        Metrics and fast-forward veto are unregistered so the shared
-        simulator stops holding on to the dead machine."""
+        upgrade).  Only a tenant-free host may shut down.  Fast-forward
+        needs no teardown: once a second machine joins the shared
+        simulator (another host, or this one rebooted) it holds none."""
         if self._tenants:
             raise ValueError(
                 f"{self.name}: cannot shut down with "
                 f"{len(self._tenants)} tenants aboard"
             )
-        if self.machine is not None:
-            ff = getattr(self._sim, "ff", None)
-            if ff is not None:
-                ff.unregister_metrics(self.machine.metrics)
-                ff.remove_veto(self.machine._ff_veto)
         self.machine = None
         self.stack = None
 

@@ -41,6 +41,12 @@ __all__ = ["FabricChannel", "Orchestrator", "MigrationRecord"]
 #: noticed mid-stream rather than after gigabytes.
 CHUNK_BYTES = 256 * 1024
 
+#: A chunk that hits a partition or host-loss window is resent up to
+#: this many times, the first after :data:`CHUNK_BACKOFF_CYCLES` and each
+#: later one after twice the last wait (capped at 16x).
+CHUNK_RETRIES = 6
+CHUNK_BACKOFF_CYCLES = 400_000
+
 #: A migration killed by a fabric partition is attempted this many times
 #: in all, each retry after :data:`ATTEMPT_BACKOFF_CYCLES` of backoff.
 MAX_ATTEMPTS = 3
@@ -50,21 +56,10 @@ ATTEMPT_BACKOFF_CYCLES = 2_000_000
 class FabricChannel:
     """One migration's transport between two hosts on a fabric."""
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        src: str,
-        dst: str,
-        max_retries: int = 6,
-        retry_backoff_cycles: int = 400_000,
-        chunk_bytes: int = CHUNK_BYTES,
-    ) -> None:
+    def __init__(self, fabric: Fabric, src: str, dst: str) -> None:
         self.fabric = fabric
         self.src = src
         self.dst = dst
-        self.max_retries = max_retries
-        self.retry_backoff_cycles = retry_backoff_cycles
-        self.chunk_bytes = chunk_bytes
         #: Chunk sends repeated after fabric faults (LiveMigration folds
         #: this into its MigrationResult.retries).
         self.retries = 0
@@ -75,8 +70,8 @@ class FabricChannel:
         degraded bandwidth."""
         factor = self.fabric.bandwidth_factor()
         effective = nbytes if factor >= 1.0 else int(nbytes / factor)
-        full, rest = divmod(effective, self.chunk_bytes)
-        cycles = full * self.fabric.frame_cycles(self.chunk_bytes, self.src, self.dst)
+        full, rest = divmod(effective, CHUNK_BYTES)
+        cycles = full * self.fabric.frame_cycles(CHUNK_BYTES, self.src, self.dst)
         if rest:
             cycles += self.fabric.frame_cycles(rest, self.src, self.dst)
         return max(1, cycles)
@@ -87,9 +82,9 @@ class FabricChannel:
         exhausting the budget raises :class:`MigrationError`."""
         sent = 0
         while sent < nbytes:
-            chunk = min(self.chunk_bytes, nbytes - sent)
+            chunk = min(CHUNK_BYTES, nbytes - sent)
             attempt = 0
-            backoff = self.retry_backoff_cycles
+            backoff = CHUNK_BACKOFF_CYCLES
             while True:
                 try:
                     yield from self.fabric.transfer(
@@ -99,13 +94,13 @@ class FabricChannel:
                 except UndeliverableError as exc:
                     attempt += 1
                     self.retries += 1
-                    if attempt > self.max_retries:
+                    if attempt > CHUNK_RETRIES:
                         raise MigrationError(
                             f"fabric {self.src} -> {self.dst} unusable "
-                            f"after {self.max_retries} retries: {exc}"
+                            f"after {CHUNK_RETRIES} retries: {exc}"
                         )
                     yield backoff
-                    backoff = min(backoff * 2, 16 * self.retry_backoff_cycles)
+                    backoff = min(backoff * 2, 16 * CHUNK_BACKOFF_CYCLES)
             if attempt:
                 self.fabric.metrics.record_recovery("fabric_retry", attempt)
             sent += chunk

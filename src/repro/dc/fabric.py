@@ -25,7 +25,10 @@ Generalizes the single-ToR :class:`~repro.cluster.fabric.Fabric`:
 
 The ``cross_host`` metrics table and fault classes keep working:
 per-link faults target hosts as before, and trunks are addressable as
-``rack{r}:spine{s}`` in ``fabric_partition`` mechanisms.
+``rack{r}:spine{s}`` in ``fabric_partition`` mechanisms.  A partitioned
+trunk refuses new transfers over routes through it, and a frame whose
+route crosses it is dropped at delivery if the partition opened while
+the frame was in flight.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Tuple
 
-from repro.cluster.fabric import Fabric, FabricPort, Hop
+from repro.cluster.fabric import Fabric, FabricPort, Route
 from repro.hw.devices.nic import Wire
 
 __all__ = ["SpineLeafFabric"]
@@ -96,38 +99,15 @@ class SpineLeafFabric(Fabric):
         return zlib.crc32(f"{src}|{dst}".encode()) % self.spines
 
     # ------------------------------------------------------------------
-    # Fault state
-    # ------------------------------------------------------------------
-    def trunk_blocked(self, rack: int, spine: int) -> bool:
-        """Is a leaf<->spine trunk inside a partition window?"""
-        if self.faults is None:
-            return False
-        return self.faults.fabric_link_down(self.trunk_name(rack, spine))
-
-    def path_blocked(self, src: str, dst: str) -> bool:
-        if super().path_blocked(src, dst):
-            return True
-        if self.faults is None:
-            return False
-        src_rack = self.rack_of.get(src)
-        dst_rack = self.rack_of.get(dst)
-        if src_rack is None or dst_rack is None or src_rack == dst_rack:
-            return False
-        spine = self.spine_for(src, dst)
-        return self.trunk_blocked(src_rack, spine) or self.trunk_blocked(
-            dst_rack, spine
-        )
-
-    # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _build_route(self, src: str, dst: str) -> Tuple[FabricPort, Tuple[Hop, ...]]:
+    def _build_route(self, src: str, dst: str) -> Route:
         """Intra-rack pairs take the base leaf path; cross-rack pairs add
         the ECMP spine's up and down trunks between the two leaves."""
-        src_port, hops = super()._build_route(src, dst)
+        src_port, hops, _trunks = super()._build_route(src, dst)
         src_rack, dst_rack = self.rack_of[src], self.rack_of[dst]
         if src_rack == dst_rack:
-            return src_port, hops
+            return src_port, hops, ()
         spine = self.spine_for(src, dst)
         up, down = hops
         return src_port, (
@@ -135,7 +115,7 @@ class SpineLeafFabric(Fabric):
             (self.trunks[(src_rack, spine)], "out", self.costs.spine_switch_latency),
             (self.trunks[(dst_rack, spine)], "in", self.costs.fabric_switch_latency),
             down,
-        )
+        ), (self.trunk_name(src_rack, spine), self.trunk_name(dst_rack, spine))
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

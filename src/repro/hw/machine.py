@@ -89,12 +89,12 @@ class Machine:
         self.nic: PhysicalNic = self.bus.plug(PhysicalNic("eth0", self.wire))
         self.ssd: SsdDevice = self.bus.plug(SsdDevice("ssd0", self.sim, self.costs))
         self.client = RemoteClient(self.sim, self.wire, self.nic, self.costs)
-        # Fast-forward: this machine's counters join every epoch
+        # Fast-forward: this machine's counters are the epoch
         # fingerprint, and any attached observer (auditor, fault
         # injector, span tracer, chain tracker) vetoes skipping — those
-        # hooks watch mid-epoch state a macro-event would hide.
-        self.sim.ff.register_metrics(self.metrics)
-        self.sim.ff.add_veto(self._ff_veto)
+        # hooks watch mid-epoch state a macro-event would hide.  A
+        # second machine on the same simulator turns skipping off.
+        self.sim.ff.attach(self.metrics, self._ff_veto)
 
     def observer(self) -> Optional[str]:
         """The attached observer that watches mid-run state (None if

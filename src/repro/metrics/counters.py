@@ -128,8 +128,8 @@ class Metrics:
     def ff_record(self) -> None:
         """(Re)start logging order-sensitive float charges.  Driven by
         :class:`repro.sim.fastforward.PeriodicSource` while a fingerprint
-        is being confirmed; the log is drained at every epoch-block
-        boundary by :meth:`ff_take_log`."""
+        is being confirmed; the log is drained at every epoch boundary
+        by :meth:`ff_take_log`."""
         self._ff_log = []
 
     def ff_stop(self) -> None:

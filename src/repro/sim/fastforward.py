@@ -23,35 +23,41 @@ A workload registers a :class:`PeriodicSource` and calls
 :meth:`PeriodicSource.observe` at every epoch boundary (for example,
 after each completed transaction).  The source walks a state machine:
 
-1. **Cycle lock** — the stream of inter-boundary periods must repeat
-   with a small cycle length (the *stride*: 1, 2, or 4 epochs).  Many
-   steady states are period-2 — e.g. a request/response loop whose
-   server alternates between polling and halting — so epochs are
-   grouped into *blocks* of ``stride`` epochs and blocks are the unit of
-   fingerprinting and skipping.
-2. **Fingerprint** — with the cycle locked, the per-block deltas of
-   every registered :class:`~repro.metrics.counters.Metrics` object
-   (plus the caller-supplied ``extra`` observables, e.g. the transaction
-   latencies) must be identical for ``CONFIRM_BLOCKS`` consecutive
-   blocks.
+1. **Cycle lock** — two consecutive inter-boundary periods must be
+   equal.  Every source's steady state repeats with a cycle of one
+   epoch, so the epoch is the unit of fingerprinting and skipping.
+2. **Fingerprint** — with the cycle locked, the per-epoch deltas of the
+   simulator's one attached :class:`~repro.metrics.counters.Metrics`
+   (plus the caller-supplied ``extra`` observable, e.g. the transaction
+   latency) must be identical for ``CONFIRM_BLOCKS`` consecutive
+   epochs.
 3. **Skip** — with a confirmed fingerprint, ``observe`` may collapse
-   whole future blocks: it finds the window with
-   :meth:`Simulator.ff_scan`, moves the clock and the mid-cycle sleepers
-   forward with :meth:`Simulator.ff_shift`, and applies the fingerprint
-   deltas scaled by the skip count.  The *last* epoch is always executed
+   future epochs: it finds the window with :meth:`Simulator.ff_scan`,
+   moves the clock and the mid-cycle sleepers forward with
+   :meth:`Simulator.ff_shift`, and applies the fingerprint deltas
+   scaled by the skip count.  The *last* epoch is always executed
    micro-step so terminal state (armed timers, final events) is
    re-established identically to the slow path.
+
+One machine per simulator
+-------------------------
+A :class:`~repro.hw.machine.Machine` attaches its ``Metrics`` and its
+veto (``Machine._ff_veto``) at construction.  Only a single-machine
+simulator can skip: when a second machine attaches (a fleet's hosts
+share one clock), fast-forward drops both references and never skips
+there, since only one machine's deltas would be fingerprinted.
 
 What blocks a skip
 ------------------
 Skipping is refused — falling back to micro-stepping — whenever epoch
 identity cannot be proven:
 
-* a **veto** holds: span tracing, an attached auditor, a fault injector,
-  or a chain tracker observe mid-epoch state the macro-event would hide;
-* a **perturbation** was signalled (:meth:`FastForward.perturb`, e.g. a
-  migration starting): the generation counter bump invalidates every
-  source's fingerprint;
+* the machine's **veto** holds: span tracing, an attached auditor, a
+  fault injector, a chain tracker or a live migration observe mid-epoch
+  state the macro-event would hide;
+* a **perturbation** was signalled (:meth:`FastForward.perturb`, called
+  when a live migration starts and ends): the generation counter bump
+  invalidates every source's fingerprint;
 * the **window** is too small: anything live on the event heap before
   ``now + n * period`` (a NIC packet in flight, another process's
   delay, a *live* armed timer) bounds the jump — only cancelled
@@ -66,21 +72,15 @@ import cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["FastForward", "PeriodicSource"]
 
-#: Candidate block strides (epochs per block), smallest preferred.
-STRIDES = (1, 2, 4)
-#: Consecutive identical period-cycles required to lock a stride (two
-#: identical blocks of inter-boundary periods).
-MIN_PERIOD_STREAK = 2
-#: Consecutive identical metric-delta blocks required to confirm the
-#: fingerprint once the cycle is locked.
+#: Consecutive identical per-epoch metric deltas required to confirm
+#: the fingerprint once the cycle is locked.
 CONFIRM_BLOCKS = 2
-#: Consecutive fingerprint mismatches (with a stable cycle) after which
-#: a source gives up until the next perturbation, so a
+#: Fingerprint mismatches (with a stable cycle) since the last reset
+#: after which a source gives up until the next perturbation, so a
 #: periodic-but-not-identical phase doesn't pay snapshot overhead
 #: forever.
 MAX_DELTA_FAILS = 16
@@ -118,15 +118,11 @@ class PeriodicSource:
         "skipped_extras",
         "_generation",
         "_last_now",
-        "_periods",
-        "_extras",
-        "_stride",
-        "_pattern",
-        "_phase",
-        "_snaps",
+        "_period",
+        "_snap",
         "_delta",
         "_delta_streak",
-        "_block_extras",
+        "_extra",
         "_profile",
         "_float_log",
         "_rng_state",
@@ -151,43 +147,28 @@ class PeriodicSource:
     # ------------------------------------------------------------------
     def _reset(self) -> None:
         self._last_now: Optional[int] = None
-        #: Recent inter-boundary periods / extras (cycle detection).
-        self._periods: deque = deque(maxlen=2 * STRIDES[-1])
-        self._extras: deque = deque(maxlen=2 * STRIDES[-1])
+        #: The previous inter-boundary period (cycle lock).
+        self._period: Optional[int] = None
         self._unlock()
         self._delta_fails = 0
         self._disabled = False
         self._veto_active: Optional[str] = None
 
     def _unlock(self) -> None:
-        self._stride: Optional[int] = None
-        self._pattern: Optional[tuple] = None
-        self._phase = 0
         self._drop_fingerprint()
-        # Stop the float-charge logs too — nobody will drain them until
-        # a fingerprint is being confirmed again.
-        for m in self.ff._metrics:
-            m.ff_stop()
+        # Stop the float-charge log too — nobody will drain it until a
+        # fingerprint is being confirmed again.
+        if self.ff.metrics is not None:
+            self.ff.metrics.ff_stop()
 
     def _drop_fingerprint(self) -> None:
-        self._snaps: Optional[List[Dict[str, Dict]]] = None
-        self._delta: Optional[List[Dict[str, Dict]]] = None
+        self._snap: Optional[Dict[str, Dict]] = None
+        self._delta: Optional[Dict[str, Dict]] = None
         self._delta_streak = 0
-        self._block_extras: Any = None
+        self._extra: Any = None
         self._profile: Any = None
         self._float_log: Any = None
         self._rng_state: Any = None
-
-    def _detect_stride(self) -> Optional[int]:
-        """Smallest stride whose period cycle repeated twice in a row."""
-        periods = self._periods
-        have = len(periods)
-        for s in STRIDES:
-            if have < MIN_PERIOD_STREAK * s:
-                continue
-            if all(periods[-i] == periods[-s - i] for i in range(1, s + 1)):
-                return s
-        return None
 
     # ------------------------------------------------------------------
     def observe(self, remaining: int, extra: Any = None) -> int:
@@ -208,12 +189,13 @@ class PeriodicSource:
             return 0
         ff.epochs_observed += 1
         if self._generation != ff.generation:
-            # A perturbation (migration start, fault window...) was
+            # A perturbation (a live migration starting or ending) was
             # signalled since the last boundary: nothing observed before
             # it can be trusted.
             self._reset()
             self._generation = ff.generation
-        if self._disabled:
+        metrics = ff.metrics
+        if self._disabled or metrics is None:
             return 0
         sim = ff.sim
         now = sim.now
@@ -222,87 +204,58 @@ class PeriodicSource:
         if last is None:
             return 0
 
-        # ---- 1. cycle lock ----------------------------------------
+        # ---- 1. cycle lock: two equal consecutive periods ---------
         period = now - last
-        if period <= 0:
-            self._periods.clear()
-            self._extras.clear()
+        if period <= 0 or period != self._period:
+            self._period = period
             self._unlock()
             return 0
-        self._periods.append(period)
-        self._extras.append(extra)
-        stride = self._stride
-        if stride is None:
-            stride = self._detect_stride()
-            if stride is None:
-                return 0
-            # Locked: the just-completed block is the period pattern,
-            # and this boundary anchors the block grid.
-            self._stride = stride
-            pattern = tuple(self._periods)[-stride:]
-            self._pattern = pattern
-            self._phase = 0
-        else:
-            if period != self._pattern[self._phase]:
-                # Cycle broke: start re-detection from recent history.
-                self._unlock()
-                return 0
-            self._phase += 1
-            if self._phase < stride:
-                return 0  # mid-block boundary
-            self._phase = 0
 
         # ---- vetoes (checked before paying for snapshots) ---------
-        for veto in ff._vetoes:
-            cause = veto()
-            if cause:
-                if cause != self._veto_active:
-                    self._veto_active = cause
-                    ff.invalidate(cause)
-                self._drop_fingerprint()
-                return 0
+        veto = ff.veto
+        cause = veto() if veto is not None else None
+        if cause:
+            if cause != self._veto_active:
+                self._veto_active = cause
+                ff.invalidate(cause)
+            self._drop_fingerprint()
+            return 0
         self._veto_active = None
 
-        # ---- 2. fingerprint (at block boundaries only) ------------
-        block_period = sum(self._pattern)
-        carriers, window = sim.ff_scan(block_period)
+        # ---- 2. fingerprint ---------------------------------------
+        carriers, window = sim.ff_scan(period)
         if carriers is None:
             # Runnable work at the boundary: not a quiescent point.
             self._drop_fingerprint()
             return 0
         # The heap profile joins the fingerprint: the mid-cycle sleepers
-        # (cycle carriers) must sit at the same offsets every block, and
+        # (cycle carriers) must sit at the same offsets every epoch, and
         # near-term *non*-carrier work (a live timer, a pending callable)
         # shows up as a window that blocks the skip below.
         profile = tuple(
             (entry[0] - now, entry[2].name) for entry in carriers
         )
-        block_extras = tuple(self._extras)[-stride:]
-        snaps = [m.snapshot() for m in ff._metrics]
-        logs: Any = tuple(m.ff_take_log() for m in ff._metrics)
-        if None in logs:
-            # Logging was off, abandoned (overflow), or stolen by a
-            # concurrent source: can't prove float replay this block.
-            logs = None
-            for m in ff._metrics:
-                m.ff_record()
-        prev = self._snaps
-        self._snaps = snaps
-        if prev is None or len(prev) != len(snaps):
-            for m in ff._metrics:
-                m.ff_record()
-            self._block_extras = block_extras
+        snap = metrics.snapshot()
+        # None: logging was off, abandoned (overflow), or stolen by a
+        # concurrent source — float replay can't be proven this epoch.
+        log = metrics.ff_take_log()
+        prev = self._snap
+        self._snap = snap
+        if log is None or prev is None:
+            metrics.ff_record()
+        if prev is None:
+            self._extra = extra
             self._profile = profile
             self._float_log = None
             self._rng_state = sim.rng.getstate()
             return 0
-        delta = [_snap_delta(p, c) for p, c in zip(prev, snaps)]
+        delta = _snap_delta(prev, snap)
         if (
             delta == self._delta
-            and block_extras == self._block_extras
+            and extra == self._extra
             and profile == self._profile
-            and logs is not None
-            and logs == self._float_log
+            and log is not None
+            and log == self._float_log
         ):
             self._delta_streak += 1
         else:
@@ -312,81 +265,69 @@ class PeriodicSource:
                     # Periodic but never identical: stop paying for
                     # snapshots until the next perturbation resets us.
                     self._disabled = True
-                    for m in ff._metrics:
-                        m.ff_stop()
+                    metrics.ff_stop()
                     ff.invalidate("unstable-delta")
                     return 0
             self._delta = delta
             self._delta_streak = 1
-            self._block_extras = block_extras
+            self._extra = extra
             self._profile = profile
-            self._float_log = logs
+            self._float_log = log
             self._rng_state = sim.rng.getstate()
             return 0
         if self._delta_streak == CONFIRM_BLOCKS:
             self.detections += 1
             ff.detections += 1
 
-        # ---- 3. skip (whole blocks) -------------------------------
-        max_epochs = remaining - 1
-        if self._delta_streak < CONFIRM_BLOCKS or max_epochs < stride:
+        # ---- 3. skip ----------------------------------------------
+        n = remaining - 1
+        if self._delta_streak < CONFIRM_BLOCKS or n < 1:
             return 0
         rng_state = sim.rng.getstate()
         if rng_state != self._rng_state:
             ff.invalidate("rng")
             self._drop_fingerprint()
-            self._snaps = snaps
+            self._snap = snap
             self._rng_state = rng_state
             return 0
-        n = max_epochs // stride
         if window is not None:
-            gap = window - now
             # The skip target must stay strictly before the first live
             # non-carrier entry: that event, and everything after it,
             # runs micro-step at its natural absolute time.
-            n_window = (gap - 1) // block_period
+            n_window = (window - now - 1) // period
             if n_window <= 0:
                 ff.window_blocked += 1
-                if stride > 1:
-                    # The block grid locked onto an arbitrary phase of
-                    # the cycle; this boundary has live near-term work
-                    # the carriers cannot absorb.  Rotate the grid one
-                    # epoch later — some other phase of the cycle may be
-                    # quiescent — and re-confirm there.
-                    self._pattern = self._pattern[1:] + self._pattern[:1]
-                    self._phase = stride - 1
-                    self._drop_fingerprint()
                 return 0
             if n_window < n:
                 n = n_window
-        sim.ff_shift(carriers, n * block_period)
-        for metrics, d, flog in zip(ff._metrics, self._delta, self._float_log):
-            metrics.apply_scaled(d, n, flog)
+        sim.ff_shift(carriers, n * period)
+        metrics.apply_scaled(self._delta, n, self._float_log)
         self._last_now = sim.now
-        self._snaps = [m.snapshot() for m in ff._metrics]
-        skipped = n * stride
-        self.skipped_extras = list(self._block_extras) * n
-        self.epochs_skipped += skipped
-        ff.epochs_skipped += skipped
+        self._snap = metrics.snapshot()
+        self.skipped_extras = [self._extra] * n
+        self.epochs_skipped += n
+        ff.epochs_skipped += n
         ff.macro_events += 1
-        return skipped
+        return n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<PeriodicSource {self.name} stride={self._stride} "
+            f"<PeriodicSource {self.name} period={self._period} "
             f"streak={self._delta_streak} skipped={self.epochs_skipped}>"
         )
 
 
 class FastForward:
-    """Per-simulator fast-forward manager: sources, vetoes, counters."""
+    """Per-simulator fast-forward manager: the attached machine's
+    metrics and veto, sources, counters."""
 
     __slots__ = (
         "sim",
         "enabled",
         "generation",
-        "_metrics",
-        "_vetoes",
+        "metrics",
+        "veto",
+        "_attached",
         "sources",
         "epochs_observed",
         "detections",
@@ -402,8 +343,11 @@ class FastForward:
         #: Bumped by :meth:`perturb`; every source checks it at each
         #: boundary and drops its state when it moved.
         self.generation = 0
-        self._metrics: List[Any] = []
-        self._vetoes: List[Callable[[], Optional[str]]] = []
+        #: The one attached :class:`Metrics` and its veto callback (see
+        #: :meth:`attach`); None = no source may skip.
+        self.metrics: Any = None
+        self.veto: Optional[Callable[[], Optional[str]]] = None
+        self._attached = False
         self.sources: Dict[str, PeriodicSource] = {}
         self.epochs_observed = 0
         self.detections = 0
@@ -414,35 +358,19 @@ class FastForward:
         self.invalidations: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def register_metrics(self, metrics) -> None:
-        """Track a :class:`Metrics` object: its per-epoch deltas join
-        every fingerprint and are scaled on every skip.  Machines
-        register theirs at construction."""
-        if metrics not in self._metrics:
-            self._metrics.append(metrics)
-
-    def unregister_metrics(self, metrics) -> None:
-        """Forget a previously registered :class:`Metrics` object (a
-        cluster host being torn down for a kernel upgrade).  Any cached
-        fingerprints are invalidated: their per-metrics deltas indexed
-        the old registration list."""
-        if metrics in self._metrics:
-            self._metrics.remove(metrics)
-            self.invalidate("metrics_unregistered")
-
-    def add_veto(self, veto: Callable[[], Optional[str]]) -> None:
-        """Register a veto callback: return a cause string while
-        skipping must be refused (observer attached), None otherwise."""
-        self._vetoes.append(veto)
-
-    def remove_veto(self, veto: Callable[[], Optional[str]]) -> None:
-        """Drop a veto callback added by :meth:`add_veto` (host
-        teardown).  Unknown callbacks are ignored — teardown paths may
-        run before a machine ever registered."""
-        try:
-            self._vetoes.remove(veto)
-        except ValueError:
-            pass
+    def attach(
+        self, metrics, veto: Optional[Callable[[], Optional[str]]] = None
+    ) -> None:
+        """Fingerprint ``metrics`` (scaled on every skip) and refuse to
+        skip while ``veto()`` returns a cause.  A machine attaches its
+        own at construction.  A second attach means several machines
+        share this simulator: fast-forward drops both references and no
+        source skips here again."""
+        if self._attached:
+            self.metrics = self.veto = None
+        else:
+            self.metrics, self.veto = metrics, veto
+        self._attached = True
 
     def source(self, name: str) -> PeriodicSource:
         """Get-or-create the named periodic source."""
@@ -453,8 +381,8 @@ class FastForward:
 
     # ------------------------------------------------------------------
     def perturb(self, cause: str) -> None:
-        """Something aperiodic happened (a migration started, a fault
-        window opened): invalidate every source's fingerprint."""
+        """Something aperiodic happened (a live migration started or
+        ended): invalidate every source's fingerprint."""
         self.generation += 1
         self.invalidate(cause)
 

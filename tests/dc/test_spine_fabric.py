@@ -134,11 +134,48 @@ def test_trunk_partition_blocks_cross_rack_not_intra_rack():
     )
     fabric.faults = FaultInjector(fabric, plan, seed=0).attach()
     sim.run()
-    assert fabric.trunk_blocked(0, 0)
+    assert fabric.faults.fabric_link_down(SpineLeafFabric.trunk_name(0, 0))
     assert fabric.path_blocked("r0h0", "r1h0")
     assert not fabric.path_blocked("r0h0", "r0h1")
     with pytest.raises(UndeliverableError):
         list(fabric.transfer("r0h0", "r1h0", size=4096, kind="net"))
+
+
+def test_trunk_partition_opening_mid_flight_drops_the_frame():
+    """A trunk on the route that goes dark while a cross-rack frame is in
+    flight drops the frame at delivery, as a lost destination link does."""
+    sim = Simulator(seed=0)
+    fabric = SpineLeafFabric(
+        sim, default_costs(), racks=2, hosts_per_rack=1, spines=1
+    )
+    fabric.attach("a", rack=0)
+    fabric.attach("b", rack=1)
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                kind="fabric_partition",
+                start=1_000,
+                end=10_000_000_000,
+                mechanisms=(SpineLeafFabric.trunk_name(1, 0),),
+            )
+        ]
+    )
+    fabric.faults = FaultInjector(fabric, plan, seed=0).attach()
+    errors = []
+
+    def sender():
+        try:
+            yield from fabric.transfer("a", "b", size=1 << 20, kind="net")
+        except UndeliverableError as exc:
+            errors.append(str(exc))
+
+    sim.spawn(sender(), "sender")
+    sim.run()
+    assert fabric.path_blocked("a", "b")
+    assert errors == ["frame a -> b lost in flight"]
+    assert fabric.undeliverable == 1
+    assert fabric.port("b").frames["rx"] == 0
+    assert fabric.metrics.cross_host_bytes() == 0
 
 
 def test_admin_down_blocks_host_links():

@@ -147,6 +147,102 @@ def test_cluster_migrate_byte_identical(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Host work: the same epochs observed, locked and skipped per source
+# ----------------------------------------------------------------------
+def _source_counts(monkeypatch, run):
+    """``(source, epochs observed, detections, epochs skipped,
+    macro-events)`` for every simulator ``run()`` creates that carries a
+    source, in creation order.  Each carries one, so the simulator's
+    observed and macro-event counts are its source's."""
+    from repro.sim import fastforward
+
+    _set_ff(monkeypatch, True)
+    made = []
+    init = fastforward.FastForward.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(fastforward.FastForward, "__init__", recording_init)
+    run()
+    rows = []
+    for ff in made:
+        assert len(ff.sources) <= 1
+        for name, src in ff.sources.items():
+            rows.append(
+                (name, ff.epochs_observed, src.detections, src.epochs_skipped,
+                 ff.macro_events)
+            )
+    return rows
+
+
+def test_table3_host_work_pinned(monkeypatch):
+    """Every Table 3 cell (seed 0, 30 iterations) with a source locks
+    once and skips 24 of its 30 iterations."""
+    from repro.bench.runner import run_table3
+
+    rows = _source_counts(monkeypatch, lambda: run_table3(iterations=30, seed=0))
+    expected = [
+        (name, 5, 1, 24, 1)
+        for name in ("micro:hypercall", "micro:devnotify", "micro:program-timer")
+        for _config in range(5)
+    ]
+    assert rows == expected
+
+
+def test_figure7_netperf_rr_host_work_pinned(monkeypatch):
+    """Figure 7's netperf RR cells, native first, in the figure's order."""
+    from repro.bench.runner import run_figure7
+
+    rows = _source_counts(
+        monkeypatch, lambda: run_figure7(apps=["netperf_rr"], seed=0)
+    )
+    assert rows == [
+        ("rr:netperf_rr", 5, 1, 114, 1),
+        ("rr:netperf_rr", 6, 1, 113, 1),
+        ("rr:netperf_rr", 5, 1, 114, 1),
+        ("rr:netperf_rr", 8, 2, 111, 2),
+        ("rr:netperf_rr", 5, 1, 114, 1),
+        ("rr:netperf_rr", 6, 1, 113, 1),
+        ("rr:netperf_rr", 6, 1, 113, 1),
+    ]
+
+
+def test_two_machines_on_one_simulator_never_skip(monkeypatch):
+    """A second machine on a simulator makes fast-forward drop both
+    machines: the micro loop that skips alone runs every epoch, and a
+    shut-down fleet host is not held."""
+    from repro.cluster import Cluster
+    from repro.hw.machine import Machine
+    from repro.sim import Simulator
+
+    def hypercall(extra_machine):
+        sim = Simulator(fast_forward=True)
+        stack = build_stack(StackConfig(levels=2), machine=Machine(sim=sim))
+        if extra_machine:
+            Machine(sim=sim)
+        cycles = run_microbenchmark(stack, "Hypercall", iterations=40)
+        return cycles, _digest(stack), sim.ff
+
+    alone_cycles, alone_digest, alone = hypercall(False)
+    assert alone.metrics is not None and alone.epochs_skipped > 20
+    cycles, digest, shared = hypercall(True)
+    assert (cycles, digest) == (alone_cycles, alone_digest)
+    assert shared.metrics is None and shared.veto is None
+    assert shared.epochs_observed > 0
+    assert shared.epochs_skipped == shared.macro_events == 0
+
+    _set_ff(monkeypatch, True)
+    cluster = Cluster(num_hosts=2, seed=0)
+    host = cluster.hosts[0]
+    host.ensure_booted()
+    host.shutdown()
+    assert host.machine is None
+    assert cluster.sim.ff.metrics is None and cluster.sim.ff.veto is None
+
+
+# ----------------------------------------------------------------------
 # Invalidation: observers and aperiodic events stop macro-events
 # ----------------------------------------------------------------------
 def test_fault_injector_attached_vetoes_skipping(monkeypatch):
@@ -260,7 +356,7 @@ def test_mid_epoch_perturbation_drops_fingerprint():
 
     sim = Simulator(fast_forward=True)
     metrics = Metrics()
-    sim.ff.register_metrics(metrics)
+    sim.ff.attach(metrics)
     skipped = []
 
     def loop():
