@@ -5,10 +5,11 @@ hand-routed ``KvmHypervisor`` trap path.  Routing decisions and exit
 multiplication are *observable simulation results*, so they must not
 change for ANY configuration: this test drives a fixed deterministic
 workload through every stack in :mod:`repro.bench.configs` (every
-Table-3 / Figure-7/8/9/10 cell), plus L4/L5 super-nesting stacks and the
-Xen guest-hypervisor profile, and compares the resulting
-exits/forwards/L0-handled/DVH-handled counters against goldens captured
-from the pre-refactor dispatcher.
+Table-3 / Figure-7/8/9/10 cell), plus L4/L5 super-nesting stacks, the
+RISC-V ``hs`` and ARM profiles and OoH-granted stacks, and compares the
+resulting exits/forwards/L0-handled/DVH-handled counters (and the OoH
+granted/forwarded split, where grants are configured) against goldens
+captured from the pre-refactor dispatcher.
 
 Regenerate the goldens **only** when deliberately changing simulated
 behavior:
@@ -27,6 +28,7 @@ import pytest
 from repro.bench.configs import FIGURES, TABLE3_CONFIGS
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig, build_stack
+from repro.ooh.grants import GrantSet
 from repro.workloads.microbench import run_microbenchmark
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_dispatch_parity.json")
@@ -47,6 +49,27 @@ def _super_nesting_configs() -> List[Tuple[str, StackConfig]]:
     return out
 
 
+def _arch_and_grant_configs() -> List[Tuple[str, StackConfig]]:
+    """The other guest-hypervisor profiles (RISC-V ``hs`` with trap
+    delegation, ARM) and the OoH grant gates that route ahead of the DVH
+    ownership claims."""
+    return [
+        ("riscv:L2", StackConfig(levels=2, arch="riscv")),
+        ("riscv:L3", StackConfig(levels=3, arch="riscv")),
+        ("arm:L2", StackConfig(levels=2, arch="arm")),
+        ("ooh:L2+full", StackConfig(levels=2, io_model="virtio", ooh=GrantSet.full())),
+        (
+            "ooh:L2+dvh+migration",
+            StackConfig(
+                levels=2,
+                io_model="vp",
+                dvh=DvhFeatures.full(),
+                ooh=GrantSet.migration(),
+            ),
+        ),
+    ]
+
+
 def parity_configs() -> List[Tuple[str, StackConfig]]:
     """Every benchmark configuration, labeled ``set:name``."""
     out: List[Tuple[str, StackConfig]] = []
@@ -56,6 +79,7 @@ def parity_configs() -> List[Tuple[str, StackConfig]]:
         for label, factory in configs:
             out.append((f"{set_name}:{label}", factory()))
     out.extend(_super_nesting_configs())
+    out.extend(_arch_and_grant_configs())
     return out
 
 
@@ -76,7 +100,7 @@ def exit_counters(config: StackConfig) -> Dict[str, Dict[str, int]]:
             run_microbenchmark(stack, "DevNotify", 3)
         run_microbenchmark(stack, "SendIPI", 2)
     m = stack.metrics
-    return {
+    out = {
         "exits": {f"{lvl}|{r}": n for (lvl, r), n in sorted(m.exits.items())},
         "forwards": {
             f"{lvl}|{r}|{o}": n for (lvl, r, o), n in sorted(m.forwards.items())
@@ -84,6 +108,9 @@ def exit_counters(config: StackConfig) -> Dict[str, Dict[str, int]]:
         "l0_handled": {r: n for r, n in sorted(m.l0_handled.items())},
         "dvh_handled": {r: n for r, n in sorted(m.dvh_handled.items())},
     }
+    if config.ooh is not None:
+        out["ooh"] = {f"{f}|{mode}": n for (f, mode), n in sorted(m.ooh.items())}
+    return out
 
 
 def _load_goldens() -> Dict[str, Dict]:
