@@ -11,7 +11,7 @@ capability bits and *enable* them through VM-execution-control bits
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Tuple
+from typing import Any, Callable, Iterable, List, Tuple
 
 __all__ = [
     "DvhFeatures",
@@ -19,6 +19,7 @@ __all__ = [
     "DVH_PRESETS",
     "negotiate",
     "fallback_io_model",
+    "recursive_dvh_owner",
 ]
 
 #: Every negotiable DVH mechanism, in capability-bit order.
@@ -155,3 +156,20 @@ def fallback_io_model(io_model: str, features: DvhFeatures) -> str:
     if io_model == "vp" and not features.virtual_passthrough:
         return "virtio"
     return io_model
+
+
+def recursive_dvh_owner(vcpu: Any, enabled: Callable[[Any], bool]) -> int:
+    """The §3.5 recursive-enable walk, generic over the enable bit.
+
+    DVH handles the exit at L0 only if every intervening hypervisor set
+    the enable bit for its guest (the bits AND together).  Otherwise
+    forwarding descends from the innermost level: the first hypervisor
+    (from the VM's own manager downward) whose enable bit for its guest
+    is clear must emulate.  ``enabled`` reads the feature's enable bit
+    off an :class:`repro.hw.vmx.ExecControl` — a direct attribute access
+    supplied by the feature module, not a string-matched name.
+    """
+    for m in range(vcpu.level, 1, -1):
+        if not enabled(vcpu.chain_vcpu(m).vmcs.controls):
+            return m - 1
+    return 0

@@ -20,27 +20,21 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.hw.ops import ExitReason
-
 __all__ = [
     "enable_virtual_idle",
     "update_virtual_idle_policy",
-    "register_ownership",
+    "exit_owner",
 ]
 
 
-def register_ownership(registry) -> None:
-    """Claim ``HLT`` routing: L0 handles the HLT only if *no* intervening
-    hypervisor kept HLT-exiting set in its vmcs12; otherwise the
-    innermost one that traps HLT owns it (§3.4)."""
-
-    def claim(vcpu, exit_) -> int:
-        for m in range(vcpu.level - 1, 0, -1):
-            if vcpu.chain_vcpu(m + 1).vmcs.controls.hlt_exiting:
-                return m
-        return 0
-
-    registry.claim_ownership(ExitReason.HLT, claim)
+def exit_owner(vcpu, exit_) -> int:
+    """The owner of an ``HLT`` exit: L0 handles the HLT only if *no*
+    intervening hypervisor kept HLT-exiting set in its vmcs12; otherwise
+    the innermost one that traps HLT owns it (§3.4)."""
+    for m in range(vcpu.level - 1, 0, -1):
+        if vcpu.chain_vcpu(m + 1).vmcs.controls.hlt_exiting:
+            return m
+    return 0
 
 
 def enable_virtual_idle(hv_stack: List, leaf_vm) -> bool:

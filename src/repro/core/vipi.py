@@ -8,41 +8,37 @@ with the host through the VCIMTAR register.  The host uses it to find the
 destination of a nested VM's IPI without guest-hypervisor intervention
 (Figure 5).
 
-Send-side emulation lives in :mod:`repro.hv.kvm` (the registered
-``APIC_ICR`` handlers and ``_vcimt_lookup``); routing is this module's
-:func:`register_ownership` claim on the dispatch registry.  This module
-is otherwise the guest-hypervisor-side setup: build the table in its own
-memory and program the VCIMTAR.
+Send-side emulation lives in :mod:`repro.hv.kvm` (the ``APIC_ICR``
+handlers and ``_vcimt_lookup``); routing is this module's
+:func:`exit_owner`, the ``APIC_ICR`` entry of the dispatch routing
+table.  This module is otherwise the guest-hypervisor-side setup:
+build the table in its own memory and program the VCIMTAR.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.hw.ops import ExitReason
+from repro.core.features import recursive_dvh_owner
 from repro.hw.vmx import VCIMT_ENTRY_SIZE, VmcsField
 
-__all__ = ["setup_virtual_ipis", "DEFAULT_VCIMT_BASE", "register_ownership"]
+__all__ = ["setup_virtual_ipis", "DEFAULT_VCIMT_BASE", "exit_owner"]
 
 
-def register_ownership(registry) -> None:
-    """Claim ``APIC_ICR`` routing: posted-interrupt *notification*
+def _enabled(controls) -> bool:
+    return controls.virtual_ipi_enable
+
+
+def exit_owner(vcpu, exit_) -> int:
+    """The owner of an ``APIC_ICR`` exit: posted-interrupt *notification*
     requests always belong to the sender's own manager (Figure 4 step 4),
     everything else follows the §3.5 walk over the virtual-IPI enable
     bit."""
-    from repro.hv.dispatch import recursive_dvh_owner
-
-    def claim(vcpu, exit_) -> int:
-        if exit_.info.get("notify_only"):
-            # A guest hypervisor asking the CPU to send a
-            # posted-interrupt notification on its behalf: its own
-            # manager emulates that.
-            return vcpu.level - 1
-        return recursive_dvh_owner(
-            vcpu, lambda controls: controls.virtual_ipi_enable
-        )
-
-    registry.claim_ownership(ExitReason.APIC_ICR, claim)
+    if exit_.info.get("notify_only"):
+        # A guest hypervisor asking the CPU to send a posted-interrupt
+        # notification on its behalf: its own manager emulates that.
+        return vcpu.level - 1
+    return recursive_dvh_owner(vcpu, _enabled)
 
 #: Guest-physical address guest hypervisors conventionally place the
 #: table at in this reproduction.

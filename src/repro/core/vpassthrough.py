@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 
 from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.ept import PageTable, Perm
-from repro.hw.ops import ExitReason
 from repro.hv.passthrough import dma_pool_pfns, resolve_many_through_chain
 from repro.hv.viommu import VirtualIommu
 
@@ -33,24 +32,21 @@ __all__ = [
     "VirtualPassthroughAssignment",
     "assign_virtual_device",
     "populate_chain_epts",
-    "register_ownership",
+    "exit_owner",
 ]
 
 
-def register_ownership(registry) -> None:
-    """Claim ``MMIO`` routing: a device provided by level *p* is emulated
-    at level *p* even when accessed from a deeper nested VM (§3.1) — the
-    doorbell write short-circuits straight to the provider.  Devices with
-    no provider (plain emulated MMIO) belong to the VM's own manager."""
-
-    def claim(vcpu, exit_) -> int:
-        device = exit_.info.get("device")
-        provider = getattr(device, "provider_level", None)
-        if provider is not None:
-            return provider
-        return vcpu.level - 1
-
-    registry.claim_ownership(ExitReason.MMIO, claim)
+def exit_owner(vcpu, exit_) -> int:
+    """The owner of an ``MMIO`` exit: a device provided by level *p* is
+    emulated at level *p* even when accessed from a deeper nested VM
+    (§3.1) — the doorbell write short-circuits straight to the provider.
+    Devices with no provider (plain emulated MMIO) belong to the VM's own
+    manager."""
+    device = exit_.info.get("device")
+    provider = getattr(device, "provider_level", None)
+    if provider is not None:
+        return provider
+    return vcpu.level - 1
 
 
 class VirtualPassthroughAssignment:

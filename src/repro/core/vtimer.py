@@ -8,10 +8,10 @@ hypervisor sets the enable bit for its guest (the §3.5 AND rule), a
 nested VM's timer programming exits go straight to L0, which emulates the
 timer with an hrtimer using the *combined* TSC offset of all levels.
 
-The emulation lives in :mod:`repro.hv.kvm` (the registered
-``APIC_TIMER`` handlers); routing is this module's
-:func:`register_ownership` claim on the dispatch registry.  This module
-is otherwise the guest-hypervisor-side configuration: discovery,
+The emulation lives in :mod:`repro.hv.kvm` (the ``APIC_TIMER``
+handlers); routing is this module's :func:`exit_owner`, the
+``APIC_TIMER`` entry of the dispatch routing table.  This module is
+otherwise the guest-hypervisor-side configuration: discovery,
 enablement, and save/restore on nested VM switch.
 """
 
@@ -19,29 +19,26 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.hw.ops import ExitReason
+from repro.core.features import recursive_dvh_owner
 from repro.hw.vmx import VmcsField
 
 __all__ = [
     "enable_virtual_timers",
     "save_virtual_timer",
     "restore_virtual_timer",
-    "register_ownership",
+    "exit_owner",
 ]
 
 
-def register_ownership(registry) -> None:
-    """Claim ``APIC_TIMER`` routing: the §3.5 recursive-enable walk over
-    the virtual-timer enable bit (a direct control-field read, not a
-    string-matched attribute name)."""
-    from repro.hv.dispatch import recursive_dvh_owner
+def _enabled(controls) -> bool:
+    return controls.virtual_timer_enable
 
-    registry.claim_ownership(
-        ExitReason.APIC_TIMER,
-        lambda vcpu, exit_: recursive_dvh_owner(
-            vcpu, lambda controls: controls.virtual_timer_enable
-        ),
-    )
+
+def exit_owner(vcpu, exit_) -> int:
+    """The owner of an ``APIC_TIMER`` exit: the §3.5 recursive-enable
+    walk over the virtual-timer enable bit (a direct control-field read,
+    not a string-matched attribute name)."""
+    return recursive_dvh_owner(vcpu, _enabled)
 
 
 def enable_virtual_timers(hv_stack: List, leaf_vm) -> bool:

@@ -14,18 +14,18 @@ One class plays both roles of the paper's terminology:
 The dispatch machinery itself lives in :mod:`repro.hv.dispatch`: every
 hardware exit arrives here wrapped in an
 :class:`~repro.hv.dispatch.ExitContext` (the trap frame created at the
-trap site in :meth:`repro.hv.vm.VCpu.execute`), routing consults the
-:class:`~repro.hv.dispatch.ExitHandlerRegistry` (where each DVH feature
-registered its ownership claim), and the reason-specific emulation is
-performed by the module-level handler functions below, registered per
-``(ExitReason, profile)``.  Hypervisor flavours are declarative
-:class:`repro.hv.profiles.HypervisorProfile` data — Xen is a profile, not
-method overrides.
+trap site in :meth:`repro.hv.vm.VCpu.execute`), and routing and handler
+lookup index the tables of :data:`DEFAULT_REGISTRY`.  The reason-specific
+emulation is performed by the module-level handler functions below; the
+tables at the end of this module map each ``ExitReason`` to its L0
+handler and to its guest-hypervisor handler.  Hypervisor flavours are
+declarative :class:`repro.hv.profiles.HypervisorProfile` data — kvm, xen
+and hs share the guest handlers, parameterized by the profile.
 
-The four DVH mechanisms short-circuit routing through their ownership
-claims: when the VM-execution controls of every intervening level carry
-the DVH enable bit (§3.5's AND rule), exits that would have been
-forwarded are handled by L0 directly.
+The four DVH mechanisms short-circuit routing through their entries in
+the routing table: when the VM-execution controls of every intervening
+level carry the DVH enable bit (§3.5's AND rule), exits that would have
+been forwarded are handled by L0 directly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from repro.core.features import DvhFeatures
-from repro.hv.dispatch import DEFAULT_REGISTRY, ExitContext, ExitHandlerRegistry
+from repro.hv.dispatch import ExitContext, ExitHandlerRegistry
 from repro.hv.profiles import KVM_PROFILE, HypervisorProfile
 from repro.hv.vm import VCpu, VirtualMachine
 from repro.hw.lapic import TIMER_VECTOR
@@ -52,7 +52,7 @@ from repro.hw.vmx import (
     VmxCapability,
 )
 
-__all__ = ["KvmHypervisor"]
+__all__ = ["KvmHypervisor", "DEFAULT_REGISTRY"]
 
 
 class KvmHypervisor:
@@ -61,8 +61,6 @@ class KvmHypervisor:
     #: The declarative flavour of this hypervisor (subclasses swap the
     #: profile, nothing else).
     profile: ClassVar[HypervisorProfile] = KVM_PROFILE
-    #: The registry exits are routed and dispatched through.
-    registry: ClassVar[ExitHandlerRegistry] = DEFAULT_REGISTRY
 
     def __init__(
         self,
@@ -170,7 +168,7 @@ class KvmHypervisor:
                 # controls before routing (§3.2-3.4).
                 ectx.charge("l0_emul", c.dvh_route_check)
                 yield c.dvh_route_check
-            owner = self.registry.route(vcpu, exit_)
+            owner = DEFAULT_REGISTRY.route(vcpu, exit_)
             ooh = self.machine.ooh
             if ooh is not None and vcpu.level >= 2:
                 # OoH attribution: every exit whose reason a configured
@@ -190,7 +188,7 @@ class KvmHypervisor:
                         yield c.ooh_grant_check
             tracker = self.machine.chain_tracker
             if owner == 0:
-                handler, dvh_capable = self.registry.l0_handler(exit_.reason)
+                handler, dvh_capable = DEFAULT_REGISTRY.l0[exit_.reason.index]
                 dvh_used = vcpu.level >= 2 and dvh_capable and not ectx.granted
                 if ectx.granted:
                     ectx.handler = "l0:ooh"
@@ -501,7 +499,7 @@ class KvmHypervisor:
         privileged operations below trap to L0 (and further, if ``ctx``
         is itself nested) — the paper's exit multiplication.
         """
-        assert self.level >= 1, "L0 handles exits through the registry, not here"
+        assert self.level >= 1, "L0 handles exits in dispatch_exit, not here"
         if ectx is None:
             ectx = ExitContext(exit_, exit_.vcpu, None, self.machine)
         c = self.costs
@@ -519,7 +517,7 @@ class KvmHypervisor:
         )
         ectx.charge("ghv_handler", c.ghv_handler_sw)
         yield from ctx.compute(c.ghv_handler_sw)
-        handler = self.registry.guest_handler(exit_.reason, self.profile)
+        handler = DEFAULT_REGISTRY.guest[exit_.reason.index]
         result = yield from handler(self, ctx, ectx, guest_vmcs)
         yield from ctx.execute(
             Op.VMWRITE,
@@ -631,11 +629,8 @@ class KvmHypervisor:
 # ======================================================================
 # Each handler is ``fn(hv, ectx)`` where ``hv`` is the host hypervisor
 # and ``ectx`` the trap frame; the vCPU and the exit ride in the frame.
-# ``dvh_capable`` marks reasons whose direct L0 handling of a *nested*
-# VM's exit is a DVH mechanism (virtual timer/IPI/idle/passthrough).
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.VMCALL)
 def _l0_hypercall(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     c = hv.costs
     ectx.charge("l0_emul", c.emul_hypercall)
@@ -643,9 +638,6 @@ def _l0_hypercall(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(
-    ExitReason.CPUID, ExitReason.MSR_READ, ExitReason.MSR_WRITE, default=True
-)
 def _l0_trivial(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     c = hv.costs
     ectx.charge("l0_emul", c.emul_trivial)
@@ -653,7 +645,6 @@ def _l0_trivial(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.EPT_VIOLATION)
 def _l0_ept_violation(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     c = hv.costs
     ectx.charge("l0_emul", c.ept_violation_fix)
@@ -674,7 +665,6 @@ def _vmcs_access(op: Op, info: Dict[str, Any]) -> Any:
     return vmcs.read(fieldname)
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.VMX_INSTRUCTION)
 def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """Emulate a VMX instruction executed by a guest hypervisor."""
     c = hv.costs
@@ -707,7 +697,6 @@ def _l0_vmx(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.APIC_TIMER, dvh_capable=True)
 def _l0_timer(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """LAPIC TSC-deadline emulation; for nested vCPUs this is the DVH
     virtual timer (§3.2), reached only when routing said so."""
@@ -741,7 +730,6 @@ def _l0_timer(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.APIC_ICR, dvh_capable=True)
 def _l0_ipi(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """ICR-write emulation: normal for L1 vCPUs, DVH virtual IPI
     (§3.3) for nested vCPUs."""
@@ -793,7 +781,6 @@ def _l0_ipi(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.HLT, dvh_capable=True)
 def _l0_hlt(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """Block the physical CPU until an interrupt arrives."""
     c = hv.costs
@@ -814,7 +801,6 @@ def _l0_hlt(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_l0(ExitReason.MMIO, dvh_capable=True)
 def _l0_mmio(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     """Trapped MMIO: decode, then emulate the device access."""
     c = hv.costs
@@ -845,11 +831,9 @@ def _l0_mmio(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
 # Each handler is ``fn(hv, ctx, ectx, guest_vmcs)``: ``hv`` is the owning
 # guest hypervisor, ``ctx`` the vCPU its handler code runs on, ``ectx``
 # the (unchanged) trap frame of the forwarded exit.  Flavour differences
-# come from ``hv.profile`` — base handlers are registered with
-# ``profile=None`` and serve every flavour.
+# come from ``hv.profile``: every flavour runs the same handlers.
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.APIC_TIMER)
 def _guest_timer(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     """Emulate the nested VM's timer with this hypervisor's own
     (which itself traps when programmed — recursion)."""
@@ -874,7 +858,6 @@ def _guest_timer(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generato
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.APIC_ICR)
 def _guest_ipi(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     exit_ = ectx.exit_
     info = exit_.info
@@ -895,7 +878,6 @@ def _guest_ipi(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.HLT)
 def _guest_hlt(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     yield from ctx.compute(300)  # run-queue check
     # §3.4: with another runnable nested VM, schedule it on this
@@ -927,7 +909,6 @@ def _guest_hlt(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.MMIO)
 def _guest_mmio(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     c = hv.costs
     info = ectx.exit_.info
@@ -949,7 +930,6 @@ def _guest_mmio(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.VMX_INSTRUCTION)
 def _guest_vmx(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     """Emulate a VMX instruction for a nested hypervisor: touch the
     deeper vmcs in guest memory, then the tail VMRESUME re-runs
@@ -974,14 +954,44 @@ def _guest_vmx(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(ExitReason.VMCALL)
 def _guest_vmcall(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     yield from ctx.compute(hv.costs.emul_hypercall)
     return None
 
 
-@DEFAULT_REGISTRY.register_guest(default=True)
 def _guest_trivial(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Generator:
     # CPUID / MSR / IO / EPT...
     yield from ctx.compute(hv.costs.emul_trivial)
     return None
+
+
+# ======================================================================
+# The exit tables
+# ======================================================================
+# ``dvh_capable`` (the bool beside each L0 handler) marks reasons whose
+# direct L0 handling of a *nested* VM's exit is a DVH mechanism (virtual
+# timer/IPI/idle/passthrough).  Reasons not listed (CPUID, MSRs, ...)
+# get the trivial handlers.
+_L0_HANDLERS = {
+    ExitReason.VMCALL: (_l0_hypercall, False),
+    ExitReason.EPT_VIOLATION: (_l0_ept_violation, False),
+    ExitReason.VMX_INSTRUCTION: (_l0_vmx, False),
+    ExitReason.APIC_TIMER: (_l0_timer, True),
+    ExitReason.APIC_ICR: (_l0_ipi, True),
+    ExitReason.HLT: (_l0_hlt, True),
+    ExitReason.MMIO: (_l0_mmio, True),
+}
+_GUEST_HANDLERS = {
+    ExitReason.APIC_TIMER: _guest_timer,
+    ExitReason.APIC_ICR: _guest_ipi,
+    ExitReason.HLT: _guest_hlt,
+    ExitReason.MMIO: _guest_mmio,
+    ExitReason.VMX_INSTRUCTION: _guest_vmx,
+    ExitReason.VMCALL: _guest_vmcall,
+}
+
+#: The process-wide exit tables every machine dispatches through.
+DEFAULT_REGISTRY = ExitHandlerRegistry(
+    l0=[_L0_HANDLERS.get(reason, (_l0_trivial, False)) for reason in ExitReason],
+    guest=[_GUEST_HANDLERS.get(reason, _guest_trivial) for reason in ExitReason],
+)

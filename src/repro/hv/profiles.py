@@ -4,10 +4,10 @@ A :class:`HypervisorProfile` captures everything that distinguishes one
 guest-hypervisor flavour from another as **data**: how many trapping
 VMCS accesses its exit handlers perform per reason, how much of the exit
 information VMCS shadowing absorbs, and any extra I/O-notification work
-its driver model imposes.  The dispatch core
-(:mod:`repro.hv.dispatch`) and the shared exit handlers in
-:mod:`repro.hv.kvm` consult the profile; adding a hypervisor flavour
-means writing a profile, not subclass method surgery.
+its driver model imposes.  The shared exit handlers in
+:mod:`repro.hv.kvm` consult the profile (one guest-handler table serves
+every flavour); adding a hypervisor flavour means writing a profile,
+not new handlers or subclass method surgery.
 
 Three profiles ship:
 
@@ -30,7 +30,7 @@ virtualization support does not work properly in recent Xen versions
 Being hypervisor-agnostic is a selling point of virtual-passthrough
 (§3.1), and Figure 10 shows DVH-VP delivering passthrough-like
 performance under Xen too.  A Xen guest hypervisor is literally the
-same dispatch registry and handler code as KVM, parameterized by
+same dispatch tables and handler code as KVM, parameterized by
 :data:`XEN_PROFILE` — the stack builder instantiates
 :class:`repro.hv.kvm.KvmHypervisor` with ``profile=PROFILES["xen"]``;
 there is no Xen subclass.
@@ -76,8 +76,8 @@ _KVM_OP_COUNTS: Dict[ExitReason, Tuple[int, int]] = {
 class HypervisorProfile:
     """One guest-hypervisor flavour, as pure data."""
 
-    #: Profile key: guest handlers registered for this profile override
-    #: the base handlers registered with ``profile=None``.
+    #: Profile key (``StackConfig.guest_hv``); every flavour runs the
+    #: same guest handlers, so the name selects data only.
     name: str
     #: Trapping (read, write) VMCS accesses per handled exit reason.
     op_counts: Dict[ExitReason, Tuple[int, int]] = field(default_factory=dict)

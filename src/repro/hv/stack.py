@@ -219,9 +219,6 @@ def _build_virtualized(stack: Stack) -> Stack:
     machine.host_hv = l0
     machine.hv_stack = [l0]
     stack.hvs = [l0]
-    # Fail loudly now (typed DispatchTableError) if any ExitReason would
-    # None-dispatch at runtime for the active guest-hv profile.
-    l0.registry.validate_tables(config.guest_hv if levels >= 2 else None)
 
     # --- VMs and vCPU chains -------------------------------------
     # Worker chains on pCPUs 0..workers-1; backend vCPUs for level j's

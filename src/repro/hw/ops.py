@@ -66,7 +66,7 @@ class ExitReason(enum.Enum):
     PREEMPTION_TIMER = "preemption_timer"
 
 
-# Dense per-reason index for the flattened dispatch tables in
+# Dense per-reason index for the exit tables in
 # repro.hv.dispatch / repro.hv.profiles: table[reason.index] replaces a
 # dict lookup on the hot exit path.
 for _index, _reason in enumerate(ExitReason):

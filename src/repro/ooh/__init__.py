@@ -19,10 +19,9 @@ This package supplies:
 * :mod:`repro.ooh.pricing` — the granted-vs-forwarded cycle pricing for
   dirty-page tracking during live pre-copy migration.
 
-Grant gates register in the exit-dispatch registry exactly like the DVH
-feature modules do (see ``register_ownership`` in
-:mod:`repro.ooh.grants` and
-:meth:`repro.hv.dispatch.ExitHandlerRegistry.claim_grant_gate`).
+:data:`~repro.ooh.grants.GATED_REASONS` fills the grant-gate table of
+the exit dispatch (:class:`repro.hv.dispatch.ExitHandlerRegistry`): the
+one layer consulted before the DVH owners decide where an exit goes.
 """
 
 from repro.ooh.grants import (
@@ -33,7 +32,6 @@ from repro.ooh.grants import (
     GrantSet,
     GrantTable,
     UnknownGrantError,
-    register_ownership,
 )
 from repro.ooh.pricing import (
     PML_BUFFER_ENTRIES,
@@ -50,7 +48,6 @@ __all__ = [
     "GrantSet",
     "GrantTable",
     "UnknownGrantError",
-    "register_ownership",
     "PML_BUFFER_ENTRIES",
     "dirty_tracking_cycles",
     "forwarded_dirty_page_cycles",

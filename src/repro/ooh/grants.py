@@ -46,7 +46,6 @@ __all__ = [
     "GrantConflictError",
     "GrantSet",
     "GrantTable",
-    "register_ownership",
 ]
 
 #: Every grantable feature, in declaration order.
@@ -258,11 +257,3 @@ class GrantTable:
             f"<GrantTable active={sorted(self._active)} "
             f"configured={sorted(self._configured)}>"
         )
-
-
-def register_ownership(registry) -> None:
-    """Register the grant gates in the exit-dispatch registry — the same
-    entry point signature the DVH feature modules use (called from
-    ``ExitHandlerRegistry._install_default_claims``)."""
-    for reason, feature in GATED_REASONS.items():
-        registry.claim_grant_gate(reason, feature)

@@ -1,11 +1,11 @@
-"""Tests for the registry dispatch core: ExitContext chains, ownership
-claims, and the declarative hypervisor profiles."""
+"""Tests for the dispatch core: ExitContext chains, the fixed exit
+tables (handlers and owners), and the declarative hypervisor profiles."""
 
 import pytest
 
 from repro.core.features import DvhFeatures
-from repro.hv.dispatch import DEFAULT_REGISTRY, ExitContext, ExitHandlerRegistry
-from repro.hv.kvm import KvmHypervisor
+from repro.hv.dispatch import ExitContext
+from repro.hv.kvm import DEFAULT_REGISTRY, KvmHypervisor
 from repro.hv.profiles import KVM_PROFILE, PROFILES, XEN_PROFILE
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.ops import (
@@ -127,7 +127,7 @@ def test_dvh_chain_is_a_single_frame():
 
 
 # ----------------------------------------------------------------------
-# Routing: registry ownership claims
+# Routing: the owner table
 # ----------------------------------------------------------------------
 def test_l1_exits_always_route_to_l0():
     stack = build_stack(StackConfig(levels=1))
@@ -179,53 +179,17 @@ def test_no_string_matched_dvh_ownership_remains():
 
 
 # ----------------------------------------------------------------------
-# Registry mechanics
+# The exit tables
 # ----------------------------------------------------------------------
-def test_registry_rejects_duplicate_registrations():
-    reg = ExitHandlerRegistry()
-
-    @reg.register_l0(ExitReason.VMCALL)
-    def h(hv, ectx):
-        yield 0
-
-    with pytest.raises(ValueError):
-
-        @reg.register_l0(ExitReason.VMCALL)
-        def h2(hv, ectx):
-            yield 0
-
-    reg.claim_ownership(ExitReason.HLT, lambda vcpu, exit_: 0)
-    with pytest.raises(ValueError):
-        reg.claim_ownership(ExitReason.HLT, lambda vcpu, exit_: 0)
-
-
-def test_guest_handler_profile_fallback_order():
-    reg = ExitHandlerRegistry()
-
-    @reg.register_guest(ExitReason.MMIO)
-    def base(hv, ctx, ectx, vmcs):
-        yield 0
-
-    @reg.register_guest(ExitReason.MMIO, profile="xen")
-    def xen_specific(hv, ctx, ectx, vmcs):
-        yield 0
-
-    @reg.register_guest(default=True)
-    def fallback(hv, ctx, ectx, vmcs):
-        yield 0
-
-    assert reg.guest_handler(ExitReason.MMIO, XEN_PROFILE) is xen_specific
-    assert reg.guest_handler(ExitReason.MMIO, KVM_PROFILE) is base
-    assert reg.guest_handler(ExitReason.CPUID, KVM_PROFILE) is fallback
-
-
 def test_default_registry_covers_every_reason():
+    tables = (DEFAULT_REGISTRY.l0, DEFAULT_REGISTRY.guest, DEFAULT_REGISTRY.owners)
+    for table in tables:
+        assert len(table) == len(ExitReason)
     for reason in ExitReason:
-        if reason is ExitReason.PREEMPTION_TIMER:
-            continue  # never dispatched: L0-internal bookkeeping
-        handler, _dvh = DEFAULT_REGISTRY.l0_handler(reason)
+        handler, _dvh = DEFAULT_REGISTRY.l0[reason.index]
         assert callable(handler)
-        assert callable(DEFAULT_REGISTRY.guest_handler(reason, KVM_PROFILE))
+        assert callable(DEFAULT_REGISTRY.guest[reason.index])
+        assert callable(DEFAULT_REGISTRY.owners[reason.index])
 
 
 def test_dvh_capable_marking_matches_the_four_mechanisms():
@@ -233,7 +197,7 @@ def test_dvh_capable_marking_matches_the_four_mechanisms():
         reason
         for reason in ExitReason
         if reason is not ExitReason.PREEMPTION_TIMER
-        and DEFAULT_REGISTRY.l0_handler(reason)[1]
+        and DEFAULT_REGISTRY.l0[reason.index][1]
     }
     assert dvh_reasons == {
         ExitReason.APIC_TIMER,
@@ -281,54 +245,3 @@ def test_xen_split_driver_costs_come_from_profile():
     assert XEN_PROFILE.io_notify_sw == 1400
     assert XEN_PROFILE.io_notify_hypercall == "evtchn_send"
     assert KVM_PROFILE.io_notify_sw == 0
-
-
-# ----------------------------------------------------------------------
-# Build-time table validation (typed errors, not None-dispatch)
-# ----------------------------------------------------------------------
-def test_missing_l0_handler_raises_typed_error():
-    from repro.hv.dispatch import DispatchTableError
-
-    reg = ExitHandlerRegistry()  # nothing registered at all
-    with pytest.raises(DispatchTableError, match="VMCALL"):
-        reg.l0_handler(ExitReason.VMCALL)
-    with pytest.raises(DispatchTableError):
-        reg.validate_tables()
-
-
-def test_missing_guest_handler_raises_typed_error():
-    from repro.hv.dispatch import DispatchTableError
-
-    reg = ExitHandlerRegistry()
-
-    @reg.register_l0(default=True)
-    def l0(hv, ectx):
-        yield 0
-
-    # L0 table is complete (default fallback), guest table is empty.
-    reg.validate_tables()
-    with pytest.raises(DispatchTableError, match="incomplete"):
-        reg.validate_tables("kvm")
-    with pytest.raises(DispatchTableError):
-        reg.guest_handler(ExitReason.MMIO, KVM_PROFILE)
-
-
-def test_dispatch_table_error_is_a_lookup_error():
-    """Typed, but still a LookupError so pre-existing broad handlers
-    keep working."""
-    from repro.hv.dispatch import DispatchTableError
-
-    assert issubclass(DispatchTableError, LookupError)
-
-
-def test_build_stack_validates_tables_for_active_profile():
-    """build_stack must surface an incomplete table at *build* time for
-    the profile the stack actually dispatches with."""
-    from repro.hv.dispatch import DispatchTableError
-
-    reg = ExitHandlerRegistry()
-    with pytest.raises(DispatchTableError):
-        reg.validate_tables("hs")
-    # The shipped registry passes for every registered profile.
-    for name in PROFILES:
-        DEFAULT_REGISTRY.validate_tables(name)

@@ -2,6 +2,7 @@
 three virtualization levels, and recursive virtual-passthrough."""
 
 from repro.core.features import DvhFeatures
+from repro.hv.kvm import DEFAULT_REGISTRY
 from repro.hv.stack import StackConfig, build_stack
 
 
@@ -23,7 +24,7 @@ def timer_owner(stack):
         info={"deadline": 10**9},
         vcpu=leaf,
     )
-    return stack.machine.host_hv.registry.route(leaf, exit_)
+    return DEFAULT_REGISTRY.route(leaf, exit_)
 
 
 def test_all_enabled_routes_to_l0():

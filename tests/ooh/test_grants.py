@@ -3,8 +3,9 @@ misconfiguration rejection, and runtime grant-table state."""
 
 import pytest
 
+from repro.core import vipi, vtimer
 from repro.core.features import DvhFeatures
-from repro.hv.dispatch import ExitHandlerRegistry
+from repro.hv.kvm import DEFAULT_REGISTRY
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.ops import ExitReason
 from repro.ooh.grants import (
@@ -14,7 +15,6 @@ from repro.ooh.grants import (
     GrantSet,
     GrantTable,
     UnknownGrantError,
-    register_ownership,
 )
 
 
@@ -144,23 +144,16 @@ def test_dirty_mode_follows_active_state():
 
 
 # ----------------------------------------------------------------------
-# Registry gates: same duplicate discipline as DVH ownership claims
+# Grant gates in the exit tables
 # ----------------------------------------------------------------------
-def test_gate_registration_rejects_duplicates():
-    reg = ExitHandlerRegistry()
-    register_ownership(reg)
-    with pytest.raises(ValueError, match="duplicate grant gate"):
-        reg.claim_grant_gate(ExitReason.APIC_TIMER, "timer_deadline")
-
-
 def test_gates_coexist_with_dvh_ownership_claims():
-    reg = ExitHandlerRegistry()
-    reg.claim_ownership(ExitReason.APIC_TIMER, lambda vcpu, exit_: 0)
-    # The grant gate is a pre-routing layer, not a second ownership
-    # claim — both may target the same reason.
-    reg.claim_grant_gate(ExitReason.APIC_TIMER, "timer_deadline")
-    with pytest.raises(ValueError, match="duplicate ownership claim"):
-        reg.claim_ownership(ExitReason.APIC_TIMER, lambda vcpu, exit_: 0)
+    """The grant gate is a pre-routing layer, not a second owner: a gated
+    reason keeps its DVH owner for when the grant is absent or revoked."""
+    gates = DEFAULT_REGISTRY.gates
+    assert {r: gates[r.index] for r in ExitReason if gates[r.index]} == GATED_REASONS
+    owners = DEFAULT_REGISTRY.owners
+    assert owners[ExitReason.APIC_TIMER.index] is vtimer.exit_owner
+    assert owners[ExitReason.APIC_ICR.index] is vipi.exit_owner
 
 
 def test_every_gated_reason_names_a_real_feature():

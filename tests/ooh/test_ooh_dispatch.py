@@ -2,7 +2,7 @@
 level-2 exits to L0 at flat cost, fall back to forwarding on
 revocation, and attribute both outcomes in metrics."""
 
-from repro.hv.dispatch import DEFAULT_REGISTRY
+from repro.hv.kvm import DEFAULT_REGISTRY
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.lapic import IPI_RESCHEDULE_VECTOR, TIMER_VECTOR
 from repro.hw.ops import MSR_X2APIC_ICR, ExitReason, Op
