@@ -20,7 +20,9 @@ runs the study's migration cells (a live migration beside a tenant
 re-dirtying memory) and reports simulated dirtier bursts per host
 second, the rate the dirtier's run-ahead sets.  A seventh, **fabric
 frames**, runs stop-and-wait cross-rack flows on a small spine-leaf
-fabric and reports delivered frames per host second.
+fabric and reports delivered frames per host second.  An eighth,
+**stack build**, builds a fleet host's system stack (an L2 virtio
+stack) over and over and reports stacks built per host second.
 
 Run directly to print and optionally record results::
 
@@ -28,7 +30,8 @@ Run directly to print and optionally record results::
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
 ``--check`` enforces conservative events/sec, exits/sec, writes/sec,
-placements/sec, bursts/sec and frames/sec floors (for CI smoke).  With ``--baseline
+placements/sec, bursts/sec, frames/sec and stacks/sec floors (for CI
+smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
 trips even on hosts fast enough to clear the absolute floor.
@@ -68,6 +71,10 @@ MIN_DIRTIER_BURSTS_PER_SEC = 1_000_000.0
 #: Conservative floor for fabric frames, about 10x under what a
 #: 2020s-era core sustains.
 MIN_FABRIC_FRAMES_PER_SEC = 7_000.0
+
+#: Conservative floor for fleet-host stack builds, about 10x under what
+#: a 2020s-era core sustains.
+MIN_STACKS_PER_SEC = 200.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -375,6 +382,41 @@ def bench_fabric_frames(
     }
 
 
+def bench_stack_build(stacks: int = 200) -> Dict[str, float]:
+    """Host cost of booting a fleet host: ``stacks`` builds of the fleet
+    spec's host stack (L2, virtio I/O, 2 workers), each on a fresh
+    machine, as ``ClusterHost.boot`` makes it.  Only ``build_stack`` is
+    timed.  ``rx_buffers`` sums the buffers posted on the leaf driver's
+    RX rings, so a build that skipped its rings shows there."""
+    from time import perf_counter
+
+    from repro.hv.stack import IO_VIRTIO, StackConfig, build_stack
+    from repro.hw.machine import Machine
+    from repro.sim import default_costs
+
+    costs = default_costs()
+    wall = 0.0
+    rx_buffers = 0
+    for i in range(stacks):
+        machine = Machine(sim=Simulator(seed=0), costs=costs)
+        config = StackConfig(
+            levels=2, io_model=IO_VIRTIO, workers=2, flow=f"host{i}-sys"
+        )
+        t0 = perf_counter()
+        stack = build_stack(config, machine=machine)
+        wall += perf_counter() - t0
+        dev = stack.net.device
+        rx_buffers += sum(
+            dev.rx_q(p).avail_pending for p in range(dev.num_queue_pairs)
+        )
+    return {
+        "stacks": float(stacks),
+        "rx_buffers": float(rx_buffers),
+        "wall_s": wall,
+        "stacks_per_host_s": stacks / wall if wall > 0 else 0.0,
+    }
+
+
 def run_benchmarks() -> Dict[str, Dict[str, float]]:
     return {
         "ping_pong": bench_ping_pong(),
@@ -386,6 +428,7 @@ def run_benchmarks() -> Dict[str, Dict[str, float]]:
         "fleet_place": bench_fleet_place(),
         "migration_dirtier": bench_migration_dirtier(),
         "fabric_frames": bench_fabric_frames(),
+        "stack_build": bench_stack_build(),
         "host": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -403,15 +446,17 @@ def main(argv=None) -> int:
         f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s, dirty writes "
         f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s, fleet placement "
         f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s, the migration "
-        f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s and fabric "
-        f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s",
+        f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s, fabric "
+        f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s and stack "
+        f"builds {MIN_STACKS_PER_SEC:,.0f} stacks/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
         help="with --check: also require ping-pong, exit-path, dirty-write, "
-        "fleet-place, migration-dirtier and fabric-frame throughput within "
+        "fleet-place, migration-dirtier, fabric-frame and stack-build "
+        "throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -482,6 +527,13 @@ def main(argv=None) -> int:
         f"in {ff['wall_s']:.3f}s = "
         f"{ff['frames_per_host_s']:>12,.0f} frames/s"
     )
+    sb = results["stack_build"]
+    print(
+        f"{'stack_build':14s} {sb['stacks']:>10,.0f} stacks "
+        f"({sb['rx_buffers']:,.0f} RX buffers posted) "
+        f"in {sb['wall_s']:.3f}s = "
+        f"{sb['stacks_per_host_s']:>12,.0f} stacks/s"
+    )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
@@ -548,6 +600,7 @@ def main(argv=None) -> int:
                 MIN_FABRIC_FRAMES_PER_SEC,
                 "frames/s",
             ),
+            ("stack_build", "stacks_per_host_s", MIN_STACKS_PER_SEC, "stacks/s"),
         )
         for name, key, floor, unit in floors:
             rate = results[name][key]

@@ -92,10 +92,10 @@ class VirtioDriver:
         self._tx_seq: Dict[int, int] = {}
         for pair in range(device.num_queue_pairs):
             self.bind_queue(pair, ctx, VIRTIO_VECTOR_BASE + pair)
-            for i in range(min(RX_BUFFERS, device.rx_q(pair).size // 2)):
-                device.rx_q(pair).add_buffer(
-                    self._rx_addr(pair, i), buf_size
-                )
+            rxq = device.rx_q(pair)
+            base = self._rx_addr(pair, 0)
+            n = min(RX_BUFFERS, rxq.size // 2)
+            rxq.prefill(range(base, base + n * buf_size, buf_size), buf_size)
 
     # ------------------------------------------------------------------
     def _rx_addr(self, pair: int, slot: int) -> int:

@@ -14,8 +14,7 @@ are guest-physical and must be translated by whoever moves the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.hw.pci import Capability, CapabilityId, PciDevice
 
@@ -33,14 +32,6 @@ class VirtqueueFull(Exception):
     """No free descriptors."""
 
 
-@dataclass(slots=True)
-class Descriptor:
-    addr: int
-    length: int
-    in_use: bool = False
-    payload: Any = None
-
-
 class Virtqueue:
     """One virtqueue: descriptor table + avail ring + used ring."""
 
@@ -49,11 +40,13 @@ class Virtqueue:
             raise ValueError("virtqueue size must be a power of two")
         self.index = index
         self.size = size
-        #: Descriptor table and both rings, made on the first
-        #: ``add_buffer`` (most queues never post a buffer); ``None``
-        #: until then.  A table entry is made the first time its id is
-        #: handed out (the rest post no more than a few buffers).
-        self.desc: Optional[List[Optional[Descriptor]]] = None
+        #: Descriptor table, one list per field (indexed by descriptor
+        #: id), and both rings, made on the first post (most queues
+        #: never post a buffer); ``None`` until then.
+        self.desc_addr: Optional[List[int]] = None
+        self.desc_len: Optional[List[int]] = None
+        self.desc_in_use: Optional[List[bool]] = None
+        self.desc_payload: Optional[List[Any]] = None
         self.avail_ring: Optional[List[int]] = None
         self.used_ring: Optional[List[Tuple[int, int]]] = None
         #: Reaped ids, reused last-in first-out ahead of ``_unused``.
@@ -71,28 +64,57 @@ class Virtqueue:
     # ------------------------------------------------------------------
     # Driver (guest) side
     # ------------------------------------------------------------------
+    def prefill(self, addrs: Sequence[int], length: int) -> None:
+        """Post one ``length``-byte buffer at each of ``addrs`` on a queue
+        that has never posted, leaving the same ids, table and rings as
+        one :meth:`add_buffer` per address (no payloads): ids
+        ``size - 1`` downward, in ``addrs`` order.  Raises
+        ``ValueError`` on a queue that has posted, and
+        :class:`VirtqueueFull` (posting nothing) for more addresses than
+        the queue has descriptors."""
+        if self.desc_addr is not None:
+            raise ValueError(f"queue {self.index} has already posted")
+        size, n = self.size, len(addrs)
+        if n > size:
+            raise VirtqueueFull(f"queue {self.index} has {size} descriptors, not {n}")
+        if not n:
+            return
+        idle = size - n
+        # Id ``size - 1 - i`` holds ``addrs[i]``.
+        self.desc_addr = [0] * idle + list(addrs[::-1])
+        self.desc_len = [0] * idle + [length] * n
+        self.desc_in_use = [False] * idle + [True] * n
+        self.desc_payload = [None] * size
+        self.avail_ring = list(range(size - 1, idle - 1, -1)) + [0] * idle
+        self.used_ring = [(0, 0)] * size
+        self._unused = idle
+        self.avail_idx = n
+
     def add_buffer(self, addr: int, length: int, payload: Any = None) -> int:
         """Post a buffer; returns the descriptor id."""
         free = self._free
         if not free and not self._unused:
             raise VirtqueueFull(f"queue {self.index} has no free descriptors")
-        if self.avail_idx - self.last_avail >= self.size:
+        size = self.size
+        if self.avail_idx - self.last_avail >= size:
             raise VirtqueueFull(f"queue {self.index} avail ring full")
-        desc = self.desc
-        if desc is None:
-            size = self.size
-            desc = self.desc = [None] * size
+        if self.desc_addr is None:
+            self.desc_addr = [0] * size
+            self.desc_len = [0] * size
+            self.desc_in_use = [False] * size
+            self.desc_payload = [None] * size
             self.avail_ring = [0] * size
             self.used_ring = [(0, 0)] * size
         if free:
             desc_id = free.pop()
-            d = desc[desc_id]
-            d.addr, d.length, d.in_use, d.payload = addr, length, True, payload
         else:
             self._unused -= 1
             desc_id = self._unused
-            desc[desc_id] = Descriptor(addr, length, True, payload)
-        self.avail_ring[self.avail_idx % self.size] = desc_id
+        self.desc_addr[desc_id] = addr
+        self.desc_len[desc_id] = length
+        self.desc_in_use[desc_id] = True
+        self.desc_payload[desc_id] = payload
+        self.avail_ring[self.avail_idx % size] = desc_id
         self.avail_idx += 1
         return desc_id
 
@@ -101,10 +123,9 @@ class Virtqueue:
         out = []
         while self.last_used < self.used_idx:
             desc_id, written = self.used_ring[self.last_used % self.size]
-            d = self.desc[desc_id]
-            out.append((desc_id, written, d.payload))
-            d.in_use = False
-            d.payload = None
+            out.append((desc_id, written, self.desc_payload[desc_id]))
+            self.desc_in_use[desc_id] = False
+            self.desc_payload[desc_id] = None
             self._free.append(desc_id)
             self.last_used += 1
         return out
@@ -118,8 +139,12 @@ class Virtqueue:
             return None
         desc_id = self.avail_ring[self.last_avail % self.size]
         self.last_avail += 1
-        d = self.desc[desc_id]
-        return desc_id, d.addr, d.length, d.payload
+        return (
+            desc_id,
+            self.desc_addr[desc_id],
+            self.desc_len[desc_id],
+            self.desc_payload[desc_id],
+        )
 
     _KEEP = object()
 
@@ -127,11 +152,11 @@ class Virtqueue:
         """Complete a buffer; ``payload`` (if given) replaces the
         descriptor's payload — how a device hands received data to the
         driver."""
-        d = self.desc[desc_id] if self.desc is not None else None
-        if d is None or not d.in_use:
+        in_use = self.desc_in_use
+        if in_use is None or not in_use[desc_id]:
             raise ValueError(f"descriptor {desc_id} not in use")
         if payload is not Virtqueue._KEEP:
-            d.payload = payload
+            self.desc_payload[desc_id] = payload
         self.used_ring[self.used_idx % self.size] = (desc_id, written)
         self.used_idx += 1
 
@@ -146,11 +171,11 @@ class Virtqueue:
         descriptor and recover instead of crashing or moving bad data."""
         if self.last_avail >= self.avail_idx:
             return False
-        d = self.desc[self.avail_ring[self.last_avail % self.size]]
+        desc_id = self.avail_ring[self.last_avail % self.size]
         if addr is not None:
-            d.addr = addr
+            self.desc_addr[desc_id] = addr
         if length is not None:
-            d.length = length
+            self.desc_len[desc_id] = length
         return True
 
     # ------------------------------------------------------------------

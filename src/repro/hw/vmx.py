@@ -73,6 +73,10 @@ class VmcsField(enum.Enum):
     VCIMTAR = "vcimtar"  # virtual CPU interrupt mapping table address
 
 
+#: Every field, in declaration order: the key template of each
+#: ``Vmcs.fields`` table.
+_FIELDS: Tuple[VmcsField, ...] = tuple(VmcsField)
+
 #: Fields covered by hardware VMCS shadowing: the guest hypervisor can
 #: VMREAD/VMWRITE these without trapping (Intel VMCS Shadowing whitepaper;
 #: exit-information and frequently-accessed guest-state fields).
@@ -161,7 +165,7 @@ class Vmcs:
         self.owner_level = owner_level
         self.name = name or f"vmcs{Vmcs._next_id}"
         Vmcs._next_id += 1
-        self.fields: Dict[VmcsField, Any] = {f: 0 for f in VmcsField}
+        self.fields: Dict[VmcsField, Any] = dict.fromkeys(_FIELDS, 0)
         self.controls = ExecControl()
         #: Shadow VMCS linkage: when set and shadowing is enabled for the
         #: guest hypervisor, reads/writes of SHADOWED_FIELDS don't trap.

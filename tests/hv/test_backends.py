@@ -1,10 +1,19 @@
 """Tests for the virtio datapaths: host vhost, guest-hypervisor relay,
 multiqueue steering, and end-to-end packet flow."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.features import DvhFeatures
 from repro.hv.stack import StackConfig, build_stack
+from repro.hv.virtio_backend import (
+    QUEUE_POOL_STRIDE,
+    RX_BUFFERS,
+    RX_POOL_BASE,
+    VirtioDriver,
+)
+from repro.hw.devices.virtio import VirtioDevice
 from repro.hw.lapic import VIRTIO_VECTOR_BASE
 
 
@@ -29,6 +38,24 @@ def echo_server(stack, received, queue=0, count=1):
                 received.append((size, payload))
 
     return server()
+
+
+@pytest.mark.parametrize("num_queues,queue_size", [(2, 256), (8, 256), (4, 64), (2, 1)])
+def test_driver_rx_rings_match_per_buffer_posts(num_queues, queue_size):
+    """The driver fills each RX ring in one step; every queue ends up as
+    the per-buffer loop left it (``min(RX_BUFFERS, size // 2)`` posts of
+    consecutive pool slots), and the TX queues stay unposted."""
+    buf_size = 4096
+    dev = VirtioDevice("vnet", num_queues=num_queues, queue_size=queue_size)
+    VirtioDriver(SimpleNamespace(machine=None), dev, buf_size=buf_size)
+    ref = VirtioDevice("ref", num_queues=num_queues, queue_size=queue_size)
+    for pair in range(ref.num_queue_pairs):
+        for i in range(min(RX_BUFFERS, queue_size // 2)):
+            ref.rx_q(pair).add_buffer(
+                RX_POOL_BASE + pair * QUEUE_POOL_STRIDE + i * buf_size, buf_size
+            )
+    assert [vars(q) for q in dev.queues] == [vars(q) for q in ref.queues]
+    assert all(dev.tx_q(p).desc_addr is None for p in range(dev.num_queue_pairs))
 
 
 @pytest.mark.parametrize(

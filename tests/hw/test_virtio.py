@@ -58,6 +58,22 @@ def test_index_wraparound():
     assert q.used_idx == 40
 
 
+def test_prefill_refuses_a_queue_that_has_posted():
+    q = Virtqueue(0, 8)
+    q.add_buffer(0x1000, 64)
+    with pytest.raises(ValueError, match="already posted"):
+        q.prefill(range(0x2000, 0x4000, 0x1000), 64)
+    filled = Virtqueue(0, 8)
+    filled.prefill([0x1000], 64)
+    with pytest.raises(ValueError, match="already posted"):
+        filled.prefill([0x2000], 64)
+    # Draining every buffer does not make the queue unposted.
+    filled.push_used(filled.pop_avail()[0], 64)
+    filled.reap_used()
+    with pytest.raises(ValueError, match="already posted"):
+        filled.prefill([0x2000], 64)
+
+
 def test_push_used_requires_in_use_descriptor():
     q = Virtqueue(0, 4)
     with pytest.raises(ValueError):

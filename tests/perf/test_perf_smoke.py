@@ -77,3 +77,18 @@ def test_check_mode_fails_below_fabric_frames_floor(monkeypatch, capsys):
     )
     assert perf_engine.main(["--check"]) == 1
     assert "fabric_frames" in capsys.readouterr().err
+
+
+def test_stack_build_builds_every_stack():
+    """Each fleet-host stack posts 128 buffers on each of its leaf
+    driver's two RX rings."""
+    stats = perf_engine.bench_stack_build(stacks=5)
+    assert stats["stacks"] == 5
+    assert stats["rx_buffers"] == 5 * 2 * 128
+    assert stats["stacks_per_host_s"] > 0
+
+
+def test_check_mode_fails_below_stack_build_floor(monkeypatch, capsys):
+    monkeypatch.setattr(perf_engine, "MIN_STACKS_PER_SEC", sys.float_info.max)
+    assert perf_engine.main(["--check"]) == 1
+    assert "stack_build" in capsys.readouterr().err

@@ -132,9 +132,30 @@ class EagerQueue:
             d[1] = length
         return True
 
+    def prefill(self, addrs, length):
+        """What ``Virtqueue.prefill`` must match: one ``add_buffer`` per
+        address on a queue that never posted, all or nothing."""
+        if self.avail_idx:
+            raise ValueError("already posted")
+        if len(addrs) > self.size:
+            raise VirtqueueFull("full")
+        for addr in addrs:
+            self.add_buffer(addr, length, None)
+
     @property
     def free_descriptors(self):
         return len(self.free)
+
+
+def _assert_same_table(lazy, eager):
+    """The whole descriptor table and both rings agree entry by entry
+    (reaped entries keep their addr and length on both sides)."""
+    table = list(
+        zip(lazy.desc_addr, lazy.desc_len, lazy.desc_in_use, lazy.desc_payload)
+    )
+    assert table == [tuple(d) for d in eager.desc]
+    assert lazy.avail_ring == eager.avail
+    assert lazy.used_ring == eager.used
 
 
 def _outcome(fn, *args, **kwargs):
@@ -152,6 +173,7 @@ queue_ops = st.one_of(
     st.tuples(st.just("push_any"), st.integers(0, 255), st.booleans()),
     st.tuples(st.just("reap")),
     st.tuples(st.just("corrupt"), maybe_int, maybe_int),
+    st.tuples(st.just("prefill"), st.integers(0, 300), st.integers(1, 1 << 16)),
 )
 
 
@@ -159,14 +181,18 @@ queue_ops = st.one_of(
 @given(
     size=st.sampled_from([1 << k for k in range(9)]),
     program=st.lists(queue_ops, max_size=60),
+    fill=st.one_of(st.none(), st.integers(0, 300)),
 )
-def test_lazy_descriptors_match_eager_table(size, program):
+def test_lazy_descriptors_match_eager_table(size, program, fill):
     """Ids, payloads, free counts and where ``VirtqueueFull`` (or the
     ``ValueError`` of completing an idle descriptor) is raised agree
     with the eager model, step by step.  The table and rings are made
     on the first post: until then none exists, and a never-posted queue
     pops nothing, reaps nothing, refuses every completion and has
-    nothing to corrupt."""
+    nothing to corrupt.  A ``prefill`` of ``n`` addresses (``fill``
+    before the program, or a ``prefill`` op inside it) matches ``n``
+    ``add_buffer`` calls on a queue that never posted, and raises
+    ``ValueError`` on one that has."""
     lazy, eager = Virtqueue(0, size), EagerQueue(size)
     popped = []  # ids the device took, not yet completed
     counter = 0
@@ -177,12 +203,28 @@ def test_lazy_descriptors_match_eager_table(size, program):
         assert lazy.free_descriptors == eager.free_descriptors
         assert lazy.avail_pending == eager.avail_idx - eager.last_avail
         assert lazy.used_pending == eager.used_idx - eager.last_used
-        rings = (lazy.desc, lazy.avail_ring, lazy.used_ring)
+        rings = (
+            lazy.desc_addr,
+            lazy.desc_len,
+            lazy.desc_in_use,
+            lazy.desc_payload,
+            lazy.avail_ring,
+            lazy.used_ring,
+        )
         if eager.avail_idx:
             assert None not in rings
         else:
-            assert rings == (None, None, None)
+            assert rings == (None,) * len(rings)
         return got
+
+    def prefill(count, length):
+        addrs = range(0x4000_0000, 0x4000_0000 + count * 0x1000, 0x1000)
+        step(
+            lambda: _outcome(lazy.prefill, addrs, length),
+            lambda: _outcome(eager.prefill, addrs, length),
+        )
+        if eager.avail_idx:
+            _assert_same_table(lazy, eager)
 
     step(lazy.pop_avail, eager.pop_avail)
     assert lazy.pop_avail() is None
@@ -200,6 +242,8 @@ def test_lazy_descriptors_match_eager_table(size, program):
         lambda: eager.corrupt_next_avail(1, 1),
     )
     assert lazy.corrupt_next_avail(1, 1) is False
+    if fill is not None:
+        prefill(fill, 1500)
 
     for op, *args in program:
         if op == "add":
@@ -237,6 +281,8 @@ def test_lazy_descriptors_match_eager_table(size, program):
                 )
         elif op == "reap":
             step(lazy.reap_used, eager.reap_used)
+        elif op == "prefill":
+            prefill(*args)
         else:
             # The malformed fields show up in the next pop's tuple.
             addr, length = args
@@ -244,4 +290,5 @@ def test_lazy_descriptors_match_eager_table(size, program):
                 lambda: lazy.corrupt_next_avail(addr, length),
                 lambda: eager.corrupt_next_avail(addr, length),
             )
-
+    if eager.avail_idx:
+        _assert_same_table(lazy, eager)

@@ -242,6 +242,23 @@ def test_two_machines_on_one_simulator_never_skip(monkeypatch):
     assert cluster.sim.ff.metrics is None and cluster.sim.ff.veto is None
 
 
+def test_lone_host_shutdown_releases_fast_forward(monkeypatch):
+    """The only machine on a simulator is held by fast-forward until its
+    host shuts down, and not after."""
+    from repro.cluster import Cluster
+
+    _set_ff(monkeypatch, True)
+    cluster = Cluster(num_hosts=1, seed=0)
+    host = cluster.hosts[0]
+    host.ensure_booted()
+    ff = cluster.sim.ff
+    assert ff.metrics is host.machine.metrics
+    host.shutdown()
+    assert ff.metrics is None and ff.veto is None
+    host.boot()
+    assert ff.metrics is None and ff.veto is None
+
+
 # ----------------------------------------------------------------------
 # Invalidation: observers and aperiodic events stop macro-events
 # ----------------------------------------------------------------------
