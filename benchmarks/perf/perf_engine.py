@@ -12,8 +12,8 @@ A third case, **exit path**, measures the trap path above the engine:
 simulated VM exits per host second for the L3 Hypercall microbenchmark,
 where one hypercall multiplies into 332 exits.  A fourth, **dirty
 write**, measures the memory layer under pre-copy dirty logging:
-``MemorySpace.write_range`` calls per host second with one dirty log
-attached.  A fifth, **fleet place**, measures tenant admission in a
+``MemorySpace.write_range`` calls and drained dirty pages per host
+second with one dirty log attached.  A fifth, **fleet place**, measures tenant admission in a
 large fleet: placement-index choices plus admissions per host second
 on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
 runs the study's migration cells (a live migration beside a tenant
@@ -30,7 +30,7 @@ Run directly to print and optionally record results::
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
 ``--check`` enforces conservative events/sec, exits/sec, writes/sec,
-placements/sec, bursts/sec, frames/sec and stacks/sec floors (for CI
+drained pages/sec, placements/sec, bursts/sec, frames/sec and stacks/sec floors (for CI
 smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
@@ -43,7 +43,7 @@ import argparse
 import json
 import platform
 import sys
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.sim.engine import Simulator
 
@@ -58,6 +58,11 @@ MIN_EXITS_PER_SEC = 10_000.0
 #: Conservative floor for dirty-logged writes, about 10x under what a
 #: 2020s-era core sustains.
 MIN_DIRTY_WRITES_PER_SEC = 100_000.0
+
+#: Conservative floor for pages drained from the dirty log, per host
+#: second of the same case: about 10x under the 1.5M a 2-core x86-64
+#: sandbox sustains.
+MIN_DIRTY_PAGES_DRAINED_PER_SEC = 150_000.0
 
 #: Conservative floor for fleet placements, about 10x under what a
 #: 2020s-era core sustains (host boots included).
@@ -250,7 +255,7 @@ def bench_dirty_write(
     sliding over ``span`` pages (the study migration's dirtier), with
     one dirty log attached and drained every ``drain_every`` writes, as
     a pre-copy round would.  ``pages_drained`` is the sum of the
-    drained set sizes."""
+    drained page counts."""
     from time import perf_counter
 
     from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace
@@ -270,6 +275,7 @@ def bench_dirty_write(
         "pages_drained": float(drained),
         "wall_s": wall,
         "writes_per_host_s": writes / wall if wall > 0 else 0.0,
+        "pages_drained_per_host_s": drained / wall if wall > 0 else 0.0,
     }
 
 
@@ -417,7 +423,9 @@ def bench_stack_build(stacks: int = 200) -> Dict[str, float]:
     }
 
 
-def run_benchmarks() -> Dict[str, Dict[str, float]]:
+def measure() -> Dict[str, Dict[str, float]]:
+    """Run every case once; the result is what ``--out`` records and
+    what :func:`check` judges."""
     return {
         "ping_pong": bench_ping_pong(),
         "delay_chain": bench_delay_chain(),
@@ -444,7 +452,8 @@ def main(argv=None) -> int:
         action="store_true",
         help=f"fail unless ping-pong sustains {MIN_EVENTS_PER_SEC:,.0f} events/s, "
         f"the exit path {MIN_EXITS_PER_SEC:,.0f} exits/s, dirty writes "
-        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s, fleet placement "
+        f"{MIN_DIRTY_WRITES_PER_SEC:,.0f} writes/s and "
+        f"{MIN_DIRTY_PAGES_DRAINED_PER_SEC:,.0f} drained pages/s, fleet placement "
         f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s, the migration "
         f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s, fabric "
         f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s and stack "
@@ -468,7 +477,24 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = run_benchmarks()
+    results = measure()
+    report(results)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(results, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.out}")
+    if args.check:
+        baseline = None
+        if args.baseline:
+            with open(args.baseline) as fh:
+                baseline = json.load(fh)
+        return check(results, baseline, args.max_slowdown)
+    return 0
+
+
+def report(results: Dict[str, Dict[str, float]]) -> None:
+    """Print one line per case."""
     for name in ("ping_pong", "delay_chain"):
         s = results[name]
         print(
@@ -504,7 +530,8 @@ def main(argv=None) -> int:
         f"{'dirty_write':14s} {dw['writes']:>10,.0f} writes "
         f"({dw['pages_drained']:,.0f} pages drained) "
         f"in {dw['wall_s']:.3f}s = "
-        f"{dw['writes_per_host_s']:>12,.0f} writes/s"
+        f"{dw['writes_per_host_s']:>12,.0f} writes/s, "
+        f"{dw['pages_drained_per_host_s']:,.0f} pages/s drained"
     )
     fp = results["fleet_place"]
     print(
@@ -534,90 +561,96 @@ def main(argv=None) -> int:
         f"in {sb['wall_s']:.3f}s = "
         f"{sb['stacks_per_host_s']:>12,.0f} stacks/s"
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    if args.check:
-        # Regression assertion for the ping-pong slow path: same-time
-        # wakeups must ride the inline chain, not bounce through the
-        # outer scheduler (the shape that once showed inline_hits: 0).
-        pp = results["ping_pong"]
-        if pp["inline_hits"] <= pp["ready_hits"]:
-            print(
-                f"FAIL: ping-pong fell off the inline chain "
-                f"(inline_hits={pp['inline_hits']:,.0f} <= "
-                f"ready_hits={pp['ready_hits']:,.0f})",
-                file=sys.stderr,
-            )
-            return 1
-        # Fast-forward must collapse a strictly periodic phase: anything
-        # under 99% skipped means detection or the skip window broke.
-        pe = results["periodic_phase"]
-        if pe["ff_epochs_skipped"] < 0.99 * pe["epochs"]:
-            print(
-                f"FAIL: periodic phase skipped only "
-                f"{pe['ff_epochs_skipped']:,.0f} of {pe['epochs']:,.0f} epochs",
-                file=sys.stderr,
-            )
-            return 1
-        # Latency capture must be zero-cost when off: the default path
-        # (request_capture is None) may not run slower than the
-        # capture-on path beyond host noise.
-        rc = results["request_capture"]
-        if rc["off_over_on"] > 1.4:
-            print(
-                f"FAIL: capture-off request path "
-                f"{rc['off_over_on']:.2f}x slower than capture-on "
-                f"({rc['off_wall_s']:.3f}s vs {rc['on_wall_s']:.3f}s)",
-                file=sys.stderr,
-            )
-            return 1
-        baseline = None
-        if args.baseline:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        floors = (
-            ("ping_pong", "last_run_events_per_sec", MIN_EVENTS_PER_SEC, "events/s"),
-            ("exit_path", "exits_per_host_s", MIN_EXITS_PER_SEC, "exits/s"),
-            ("dirty_write", "writes_per_host_s", MIN_DIRTY_WRITES_PER_SEC, "writes/s"),
-            (
-                "fleet_place",
-                "placements_per_host_s",
-                MIN_PLACEMENTS_PER_SEC,
-                "placements/s",
-            ),
-            (
-                "migration_dirtier",
-                "bursts_per_host_s",
-                MIN_DIRTIER_BURSTS_PER_SEC,
-                "bursts/s",
-            ),
-            (
-                "fabric_frames",
-                "frames_per_host_s",
-                MIN_FABRIC_FRAMES_PER_SEC,
-                "frames/s",
-            ),
-            ("stack_build", "stacks_per_host_s", MIN_STACKS_PER_SEC, "stacks/s"),
+
+
+def check(
+    results: Dict[str, Dict[str, float]],
+    baseline: Optional[Dict[str, Dict[str, float]]] = None,
+    max_slowdown: float = 8.0,
+) -> int:
+    """0 if ``results`` clear every invariant and floor, else 1 (the
+    failure printed to stderr).  With ``baseline``, each floor is
+    raised to the recorded throughput divided by ``max_slowdown``."""
+    # Regression assertion for the ping-pong slow path: same-time
+    # wakeups must ride the inline chain, not bounce through the
+    # outer scheduler (the shape that once showed inline_hits: 0).
+    pp = results["ping_pong"]
+    if pp["inline_hits"] <= pp["ready_hits"]:
+        print(
+            f"FAIL: ping-pong fell off the inline chain "
+            f"(inline_hits={pp['inline_hits']:,.0f} <= "
+            f"ready_hits={pp['ready_hits']:,.0f})",
+            file=sys.stderr,
         )
-        for name, key, floor, unit in floors:
-            rate = results[name][key]
-            if baseline is not None:
-                base_rate = baseline[name][key]
-                floor = max(floor, base_rate / args.max_slowdown)
-                print(
-                    f"{name} baseline {base_rate:,.0f} {unit} "
-                    f"/ {args.max_slowdown:g} = floor {floor:,.0f}"
-                )
-            if rate < floor:
-                print(
-                    f"FAIL: {name} {rate:,.0f} {unit} below floor {floor:,.0f}",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"OK: {name} above {floor:,.0f} {unit} floor")
+        return 1
+    # Fast-forward must collapse a strictly periodic phase: anything
+    # under 99% skipped means detection or the skip window broke.
+    pe = results["periodic_phase"]
+    if pe["ff_epochs_skipped"] < 0.99 * pe["epochs"]:
+        print(
+            f"FAIL: periodic phase skipped only "
+            f"{pe['ff_epochs_skipped']:,.0f} of {pe['epochs']:,.0f} epochs",
+            file=sys.stderr,
+        )
+        return 1
+    # Latency capture must be zero-cost when off: the default path
+    # (request_capture is None) may not run slower than the
+    # capture-on path beyond host noise.
+    rc = results["request_capture"]
+    if rc["off_over_on"] > 1.4:
+        print(
+            f"FAIL: capture-off request path "
+            f"{rc['off_over_on']:.2f}x slower than capture-on "
+            f"({rc['off_wall_s']:.3f}s vs {rc['on_wall_s']:.3f}s)",
+            file=sys.stderr,
+        )
+        return 1
+    floors = (
+        ("ping_pong", "last_run_events_per_sec", MIN_EVENTS_PER_SEC, "events/s"),
+        ("exit_path", "exits_per_host_s", MIN_EXITS_PER_SEC, "exits/s"),
+        ("dirty_write", "writes_per_host_s", MIN_DIRTY_WRITES_PER_SEC, "writes/s"),
+        (
+            "dirty_write",
+            "pages_drained_per_host_s",
+            MIN_DIRTY_PAGES_DRAINED_PER_SEC,
+            "pages/s",
+        ),
+        (
+            "fleet_place",
+            "placements_per_host_s",
+            MIN_PLACEMENTS_PER_SEC,
+            "placements/s",
+        ),
+        (
+            "migration_dirtier",
+            "bursts_per_host_s",
+            MIN_DIRTIER_BURSTS_PER_SEC,
+            "bursts/s",
+        ),
+        (
+            "fabric_frames",
+            "frames_per_host_s",
+            MIN_FABRIC_FRAMES_PER_SEC,
+            "frames/s",
+        ),
+        ("stack_build", "stacks_per_host_s", MIN_STACKS_PER_SEC, "stacks/s"),
+    )
+    for name, key, floor, unit in floors:
+        rate = results[name][key]
+        if baseline is not None:
+            base_rate = baseline[name][key]
+            floor = max(floor, base_rate / max_slowdown)
+            print(
+                f"{name} baseline {base_rate:,.0f} {unit} "
+                f"/ {max_slowdown:g} = floor {floor:,.0f}"
+            )
+        if rate < floor:
+            print(
+                f"FAIL: {name} {rate:,.0f} {unit} below floor {floor:,.0f}",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"OK: {name} above {floor:,.0f} {unit} floor")
     return 0
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from itertools import islice
+from typing import Dict, List, Optional
 
 from repro.audit.checks import (
     fabric_conservation_violations,
@@ -29,6 +30,7 @@ from repro.audit.checks import (
     orphaned_process_violations,
     span_reconciliation_violations,
 )
+from repro.hw.mem import PageRuns
 
 __all__ = ["Auditor", "AuditReport", "AuditViolation"]
 
@@ -99,7 +101,7 @@ class _MigrationAudit:
         #: successful migration this must be empty at the end — a page
         #: drained for the convergence check and then forgotten would be
         #: silently absent from the destination.
-        self.outstanding: Set[int] = set()
+        self.outstanding = PageRuns()
 
 
 class Auditor:
@@ -185,14 +187,14 @@ class Auditor:
             )
         self._open[id(vm)] = _MigrationAudit(vm, cpu_log, device_logs, backends)
 
-    def on_pages_drained(self, vm, pages: Set[int]) -> None:
+    def on_pages_drained(self, vm, pages: PageRuns) -> None:
         state = self._open.get(id(vm))
         if state is None:
             return
         self.observed["pages_drained"] += len(pages)
         state.outstanding |= pages
 
-    def on_pages_copied(self, vm, pages: Set[int]) -> None:
+    def on_pages_copied(self, vm, pages: PageRuns) -> None:
         state = self._open.get(id(vm))
         if state is None:
             return
@@ -232,7 +234,7 @@ class Auditor:
         # an abort legitimately abandons drained-but-uncopied pages (the
         # VM stays on the source, nothing was lost).
         if outcome == "ok" and state is not None and state.outstanding:
-            sample = sorted(state.outstanding)[:8]
+            sample = list(islice(state.outstanding, 8))
             self._violate(
                 "dirty-conservation",
                 vm.name,

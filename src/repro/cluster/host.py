@@ -233,19 +233,16 @@ class ClusterHost:
 
     def shutdown(self) -> None:
         """Tear the system stack down (the power-off half of a kernel
-        upgrade).  Only a tenant-free host may shut down.  Once a second
-        machine joins the shared simulator (another host, or this one
-        rebooted), fast-forward holds no machine's state; until then it
-        holds this one's, so a lone host lets go of it here."""
+        upgrade).  Only a tenant-free host may shut down.  The machine
+        detaches from fast-forward, so a lone host that reboots onto an
+        otherwise empty simulator fast-forwards again."""
         if self._tenants:
             raise ValueError(
                 f"{self.name}: cannot shut down with "
                 f"{len(self._tenants)} tenants aboard"
             )
         if self.machine is not None:
-            ff = self.machine.sim.ff
-            if ff.metrics is self.machine.metrics:
-                ff.metrics = ff.veto = None
+            self.machine.sim.ff.detach(self.machine.metrics)
         self.machine = None
         self.stack = None
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Generator, List, Optional, Set
+from typing import Generator, List, Optional, Tuple
 
-from repro.hw.mem import PAGE_SIZE, DirtyLog
+from repro.hw.mem import PAGE_SIZE, DirtyLog, PageRuns
 from repro.hw.pci import Capability, CapabilityId, PciDevice
 from repro.hw.vmx import VmcsField
 from repro.hv.passthrough import MigrationNotSupported
@@ -114,9 +114,9 @@ def set_device_dirty_logging(device: PciDevice, backend, log: Optional[DirtyLog]
     backend.dirty_log = log
 
 
-def _drain(cpu_log: DirtyLog, device_logs: List[DirtyLog]) -> Set[int]:
-    """Drain the CPU log and every device log into one page set (the
-    CPU log's own drained set, which nothing else holds)."""
+def _drain(cpu_log: DirtyLog, device_logs: List[DirtyLog]) -> PageRuns:
+    """Drain the CPU log and every device log into the union of their
+    page runs."""
     drained = cpu_log.drain()
     for log in device_logs:
         drained |= log.drain()
@@ -369,7 +369,7 @@ class LiveMigration:
         # --- Iterative pre-copy --------------------------------------
         # Pages drained for the convergence check but not re-copied yet
         # must carry into stop-and-copy, or they'd be silently lost.
-        pending: Set[int] = set()
+        pending = PageRuns()
         converged = False
         while rounds < self.max_rounds:
             drained = _drain(cpu_log, device_logs)
@@ -388,7 +388,7 @@ class LiveMigration:
             rounds += 1
             if audit is not None and pending:
                 audit.on_pages_copied(self.vm, pending)
-            pending = set()
+            pending = PageRuns()
             yield from self._transfer(nbytes)
 
         # --- Stop and copy --------------------------------------------
@@ -444,6 +444,22 @@ class LiveMigration:
 # ----------------------------------------------------------------------
 # A tenant that keeps dirtying memory while it migrates
 # ----------------------------------------------------------------------
+def _window_ranges(
+    base: int, pages: int, span: int, first: int, n: int
+) -> List[Tuple[int, int]]:
+    """The ``dirtier``'s windows of bursts ``first`` to ``first + n - 1``
+    as ``(addr, size)`` byte ranges, merged and ascending.  A window
+    that starts less than ``pages`` pages before the end of ``span``
+    runs past it, as its per-burst write does; it does not wrap."""
+    runs: List[List[int]] = []
+    for start in sorted({(j * pages) % span for j in range(first, first + n)}):
+        if runs and start <= runs[-1][1]:
+            runs[-1][1] = start + pages
+        else:
+            runs.append([start, start + pages])
+    return [(base + lo * PAGE_SIZE, (hi - lo) * PAGE_SIZE) for lo, hi in runs]
+
+
 def dirtier(
     machine, ctx, proc, base: int, pages: int, span: int, compute: int
 ) -> Generator:
@@ -456,12 +472,17 @@ def dirtier(
     Run-ahead: once every window has been written once, each burst is
     followed by the ``k`` further bursts whose write falls strictly
     before :meth:`Simulator.horizon`, applied in one step.  Their
-    ``guest_work`` is charged once (``k * compute``), each distinct
-    window among them is written once in burst order, and one delay of
-    ``k * compute`` ends where the ``k``-th burst's write would.  Nothing
-    else runs before the horizon, so no drain, ``proc.done`` check or
-    cancellation can fall inside the batch; integer charges commute; the
-    same page runs reach the same logs in the same first-seen order.
+    ``guest_work`` is charged once (``k * compute``), the union of their
+    windows (at most one period of them) is written as merged,
+    ascending byte ranges, and one delay of ``k * compute`` ends where
+    the ``k``-th burst's write would.  Nothing else runs before the
+    horizon, so no drain, ``proc.done`` check or cancellation can fall
+    inside the batch, and integer charges commute.  The union reaches
+    the same logs with the same pages as the per-burst writes, only in
+    another order and fewer records; every reader of dirty or touched
+    pages takes only membership, counts, unions and differences of page
+    sets (ascending iteration included), so the order cannot change any
+    output.
 
     It steps burst by burst while ``machine`` has an observer attached
     (:meth:`Machine.observer`), while ``ctx`` runs inside a live trap frame, or when
@@ -472,6 +493,7 @@ def dirtier(
     metrics = machine.metrics
     size = pages * PAGE_SIZE
     period = span // gcd(pages, span)
+    every_window = _window_ranges(base, pages, span, 0, period)
     i = 0
     while not proc.done:
         yield from ctx.compute(compute)
@@ -493,7 +515,9 @@ def dirtier(
         if k <= 0:
             continue
         metrics.charge("guest_work", k * compute)
-        for j in range(i, i + min(k, period)):
-            ctx.mem_write(base + ((j * pages) % span) * PAGE_SIZE, size)
+        ctx.mem_write_ranges(
+            every_window if k >= period
+            else _window_ranges(base, pages, span, i, k)
+        )
         i += k
         yield k * compute

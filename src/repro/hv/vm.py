@@ -230,6 +230,9 @@ class VCpu(ExecutionContext):
     def mem_write(self, addr: int, size: int) -> None:
         self.vm.memory.write_range(addr, size)
 
+    def mem_write_ranges(self, ranges) -> None:
+        self.vm.memory.write_ranges(ranges)
+
     def read_tsc(self) -> int:
         """RDTSC does not trap: hardware applies the merged offset."""
         return self.pcpu.tsc + self.total_tsc_offset()

@@ -108,6 +108,11 @@ class ExecutionContext:
         """Plain guest memory write (no trap; feeds dirty tracking)."""
         raise NotImplementedError
 
+    def mem_write_ranges(self, ranges) -> None:
+        """Several plain writes as one batch of ``(addr, size)`` ranges
+        (see :meth:`MemorySpace.write_ranges`)."""
+        raise NotImplementedError
+
     def read_tsc(self) -> int:
         """Guest-visible TSC (hardware applies VMCS offsets, no trap)."""
         raise NotImplementedError
@@ -165,6 +170,9 @@ class NativeContext(ExecutionContext):
 
     def mem_write(self, addr: int, size: int) -> None:
         self.memory.write_range(addr, size)
+
+    def mem_write_ranges(self, ranges) -> None:
+        self.memory.write_ranges(ranges)
 
     def read_tsc(self) -> int:
         return self.cpu.tsc

@@ -6,28 +6,36 @@ data but (a) which *pages* are touched — the input to live-migration dirty
 logging (paper Section 3.6) — and (b) the address-translation paths
 (EPT / IOMMU) data must cross.
 
-Writes are recorded as page runs, half-open ``[lo, hi)`` page-frame
-ranges, and turned into page sets only when something reads the pages
+Touched and dirty pages are held as page runs, half-open ``[lo, hi)``
+page-frame ranges kept sorted, disjoint and non-abutting, never as
+per-page sets.  Like PML-style hardware dirty logging, the write side
+only records: a write adds one run to a dict of pending runs keyed by
+its first page (one dict probe on the space and one per attached log;
+of two runs from the same page the longer is kept, so a workload
+re-dirtying the same windows adds nothing).  Pending runs are merged
+into the owner's sorted run list when something reads the pages
 (``MemorySpace.touched_pages``, ``DirtyLog.pages`` / ``drain`` /
-``len``).  A workload re-dirtying the same windows between two
-pre-copy drains then costs one dict probe per write and per attached
-log, not a page-set union each.  Pending runs are keyed by their first
-page, so a repeated run adds nothing (of two runs from the same page
-the longer one is kept), and they are folded into the page set once
-``MAX_PENDING_RUNS`` of them accumulate, so the extra memory per space
-and per log is bounded.  Like PML-style hardware dirty logging, the
-write side only records; the pages are collected when read.
+``len``), or once ``MAX_PENDING_RUNS`` of them accumulate, which bounds
+the extra memory per space and per log.  The merge bisects each pending
+run into the list and splices it in place (see ``_splice``), so it never
+sorts the list or enumerates a page.  Readers get :class:`PageRuns`, a
+read-only set whose ``len``, ``in``, unions and differences work on
+runs, so pre-copy rounds and the auditor never build pages either.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Set
+from bisect import bisect_left, bisect_right
+from collections.abc import Set as AbstractSet
+from itertools import chain
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 __all__ = [
     "PAGE_SIZE",
     "PAGE_SHIFT",
     "DirtyLog",
     "MemorySpace",
+    "PageRuns",
     "page_of",
     "pages_in_range",
 ]
@@ -35,8 +43,8 @@ __all__ = [
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 
-#: Distinct pending page runs a space or a log holds before folding them
-#: into its page set.  The study dirtier cycles through 16 windows, so
+#: Distinct pending page runs a space or a log holds before merging them
+#: into its sorted runs.  The study dirtier cycles through 16 windows, so
 #: its runs stay pending until the next drain.
 MAX_PENDING_RUNS = 32
 
@@ -51,6 +59,136 @@ def pages_in_range(addr: int, size: int) -> range:
     if size <= 0:
         return range(0)
     return range(addr >> PAGE_SHIFT, ((addr + size - 1) >> PAGE_SHIFT) + 1)
+
+
+class PageRuns(AbstractSet):
+    """A read-only set of page frame numbers, held as runs.
+
+    The runs live in one flat list ``[lo0, hi0, lo1, hi1, ...]``, strictly
+    ascending, so no two runs overlap or abut.  Equal sets therefore have
+    equal lists, an index's parity tells a run's start (even) from its end
+    (odd), and ``in`` is one bisect.  ``len`` is cached; ``|`` and ``-``
+    (and so ``|=`` and ``-=``, which rebind) work run by run; iteration is
+    ascending.  ``PageRuns(pages)`` builds from page numbers.
+    """
+
+    __slots__ = ("_b", "_n")
+
+    def __init__(self, pages: Iterable[int] = ()) -> None:
+        b: List[int] = []
+        _splice(b, ((p, p + 1) for p in pages))
+        self._b = b
+        self._n = _count(b)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __contains__(self, page: object) -> bool:
+        return bisect_right(self._b, page) & 1 == 1
+
+    def __iter__(self) -> Iterator[int]:
+        b = self._b
+        return chain.from_iterable(map(range, b[::2], b[1::2]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PageRuns):
+            return self._b == other._b
+        return AbstractSet.__eq__(self, other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __or__(self, other: object) -> "PageRuns":
+        if not isinstance(other, PageRuns):
+            return AbstractSet.__or__(self, other)
+        big, small = (self, other) if len(self._b) >= len(other._b) else (other, self)
+        if not small._b:
+            return big
+        b = big._b[:]
+        _splice(b, zip(small._b[::2], small._b[1::2]))
+        return _of(b)
+
+    def __sub__(self, other: object) -> "PageRuns":
+        if not isinstance(other, PageRuns):
+            return AbstractSet.__sub__(self, other)
+        if not self._b or not other._b:
+            return self
+        b = self._b[:]
+        _cut(b, zip(other._b[::2], other._b[1::2]))
+        return _of(b)
+
+    def __repr__(self) -> str:
+        b = self._b
+        return f"<PageRuns {self._n} pages in runs {list(zip(b[::2], b[1::2]))}>"
+
+
+def _of(b: List[int]) -> PageRuns:
+    """A :class:`PageRuns` over the flat run list ``b`` (taken, not
+    copied)."""
+    runs = PageRuns.__new__(PageRuns)
+    runs._b = b
+    runs._n = _count(b)
+    return runs
+
+
+def _count(b: List[int]) -> int:
+    """Pages in the flat run list ``b``."""
+    return sum(b[1::2]) - sum(b[::2])
+
+
+def _splice(b: List[int], runs: Iterable[Tuple[int, int]]) -> None:
+    """Add the ``(lo, hi)`` runs (any order, overlapping or not) to the
+    flat run list ``b`` in place.
+
+    Each run is bisected into ``b``: a run already covered costs one
+    bisect, a run that touches no other is one slice insertion, and a
+    run that overlaps or abuts others replaces the bounds it covers.
+    Nothing is sorted and no page is enumerated."""
+    for lo, hi in runs:
+        i = bisect_right(b, lo)
+        if i & 1:
+            if hi <= b[i]:
+                continue
+        elif (i == len(b) or hi < b[i]) and (not i or b[i - 1] < lo):
+            b[i:i] = (lo, hi)
+            continue
+        elif i and b[i - 1] == lo:  # abuts the run before: bisect_left
+            i -= 1
+        j = bisect_right(b, hi, i)
+        # An odd index falls inside a run, whose own bound stays.
+        if i & 1:
+            b[i:j] = () if j & 1 else (hi,)
+        else:
+            b[i:j] = (lo,) if j & 1 else (lo, hi)
+
+
+def _cut(b: List[int], runs: Iterable[Tuple[int, int]]) -> None:
+    """Remove the non-empty ``(lo, hi)`` runs from the flat run list
+    ``b`` in place."""
+    for lo, hi in runs:
+        i = bisect_left(b, lo)
+        j = bisect_right(b, hi, i)
+        # An odd index falls inside a run, which keeps its part outside
+        # [lo, hi).
+        if i & 1:
+            b[i:j] = (lo, hi) if j & 1 else (lo,)
+        else:
+            b[i:j] = (hi,) if j & 1 else ()
+
+
+def _record(owner: Any, lo: int, hi: int) -> None:
+    """Add the run ``[lo, hi)`` to ``owner``'s pending runs, merging them
+    into its run list once ``MAX_PENDING_RUNS`` are pending."""
+    runs = owner._runs
+    if runs.get(lo, 0) < hi:
+        runs[lo] = hi
+        if len(runs) >= MAX_PENDING_RUNS:
+            _fold(owner)
+
+
+def _fold(owner: Any) -> None:
+    """Merge ``owner``'s pending runs into its run list and clear them."""
+    _splice(owner._b, owner._runs.items())
+    owner._runs.clear()
 
 
 class MemorySpace:
@@ -68,7 +206,7 @@ class MemorySpace:
         self.name = name
         self._cells: Dict[int, Any] = {}
         self._dirty_logs: Set["DirtyLog"] = set()
-        self._touched: Set[int] = set()
+        self._b: List[int] = []
         self._runs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -93,25 +231,52 @@ class MemorySpace:
     def write_range(self, addr: int, size: int) -> None:
         """Mark a bulk write (e.g. a DMA of ``size`` bytes) without storing
         per-byte contents."""
-        self._check(addr, size)
-        self._mark_dirty(addr, size)
+        # The hot path (every DMA and dirtier burst): ``_check`` and
+        # ``_mark_dirty`` inlined, which keeps it as cheap as it was with
+        # page sets although merging runs costs more than a set update.
+        if addr < 0 or addr + size > self.size_bytes:
+            self._check(addr, size)  # raises
+        if size <= 0:
+            return
+        lo = addr >> PAGE_SHIFT
+        hi = ((addr + size - 1) >> PAGE_SHIFT) + 1
+        runs = self._runs
+        if runs.get(lo, 0) < hi:
+            runs[lo] = hi
+            if len(runs) >= MAX_PENDING_RUNS:
+                _fold(self)
+        for log in self._dirty_logs:
+            _record(log, lo, hi)
+
+    def write_ranges(self, ranges: Sequence[Tuple[int, int]]) -> None:
+        """Mark several bulk writes, ``(addr, size)`` byte ranges sorted by
+        address and not overlapping, as one batch: the batch is
+        bounds-checked once, from the first range's start to the last
+        range's end."""
+        if not ranges:
+            return
+        first = ranges[0][0]
+        last, size = ranges[-1]
+        self._check(first, last + size - first)
+        for addr, size in ranges:
+            self._mark_dirty(addr, size)
 
     def _mark_dirty(self, addr: int, size: int) -> None:
         if size <= 0:
             return
         lo = addr >> PAGE_SHIFT
         hi = ((addr + size - 1) >> PAGE_SHIFT) + 1
-        _record(self._touched, self._runs, lo, hi)
+        _record(self, lo, hi)
         for log in self._dirty_logs:
-            _record(log._pages, log._runs, lo, hi)
+            _record(log, lo, hi)
 
     @property
-    def touched_pages(self) -> Set[int]:
+    def touched_pages(self) -> PageRuns:
         """Pages ever written (used to size migration's first pre-copy
-        pass)."""
+        pass), as a snapshot."""
         if self._runs:
-            _fold(self._touched, self._runs)
-        return self._touched
+            _fold(self)
+        return _of(self._b[:])
 
     # ------------------------------------------------------------------
     # Dirty logging
@@ -132,48 +297,35 @@ class MemorySpace:
         return (self.size_bytes + PAGE_SIZE - 1) >> PAGE_SHIFT
 
 
-def _record(pages: Set[int], runs: Dict[int, int], lo: int, hi: int) -> None:
-    """Add the run ``[lo, hi)`` to ``runs`` (pending pages of ``pages``),
-    folding once ``MAX_PENDING_RUNS`` are pending."""
-    if runs.get(lo, 0) < hi:
-        runs[lo] = hi
-        if len(runs) >= MAX_PENDING_RUNS:
-            _fold(pages, runs)
-
-
-def _fold(pages: Set[int], runs: Dict[int, int]) -> None:
-    """Move the pages of every pending run (``lo -> hi``) into ``pages``
-    and clear ``runs``."""
-    for lo, hi in runs.items():
-        pages.update(range(lo, hi))
-    runs.clear()
-
-
 class DirtyLog:
-    """A set of dirtied page frame numbers, drainable in rounds."""
+    """Dirtied page frame numbers, drainable in rounds."""
 
     def __init__(self, name: str = "dirty") -> None:
         self.name = name
-        self._pages: Set[int] = set()
+        self._b: List[int] = []
         self._runs: Dict[int, int] = {}
 
     def mark_run(self, lo: int, hi: int) -> None:
         """Log page frames ``lo`` up to (not including) ``hi`` as dirty."""
         if hi > lo:
-            _record(self._pages, self._runs, lo, hi)
+            _record(self, lo, hi)
 
     @property
-    def pages(self) -> Set[int]:
-        """The currently logged dirty pages."""
+    def pages(self) -> PageRuns:
+        """The currently logged dirty pages, as a snapshot."""
         if self._runs:
-            _fold(self._pages, self._runs)
-        return self._pages
+            _fold(self)
+        return _of(self._b[:])
 
-    def drain(self) -> Set[int]:
+    def drain(self) -> PageRuns:
         """Return and clear the currently logged dirty pages."""
-        out = self.pages
-        self._pages = set()
+        if self._runs:
+            _fold(self)
+        out = _of(self._b)
+        self._b = []
         return out
 
     def __len__(self) -> int:
-        return len(self.pages)
+        if self._runs:
+            _fold(self)
+        return _count(self._b)

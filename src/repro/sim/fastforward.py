@@ -42,10 +42,12 @@ after each completed transaction).  The source walks a state machine:
 One machine per simulator
 -------------------------
 A :class:`~repro.hw.machine.Machine` attaches its ``Metrics`` and its
-veto (``Machine._ff_veto``) at construction.  Only a single-machine
-simulator can skip: when a second machine attaches (a fleet's hosts
-share one clock), fast-forward drops both references and never skips
-there, since only one machine's deltas would be fingerprinted.
+veto (``Machine._ff_veto``) at construction, and a fleet host detaches
+them when it shuts down.  Only a simulator with one live machine can
+skip: while a second machine is attached (a fleet's hosts share one
+clock), fast-forward holds neither machine's references, since only one
+machine's deltas would be fingerprinted.  Once every machine has
+detached, the next one to attach arms fast-forward again.
 
 What blocks a skip
 ------------------
@@ -327,7 +329,7 @@ class FastForward:
         "generation",
         "metrics",
         "veto",
-        "_attached",
+        "_live",
         "sources",
         "epochs_observed",
         "detections",
@@ -347,7 +349,8 @@ class FastForward:
         #: :meth:`attach`); None = no source may skip.
         self.metrics: Any = None
         self.veto: Optional[Callable[[], Optional[str]]] = None
-        self._attached = False
+        #: Machines attached and not detached since.
+        self._live = 0
         self.sources: Dict[str, PeriodicSource] = {}
         self.epochs_observed = 0
         self.detections = 0
@@ -363,14 +366,23 @@ class FastForward:
     ) -> None:
         """Fingerprint ``metrics`` (scaled on every skip) and refuse to
         skip while ``veto()`` returns a cause.  A machine attaches its
-        own at construction.  A second attach means several machines
-        share this simulator: fast-forward drops both references and no
-        source skips here again."""
-        if self._attached:
-            self.metrics = self.veto = None
-        else:
+        own at construction.  An attach while another machine is live
+        means several machines share this simulator: fast-forward drops
+        both references, and no source skips until every machine has
+        detached and one attaches alone again."""
+        self._live += 1
+        if self._live == 1:
             self.metrics, self.veto = metrics, veto
-        self._attached = True
+        else:
+            self.metrics = self.veto = None
+
+    def detach(self, metrics) -> None:
+        """The machine that attached ``metrics`` is gone (its host shut
+        down): release its references.  A remaining machine is not
+        re-armed; only an attach onto an otherwise empty simulator is."""
+        self._live -= 1
+        if self.metrics is metrics:
+            self.metrics = self.veto = None
 
     def source(self, name: str) -> PeriodicSource:
         """Get-or-create the named periodic source."""

@@ -10,7 +10,11 @@ counter, the ordered page sets every pre-copy round drained and the
 pages the tenant ever touched.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.migration as migration
 import repro.hv.stack as stack_mod
@@ -18,7 +22,7 @@ from repro.audit import Auditor
 from repro.bench.runner import run_migration_experiment
 from repro.core.migration import LiveMigration, dirtier
 from repro.hv.stack import StackConfig, build_stack
-from repro.hw.mem import DirtyLog, MemorySpace
+from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace
 from repro.sim.engine import Simulator
 from repro.study import harness
 
@@ -95,16 +99,17 @@ def _mig_fields(res):
     )
 
 
-def _migrating(config=None, compute=COMPUTE):
+def _migrating(config=None, compute=COMPUTE, pages=PAGES, span=SPAN):
     """A settled stack with a live migration of its leaf VM and the study
-    dirtier running beside it: (stack, migration process)."""
+    dirtier (or one with other windows) running beside it: (stack,
+    migration process)."""
     stack = build_stack(config or StackConfig(levels=2, io_model="vp"))
     stack.settle()
     devices = [stack.net.device] if stack.config.io_model == "vp" else []
     mig = LiveMigration(stack.machine, stack.leaf_vm, devices=devices)
     proc = stack.sim.spawn(mig.run(), "migration")
     stack.sim.spawn(
-        dirtier(stack.machine, stack.ctx(0), proc, BASE, PAGES, SPAN, compute),
+        dirtier(stack.machine, stack.ctx(0), proc, BASE, pages, span, compute),
         "dirtier",
     )
     return stack, proc
@@ -287,3 +292,89 @@ def test_attached_auditor_refuses_runahead(monkeypatch, fast_forward):
     assert ahead == stepped
     assert ahead_writes == stepped_writes
 
+
+
+# ----------------------------------------------------------------------
+# The batch's union of windows against one write per window
+# ----------------------------------------------------------------------
+def _windows_written(batched, base, pages, span, first, n):
+    """(touched pages, drained log) of a space large enough for every
+    window, after bursts ``first`` to ``first + n - 1`` wrote their
+    windows in one union batch or one ``write_range`` each."""
+    space = MemorySpace(base + (span + pages + 1) * PAGE_SIZE)
+    log = DirtyLog()
+    space.attach_dirty_log(log)
+    if batched:
+        space.write_ranges(migration._window_ranges(base, pages, span, first, n))
+    else:
+        for j in range(first, first + n):
+            space.write_range(base + ((j * pages) % span) * PAGE_SIZE, pages * PAGE_SIZE)
+    return space.touched_pages, log.drain()
+
+
+#: (pages, span, first, n): pages dividing span or not, windows running
+#: past span, full periods and batches shorter than one.
+WINDOW_CASES = [
+    (PAGES, SPAN, PERIOD, PERIOD),
+    (PAGES, SPAN, PERIOD + 3, 5),
+    (3, 10, 0, 10),
+    (3, 10, 7, 4),
+    (3, 10, 3, 1),
+    (4, 10, 2, 5),
+    (4, 10, 11, 2),
+    (7, 9, 0, 9),
+    (6, 9, 1, 2),
+    (9, 9, 4, 1),
+]
+
+
+@pytest.mark.parametrize("pages, span, first, n", WINDOW_CASES)
+@pytest.mark.parametrize("offset", [0, 123], ids=["aligned", "unaligned"])
+def test_window_union_matches_per_window_writes(pages, span, first, n, offset):
+    base = BASE + offset
+    assert _windows_written(True, base, pages, span, first, n) == _windows_written(
+        False, base, pages, span, first, n
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pages=st.integers(1, 12),
+    span=st.integers(1, 30),
+    first=st.integers(0, 40),
+    n=st.integers(1, 40),
+    offset=st.sampled_from([0, 1, PAGE_SIZE - 1]),
+)
+def test_window_union_matches_per_window_writes_generated(pages, span, first, n, offset):
+    """At most one period of bursts, as the dirtier batches them."""
+    n = min(n, span // math.gcd(pages, span))
+    base = BASE + offset
+    assert _windows_written(True, base, pages, span, first, n) == _windows_written(
+        False, base, pages, span, first, n
+    )
+
+
+def test_window_union_bounds_checks_the_batch():
+    """A batch whose last window would leave the space raises, as that
+    window's own write does."""
+    space = MemorySpace(BASE + 10 * PAGE_SIZE)
+    ranges = migration._window_ranges(BASE, 3, 10, 0, 10)
+    with pytest.raises(IndexError):
+        space.write_ranges(ranges)
+    with pytest.raises(IndexError):
+        space.write_range(BASE + 9 * PAGE_SIZE, 3 * PAGE_SIZE)
+
+
+@pytest.mark.parametrize("pages, span", [(3, 10), (24, 1_000)], ids=["3-of-10", "24-of-1000"])
+def test_uneven_windows_identical(monkeypatch, pages, span):
+    """A dirtier whose windows do not divide ``span`` (so some run past
+    it) ends in the same state with run-ahead as stepped."""
+
+    def run():
+        stack, proc = _migrating(StackConfig(levels=2, io_model="vp"), pages=pages, span=span)
+        stack.sim.run()
+        return _state(stack, _mig_fields(proc.result))
+
+    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    assert ahead == stepped
+    assert ahead_writes * 10 < stepped_writes

@@ -3,10 +3,13 @@
 The real baselines live in ``BENCH_engine.json`` / ``BENCH_experiments.json``
 (regenerated by ``make bench-perf``); these tests only assert that the
 benchmarks run and that the engine clears a floor low enough for any
-plausible CI host.
+plausible CI host.  The ``--check`` tests judge one measurement of the
+whole suite, taken once per session.
 """
 
 import sys
+
+import pytest
 
 from benchmarks.perf import perf_engine
 
@@ -29,13 +32,20 @@ def test_delay_chain_smoke_rate():
     assert stats["last_run_events_per_sec"] >= SMOKE_MIN_EVENTS_PER_SEC
 
 
-def test_check_mode_passes_on_this_host():
-    assert perf_engine.main(["--check"]) == 0
+@pytest.fixture(scope="session")
+def measured():
+    """One run of every ``perf_engine`` case, shared by the ``--check``
+    tests (each judges it with :func:`perf_engine.check`)."""
+    return perf_engine.measure()
 
 
-def test_check_mode_fails_below_floor(monkeypatch, capsys):
+def test_check_mode_passes_on_this_host(measured):
+    assert perf_engine.check(measured) == 0
+
+
+def test_check_mode_fails_below_floor(measured, monkeypatch, capsys):
     monkeypatch.setattr(perf_engine, "MIN_EVENTS_PER_SEC", sys.float_info.max)
-    assert perf_engine.main(["--check"]) == 1
+    assert perf_engine.check(measured) == 1
     assert "FAIL" in capsys.readouterr().err
 
 
@@ -53,13 +63,14 @@ def test_dirty_write_drains_every_window():
     stats = perf_engine.bench_dirty_write(writes=2_048)
     assert stats["pages_drained"] == 2 * 1_024
     assert stats["writes_per_host_s"] > 0
+    assert stats["pages_drained_per_host_s"] > 0
 
 
-def test_check_mode_fails_below_dirty_write_floor(monkeypatch, capsys):
+def test_check_mode_fails_below_dirty_write_floor(measured, monkeypatch, capsys):
     monkeypatch.setattr(
         perf_engine, "MIN_DIRTY_WRITES_PER_SEC", sys.float_info.max
     )
-    assert perf_engine.main(["--check"]) == 1
+    assert perf_engine.check(measured) == 1
     assert "dirty_write" in capsys.readouterr().err
 
 
@@ -71,11 +82,11 @@ def test_fabric_frames_delivers_every_frame():
     assert stats["frames_per_host_s"] > 0
 
 
-def test_check_mode_fails_below_fabric_frames_floor(monkeypatch, capsys):
+def test_check_mode_fails_below_fabric_frames_floor(measured, monkeypatch, capsys):
     monkeypatch.setattr(
         perf_engine, "MIN_FABRIC_FRAMES_PER_SEC", sys.float_info.max
     )
-    assert perf_engine.main(["--check"]) == 1
+    assert perf_engine.check(measured) == 1
     assert "fabric_frames" in capsys.readouterr().err
 
 
@@ -88,7 +99,7 @@ def test_stack_build_builds_every_stack():
     assert stats["stacks_per_host_s"] > 0
 
 
-def test_check_mode_fails_below_stack_build_floor(monkeypatch, capsys):
+def test_check_mode_fails_below_stack_build_floor(measured, monkeypatch, capsys):
     monkeypatch.setattr(perf_engine, "MIN_STACKS_PER_SEC", sys.float_info.max)
-    assert perf_engine.main(["--check"]) == 1
+    assert perf_engine.check(measured) == 1
     assert "stack_build" in capsys.readouterr().err

@@ -1,14 +1,16 @@
 """Differential property tests for dirty tracking: ``MemorySpace`` and
-``DirtyLog`` record writes as pending page runs and build page sets only
-when read.  Every observation must match an eager per-page model."""
+``DirtyLog`` record writes as pending page runs and merge them into
+sorted runs when read, and ``PageRuns`` answers set questions on runs.
+Every observation must match an eager per-page model."""
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import mem
-from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace, pages_in_range
+from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace, PageRuns, pages_in_range
 
 #: A small space, so runs overlap, repeat and straddle each other.
 SPACE_PAGES = 48
@@ -123,3 +125,150 @@ def test_pending_runs_stay_bounded_when_every_run_is_new():
         assert len(space._runs) <= mem.MAX_PENDING_RUNS
         assert len(log._runs) <= mem.MAX_PENDING_RUNS
     assert len(log) == len(space.touched_pages) == 100_000
+
+
+# ----------------------------------------------------------------------
+# The run set itself
+# ----------------------------------------------------------------------
+#: A small page universe, so random runs abut, nest and overlap.
+UNIVERSE = 24
+
+runs_st = st.lists(
+    st.tuples(st.integers(0, UNIVERSE), st.integers(0, UNIVERSE)).map(
+        lambda r: (min(r), max(r))
+    ),
+    max_size=8,
+)
+regs = st.integers(0, 2)
+
+run_ops = st.one_of(
+    st.tuples(st.just("build"), regs, runs_st),
+    st.tuples(st.just("pages"), regs, st.lists(st.integers(0, UNIVERSE), max_size=10)),
+    st.tuples(st.just("record"), st.integers(0, UNIVERSE), st.integers(0, UNIVERSE)),
+    st.tuples(st.just("fold"), regs),
+    st.tuples(st.just("drain"), regs),
+    st.tuples(st.just("or"), regs, regs, regs),
+    st.tuples(st.just("ior"), regs, regs),
+    st.tuples(st.just("sub"), regs, regs, regs),
+    st.tuples(st.just("isub"), regs, regs),
+    st.tuples(st.just("set_ops"), regs, regs),
+)
+
+
+def _pages_of(runs):
+    return {p for lo, hi in runs for p in range(lo, hi)}
+
+
+def _check(runs, model):
+    """Every read of ``runs`` agrees with the page set ``model``, and its
+    flat run list is canonical (strictly ascending, so runs neither
+    overlap nor abut)."""
+    b = runs._b
+    assert len(b) % 2 == 0
+    assert all(x < y for x, y in zip(b, b[1:]))
+    assert len(runs) == len(model)
+    assert list(runs) == sorted(model)
+    assert runs == model and model == runs
+    assert runs == PageRuns(model)
+    for p in range(-1, UNIVERSE + 2):
+        assert (p in runs) == (p in model)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    bound=st.sampled_from([1, 2, 3, mem.MAX_PENDING_RUNS]),
+    program=st.lists(run_ops, max_size=40),
+)
+def test_page_runs_match_a_set_model(bound, program):
+    """Random builds, log records, folds, drains, unions and differences
+    on three run-set registers, each checked against a Python ``set``:
+    ``len``, ``in``, ascending iteration and equality."""
+    with mock.patch.object(mem, "MAX_PENDING_RUNS", bound):
+        reg = [PageRuns() for _ in range(3)]
+        model = [set() for _ in range(3)]
+        log = DirtyLog()
+        logged = set()
+        for op, *args in program:
+            if op == "build":
+                r, runs = args
+                model[r] = _pages_of(runs)
+                reg[r] = PageRuns(model[r])
+            elif op == "pages":
+                r, pages = args
+                reg[r], model[r] = PageRuns(pages), set(pages)
+            elif op == "record":
+                lo, hi = args
+                log.mark_run(lo, hi)
+                logged.update(range(lo, hi))
+                assert len(log) == len(logged)
+            elif op == "fold":
+                _check(log.pages, logged)
+                reg[args[0]], model[args[0]] = log.pages, set(logged)
+            elif op == "drain":
+                reg[args[0]], model[args[0]] = log.drain(), logged
+                logged = set()
+                assert len(log) == 0
+            elif op == "or":
+                r, x, y = args
+                reg[r], model[r] = reg[x] | reg[y], model[x] | model[y]
+            elif op == "ior":
+                r, x = args
+                reg[r] |= reg[x]
+                model[r] = model[r] | model[x]
+            elif op == "sub":
+                r, x, y = args
+                reg[r], model[r] = reg[x] - reg[y], model[x] - model[y]
+            elif op == "isub":
+                r, x = args
+                reg[r] -= reg[x]
+                model[r] = model[r] - model[x]
+            else:
+                x, y = args
+                # Mixed with plain sets, and the Set mixins.
+                assert reg[x] | model[y] == model[x] | model[y]
+                assert model[y] | reg[x] == model[x] | model[y]
+                assert reg[x] - model[y] == model[x] - model[y]
+                assert (reg[x] & reg[y]) == model[x] & model[y]
+                assert (reg[x] <= reg[y]) == (model[x] <= model[y])
+                assert reg[x].isdisjoint(reg[y]) == model[x].isdisjoint(model[y])
+            for runs, pages in zip(reg, model):
+                _check(runs, pages)
+        _check(log.drain(), logged)
+
+
+#: (name, first runs, second runs): runs that abut, nest and overlap.
+SHAPES = [
+    ("disjoint", [(0, 2)], [(5, 7)]),
+    ("abut-right", [(0, 3)], [(3, 5)]),
+    ("abut-left", [(3, 5)], [(0, 3)]),
+    ("nested", [(0, 10)], [(2, 4)]),
+    ("nested-at-start", [(0, 10)], [(0, 4)]),
+    ("nested-at-end", [(0, 10)], [(6, 10)]),
+    ("identical", [(2, 6)], [(2, 6)]),
+    ("overlap", [(0, 5)], [(3, 8)]),
+    ("bridge", [(0, 2), (4, 6)], [(2, 4)]),
+    ("bridge-overlapping", [(0, 3), (5, 8)], [(1, 6)]),
+    ("cover-many", [(1, 2), (3, 4), (6, 8)], [(0, 9)]),
+    ("interleaved", [(0, 2), (4, 6), (8, 10)], [(1, 5), (7, 9)]),
+    ("gap-of-one", [(0, 2), (3, 5)], [(7, 8)]),
+]
+
+
+@pytest.mark.parametrize("first, second", [s[1:] for s in SHAPES], ids=[s[0] for s in SHAPES])
+@pytest.mark.parametrize("bound", [1, mem.MAX_PENDING_RUNS])
+def test_page_run_shapes(first, second, bound):
+    """Each shape both ways round, through ``|``, ``-`` and a log's
+    in-place merge of pending runs, against the page-set model."""
+    for a, c in ((first, second), (second, first)):
+        px, py = _pages_of(a), _pages_of(c)
+        x, y = PageRuns(px), PageRuns(py)
+        _check(x | y, px | py)
+        _check(x - y, px - py)
+        with mock.patch.object(mem, "MAX_PENDING_RUNS", bound):
+            log = DirtyLog()
+            for lo, hi in a:
+                log.mark_run(lo, hi)
+            _check(log.pages, px)
+            for lo, hi in c:
+                log.mark_run(lo, hi)
+            _check(log.drain(), px | py)

@@ -244,7 +244,7 @@ def test_two_machines_on_one_simulator_never_skip(monkeypatch):
 
 def test_lone_host_shutdown_releases_fast_forward(monkeypatch):
     """The only machine on a simulator is held by fast-forward until its
-    host shuts down, and not after."""
+    host shuts down, and its reboot is held again."""
     from repro.cluster import Cluster
 
     _set_ff(monkeypatch, True)
@@ -256,7 +256,31 @@ def test_lone_host_shutdown_releases_fast_forward(monkeypatch):
     host.shutdown()
     assert ff.metrics is None and ff.veto is None
     host.boot()
+    assert ff.metrics is host.machine.metrics
+
+
+def test_two_live_hosts_hold_no_fast_forward(monkeypatch):
+    """Two live machines drop both references; shutting one down does
+    not re-arm the other, and a reboot onto an empty simulator does."""
+    from repro.cluster import Cluster
+
+    _set_ff(monkeypatch, True)
+    cluster = Cluster(num_hosts=2, seed=0)
+    a, b = cluster.hosts
+    a.ensure_booted()
+    b.ensure_booted()
+    ff = cluster.sim.ff
     assert ff.metrics is None and ff.veto is None
+    a.shutdown()
+    assert ff.metrics is None and ff.veto is None
+    a.boot()
+    assert ff.metrics is None and ff.veto is None
+    a.shutdown()
+    b.shutdown()
+    assert ff.metrics is None and ff.veto is None
+    b.boot()
+    assert ff.metrics is b.machine.metrics
+    assert ff.veto is not None
 
 
 # ----------------------------------------------------------------------
