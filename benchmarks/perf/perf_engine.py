@@ -13,9 +13,9 @@ simulated VM exits per host second for the L3 Hypercall microbenchmark,
 where one hypercall multiplies into 332 exits.  A fourth, **dirty
 write**, measures the memory layer under pre-copy dirty logging:
 ``MemorySpace.write_range`` calls and drained dirty pages per host
-second with one dirty log attached.  A fifth, **fleet place**, measures tenant admission in a
-large fleet: placement-index choices plus admissions per host second
-on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
+second with one dirty log attached.  A fifth, **fleet place**, measures
+tenant admission in a large fleet: placement-index choices plus
+admissions per host second on a 200-host lazily booted fleet.  A sixth, **migration dirtier**,
 runs the study's migration cells (a live migration beside a tenant
 re-dirtying memory) and reports simulated dirtier bursts per host
 second, the rate the dirtier's run-ahead sets.  A seventh, **fabric
@@ -30,8 +30,8 @@ Run directly to print and optionally record results::
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
 ``--check`` enforces conservative events/sec, exits/sec, writes/sec,
-drained pages/sec, placements/sec, bursts/sec, frames/sec and stacks/sec floors (for CI
-smoke).  With ``--baseline
+drained pages/sec, placements/sec, bursts/sec, frames/sec and
+stacks/sec floors (for CI smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
 trips even on hosts fast enough to clear the absolute floor.

@@ -293,7 +293,6 @@ def test_attached_auditor_refuses_runahead(monkeypatch, fast_forward):
     assert ahead_writes == stepped_writes
 
 
-
 # ----------------------------------------------------------------------
 # The batch's union of windows against one write per window
 # ----------------------------------------------------------------------
