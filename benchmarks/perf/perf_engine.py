@@ -203,13 +203,13 @@ def bench_request_capture(txns: int = 600) -> Dict[str, float]:
 
 def bench_exit_path(iterations: int = 100) -> Dict[str, float]:
     """Host cost per simulated VM exit: the L3 Hypercall microbenchmark
-    with fast-forward off, so every iteration's exits are simulated.
-    The stack settles first, so its boot-time HLT exits stay out.
-    ``exits`` is the sum of ``Metrics.exits`` over the run (332 per
-    hypercall); a change that gets faster by simulating fewer exits
-    shows up there.  ``dispatches`` counts the host's
-    ``KvmHypervisor.dispatch_exit`` calls: fewer than ``exits`` where
-    runs of identical L0-handled exits are applied in one step."""
+    with fast-forward off, so every iteration's exits are simulated and
+    every exit takes the full trap path: no run of identical L0-handled
+    exits is applied in one step, so ``dispatches`` (the host's
+    ``KvmHypervisor.dispatch_exit`` calls) equals ``exits``.  The stack
+    settles first, so its boot-time HLT exits stay out.  ``exits`` is
+    the sum of ``Metrics.exits`` over the run (332 per hypercall); a
+    change that gets faster by simulating fewer exits shows up there."""
     from time import perf_counter
 
     from repro.hv.kvm import KvmHypervisor

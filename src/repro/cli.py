@@ -25,7 +25,8 @@ JSON document under ``--json``, else ``text``.  Every leaf accepts
 only leaves that arm the auditor accept ``--audit``, and a text-only
 flag (``--chart``, ``--report``, ``--verbose``, ``--chains``) with
 ``--json`` is a parse error.  The same seed reproduces the same run bit
-for bit, with or without fast-forward and at any jobs count.
+for bit, with or without fast-forward (``--no-fast-forward`` steps
+every event: no epoch skipping or run-ahead) and at any jobs count.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-fast-forward",
         action="store_true",
-        help="disable steady-state epoch skipping and micro-step every "
-        "event (simulated results are byte-identical either way; this "
-        "only trades wall time for an exhaustive event trace)",
+        help="micro-step every event: no epoch skipping or run-ahead "
+        "(simulated results are byte-identical either way; this only "
+        "trades wall time for an exhaustive event trace)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-fast-forward",
             action="store_true",
             default=argparse.SUPPRESS,
-            help="micro-step every event (no epoch skipping)",
+            help="micro-step every event (no epoch skipping or run-ahead)",
         )
         if audit:
             p.add_argument(

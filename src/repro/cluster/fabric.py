@@ -87,8 +87,8 @@ class _Transit:
     """One frame's trip along its route: ``arrive`` at the far end of hop
     ``hop``, then ``forward`` onto the next hop once the switch latency
     has passed.  Each step is a heap callback's tail action, so when it
-    is due strictly before :meth:`Simulator.horizon` it would be popped
-    next anyway and :meth:`_then` runs it directly.  The first hop is
+    is due by :meth:`Simulator.run_ahead_limit` it would be popped next
+    anyway and :meth:`_then` runs it directly.  The first hop is
     scheduled by :meth:`Fabric.send` and never runs early."""
 
     __slots__ = ("fabric", "frame", "hops", "hop", "on_wire")
@@ -99,8 +99,9 @@ class _Transit:
 
     def _then(self, when: int, step: Callable[[], None]) -> None:
         sim = self.fabric.sim
-        horizon = sim.horizon()
-        if horizon is None or when < horizon:
+        limit = sim.run_ahead_limit()
+        if limit is None or when <= limit:
+            sim.transit_hops_ahead += 1
             sim.now = when
             step()
         else:

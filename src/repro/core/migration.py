@@ -470,13 +470,13 @@ def dirtier(
     pre-copy dirty logs.
 
     Run-ahead: once every window has been written once, each burst is
-    followed by the ``k`` further bursts whose write falls strictly
-    before :meth:`Simulator.horizon`, applied in one step.  Their
+    followed by the ``k`` further bursts whose write falls by
+    :meth:`Simulator.run_ahead_limit`, applied in one step.  Their
     ``guest_work`` is charged once (``k * compute``), the union of their
     windows (at most one period of them) is written as merged,
     ascending byte ranges, and one delay of ``k * compute`` ends where
-    the ``k``-th burst's write would.  Nothing else runs before the
-    horizon, so no drain, ``proc.done`` check or cancellation can fall
+    the ``k``-th burst's write would.  Nothing else runs by that
+    limit, so no drain, ``proc.done`` check or cancellation can fall
     inside the batch, and integer charges commute.  The union reaches
     the same logs with the same pages as the per-burst writes, only in
     another order and fewer records; every reader of dirty or touched
@@ -484,10 +484,10 @@ def dirtier(
     sets (ascending iteration included), so the order cannot change any
     output.
 
-    It steps burst by burst while ``machine`` has an observer attached
-    (:meth:`Machine.observer`), while ``ctx`` runs inside a live trap frame, or when
-    ``compute`` or the ``guest_work`` total is not an ``int``
-    (``docs/performance.md``, "Dirtier run-ahead").
+    It steps burst by burst when the limit allows none, while ``ctx``
+    runs inside a live trap frame, or when ``compute`` or the
+    ``guest_work`` total is not an ``int`` (``docs/performance.md``,
+    "Dirtier run-ahead").
     """
     sim = machine.sim
     metrics = machine.metrics
@@ -504,16 +504,14 @@ def dirtier(
             or proc.done
             or compute.__class__ is not int
             or metrics.cycles.get("guest_work", 0).__class__ is not int
-            or machine.observer() is not None
             or ctx.exit_context is not None
         ):
             continue
-        horizon = sim.horizon()
-        if horizon is None:
-            continue
-        k = (horizon - 1 - sim.now) // compute
+        limit = sim.run_ahead_limit(machine)
+        k = 0 if limit is None else (limit - sim.now) // compute
         if k <= 0:
             continue
+        sim.dirtier_bursts_merged += k
         metrics.charge("guest_work", k * compute)
         ctx.mem_write_ranges(
             every_window if k >= period

@@ -254,20 +254,11 @@ class KvmHypervisor:
     def repeatable_l0_vmx(self, left: int) -> int:
         """How many of the ``left`` copies of a level-1 VMREAD/VMWRITE
         run :meth:`repeat_l0_vmx` may apply now, right after L0 handled
-        the previous copy directly (0 = dispatch the next one in full).
-
-        Nothing is batched while an observer is attached (the machine's
-        fast-forward veto: auditor, fault injector, spans, chain
-        tracker, migration), when the cycle charges
-        are not integers (float addends keep their order-sensitive
-        per-copy replay), while the running :meth:`Simulator.run` call
-        has a ``max_events`` budget (a batch is one engine step), or
-        past that call's ``until`` (both read through
-        :meth:`Simulator.horizon`).
+        the previous copy directly (0 = dispatch the next one in full):
+        those that end by :meth:`Simulator.run_ahead_limit`, and none
+        when the cycle charges are not integers (float addends keep
+        their order-sensitive per-copy replay).
         """
-        machine = self.machine
-        if machine._ff_veto() is not None:
-            return 0
         c = self.costs
         per_exit = c.hw_exit + c.l0_dispatch + c.emul_vmcs_access + c.hw_entry
         cycles = self.metrics.cycles
@@ -277,11 +268,12 @@ class KvmHypervisor:
             or cycles["l0_emul"].__class__ is not int
         ):
             return 0
+        machine = self.machine
         sim = machine.sim
-        limit = sim.horizon(queued=False)
-        if limit is not None:
-            return max(0, min(left, (limit - 1 - sim.now) // per_exit))
-        return left
+        limit = sim.run_ahead_limit(machine, queued=False)
+        if limit is None:
+            return left
+        return max(0, min(left, (limit - sim.now) // per_exit))
 
     def repeat_l0_vmx(self, vcpu: VCpu, exit_: Exit, k: int) -> Generator:
         """``k`` more copies of the level-1 VMREAD/VMWRITE exit L0 just
@@ -297,6 +289,7 @@ class KvmHypervisor:
         metrics.record_l0_handled(reason_name, count=k)
         metrics.charge("hw_switch", k * (c.hw_exit + c.hw_entry))
         metrics.charge("l0_emul", k * (c.l0_dispatch + c.emul_vmcs_access))
+        self.sim.exits_batched += k
         if vcpu.exit_context is None:
             # Each copy would have been the root of its own chain.
             self.machine.new_chain_id(k)

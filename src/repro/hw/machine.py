@@ -100,9 +100,8 @@ class Machine:
         """The attached observer that watches mid-run state (None if
         there is none): the auditor, a fault injector, span tracing or a
         chain tracker.  Host-side shortcuts that collapse many steps
-        into one refuse while it is set: fast-forward skipping, exit
-        batching (``KvmHypervisor.repeatable_l0_vmx``) and the migration
-        dirtier's run-ahead (``repro.core.migration.dirtier``)."""
+        into one refuse while it is set: fast-forward (:meth:`_ff_veto`)
+        and every :meth:`Simulator.run_ahead_limit` shortcut."""
         if self.audit is not None:
             return "audit"
         if self.faults is not None:
@@ -114,15 +113,10 @@ class Machine:
         return None
 
     def _ff_veto(self) -> Optional[str]:
-        """Why fast-forward and exit batching must wait (None = go): an
-        attached :meth:`observer`, or a live migration whose dirty logs
-        must see every re-dirty record."""
-        observer = self.observer()
-        if observer is not None:
-            return observer
-        if self.ff_migrations:
-            return "migration"
-        return None
+        """Why fast-forward must wait (None = go): an attached
+        :meth:`observer`, or a live migration whose dirty logs must see
+        every re-dirty record."""
+        return self.observer() or ("migration" if self.ff_migrations else None)
 
     # ------------------------------------------------------------------
     # Native execution (the baseline configuration)

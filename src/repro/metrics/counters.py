@@ -109,14 +109,10 @@ class Metrics:
         total = self.cycles[category] + cycles
         self.cycles[category] = total
         log = self._ff_log
-        if log is not None and (
-            (total.__class__ is float and not total.is_integer())
-            or (cycles.__class__ is float and not cycles.is_integer())
-        ):
-            # Non-integer float accumulation is order-sensitive (each +=
-            # rounds); keep the addends so a macro-event can replay them
-            # bit-for-bit.  Integer-valued growth is exact either way
-            # and stays out of the log.
+        if log is not None and total.__class__ is float:
+            # Float accumulation is order-sensitive (each += rounds);
+            # keep every addend of a float total, integer-valued ones
+            # too, so a macro-event can replay the category bit-for-bit.
             if len(log) < 65536:
                 log.append((category, cycles))
             else:  # runaway log (source stopped observing): give up

@@ -144,8 +144,11 @@ def latency_report(metrics: Metrics, freq_hz: Optional[int] = None) -> str:
 
 def simulator_report(sim) -> str:
     """Engine cost of the run: events executed, the ready/heap/inline
-    scheduling split, and host-side throughput (``Simulator.stats()``)."""
+    scheduling split, host-side throughput and the work that run-ahead
+    and fast-forward skipped (``Simulator.stats()``)."""
     s = sim.stats()
+    # Skipped work must never be silently unobservable: the run-ahead
+    # and fast-forward counters always print (all zero with it off).
     rows = [
         ["events executed", f"{s['events_executed']:,.0f}"],
         ["ready-queue hits", f"{s['ready_hits']:,.0f}"],
@@ -154,21 +157,18 @@ def simulator_report(sim) -> str:
         ["last run events", f"{s['last_run_events']:,.0f}"],
         ["last run host wall", f"{s['last_run_wall_s'] * 1e3:,.2f} ms"],
         ["last run events/sec", f"{s['last_run_events_per_sec']:,.0f}"],
+        ["exits batched", f"{s['exits_batched']:,.0f}"],
+        ["dirtier bursts merged", f"{s['dirtier_bursts_merged']:,.0f}"],
+        ["transit hops ahead", f"{s['transit_hops_ahead']:,.0f}"],
+        ["fast-forward", "on" if s["ff_enabled"] else "off"],
+        ["ff epochs observed", f"{s['ff_epochs_observed']:,.0f}"],
+        ["ff detections", f"{s['ff_detections']:,.0f}"],
+        ["ff epochs skipped", f"{s['ff_epochs_skipped']:,.0f}"],
+        ["ff macro-events", f"{s['ff_macro_events']:,.0f}"],
+        ["ff window-blocked", f"{s['ff_window_blocked']:,.0f}"],
     ]
-    # Fast-forward accounting: skipped work must never be silently
-    # unobservable, so the macro-event counters always print when the
-    # mechanism is compiled in (even all-zero with it disabled).
-    if "ff_enabled" in s:
-        rows += [
-            ["fast-forward", "on" if s["ff_enabled"] else "off"],
-            ["ff epochs observed", f"{s['ff_epochs_observed']:,.0f}"],
-            ["ff detections", f"{s['ff_detections']:,.0f}"],
-            ["ff epochs skipped", f"{s['ff_epochs_skipped']:,.0f}"],
-            ["ff macro-events", f"{s['ff_macro_events']:,.0f}"],
-            ["ff window-blocked", f"{s['ff_window_blocked']:,.0f}"],
-        ]
-        for cause, n in sorted(s.get("ff_invalidations", {}).items()):
-            rows.append([f"ff invalidated: {cause}", f"{n:,.0f}"])
+    for cause, n in sorted(s["ff_invalidations"].items()):
+        rows.append([f"ff invalidated: {cause}", f"{n:,.0f}"])
     return "Simulator cost (host-side)\n" + _table(["counter", "value"], rows)
 
 

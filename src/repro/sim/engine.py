@@ -56,7 +56,8 @@ DEFAULT_FREQ_HZ = 2_200_000_000
 def fast_forward_default() -> bool:
     """Module default for :class:`Simulator`'s ``fast_forward`` argument.
 
-    ``REPRO_FAST_FORWARD=0`` disables epoch skipping everywhere.  Read at
+    ``REPRO_FAST_FORWARD=0`` steps every event everywhere: no epoch
+    skipping, no :meth:`Simulator.run_ahead_limit` shortcut.  Read at
     construction time (not import time) so the CLI's ``--no-fast-forward``
     flag — and worker subprocesses inheriting the environment — take
     effect after imports.
@@ -235,10 +236,15 @@ class Simulator:
         #: ``until`` and ``max_events`` of the :meth:`run` call in
         #: progress (None: unbounded or not running).  Work that
         #: collapses many steps into one reads them through
-        #: :meth:`horizon`, so state read at a ``run(until=)`` or
+        #: :meth:`run_ahead_limit`, so state read at a ``run(until=)`` or
         #: ``run(max_events=)`` return is the micro-stepped state.
         self._until: Optional[int] = None
         self._max_events: Optional[int] = None
+        #: Steps the :meth:`run_ahead_limit` shortcuts applied without
+        #: an engine event of their own.
+        self.exits_batched = 0
+        self.dirtier_bursts_merged = 0
+        self.transit_hops_ahead = 0
         if fast_forward is None:
             fast_forward = fast_forward_default()
         self.ff = FastForward(self, enabled=bool(fast_forward))
@@ -321,34 +327,32 @@ class Simulator:
         self._seq += 1
         self._ready.append((self._seq, proc, value))
 
-    def horizon(self, queued: bool = True) -> Optional[int]:
-        """The earliest cycle at which anything other than the running
-        process can run (None: nothing bounds it).
-
-        That is ``now`` while the :meth:`run` call in progress has a
-        ``max_events`` budget (each step counts against it) or while
-        other work is ready at this cycle; otherwise the earliest heap
-        entry, capped at the call's ``until + 1``.  A process may apply
-        the effects of delays that end strictly before the horizon in
-        one step: nothing else can run, or return from :meth:`run`, in
-        between (``repro.core.migration.dirtier``).  A fabric frame's
-        transit runs a hop due strictly before it directly instead of
-        through the heap (``repro.cluster.fabric``).  With ``queued``
-        false the heap and ready queue are left out, leaving only the
-        running call's own bound (``KvmHypervisor.repeatable_l0_vmx``).
+    def run_ahead_limit(self, machine=None, queued: bool = True) -> Optional[int]:
+        """The last cycle a host-side shortcut may reach (None: nothing
+        bounds it; below ``now``: none may run).  Every shortcut that
+        applies many simulated steps in one asks only this: repeated L0
+        exits (``KvmHypervisor.repeatable_l0_vmx``, ``queued=False``),
+        dirtier bursts (``repro.core.migration.dirtier``) and fabric hops
+        (``repro.cluster.fabric``).  None runs with fast-forward off, while
+        ``machine`` has an observer, or under the :meth:`run` call's
+        ``max_events`` budget.  Otherwise the limit is the call's
+        ``until`` and, with ``queued``, the cycle before the earliest heap
+        entry (which wins a tie), or no cycle while other work is ready
+        (``docs/performance.md``, "Run-ahead contract").
         """
-        if self._max_events is not None:
-            return self.now
+        if not self.ff.enabled or self._max_events is not None or (
+            machine is not None and machine.observer() is not None
+        ):
+            return self.now - 1
         until = self._until
-        cap = None if until is None else until + 1
         if not queued:
-            return cap
+            return until
         if self._ready:
-            return self.now
+            return self.now - 1
         heap = self._heap
-        if heap and (cap is None or heap[0][0] < cap):
-            return heap[0][0]
-        return cap
+        if heap and (until is None or heap[0][0] <= until):
+            return heap[0][0] - 1
+        return until
 
     # ------------------------------------------------------------------
     # Fast-forward primitives
@@ -635,7 +639,8 @@ class Simulator:
         Returns lifetime totals (``events_executed`` plus the split
         between ready-queue, heap, and inline hits), the cost of the most
         recent :meth:`run` call (events, host wall seconds, events/sec),
-        and the fast-forward counters (epochs observed/detected/skipped,
+        what the :meth:`run_ahead_limit` shortcuts skipped, and the
+        fast-forward counters (epochs observed/detected/skipped,
         macro-events, invalidations by cause).  Surfaced by
         ``repro.metrics.report`` so experiment reports show simulator
         cost next to simulated cycles — skipped work is never silently
@@ -654,6 +659,9 @@ class Simulator:
             "last_run_events_per_sec": (
                 last_events / last_wall if last_wall > 0 else 0.0
             ),
+            "exits_batched": self.exits_batched,
+            "dirtier_bursts_merged": self.dirtier_bursts_merged,
+            "transit_hops_ahead": self.transit_hops_ahead,
         }
         out.update(self.ff.stats())
         return out

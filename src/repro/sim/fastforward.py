@@ -15,7 +15,8 @@ trips behind Figure 7 (``rr:<app>``).  A new source must show a measured host-ti
 first (see ``docs/performance.md``).  The switch lives in one place:
 :class:`~repro.sim.engine.Simulator`'s ``fast_forward`` argument, which
 defaults to the ``REPRO_FAST_FORWARD`` environment variable (the CLI's
-``--no-fast-forward`` sets it).
+``--no-fast-forward`` sets it); off, it also stops every
+:meth:`~repro.sim.engine.Simulator.run_ahead_limit` shortcut.
 
 How a source earns a skip
 -------------------------
@@ -61,9 +62,10 @@ identity cannot be proven:
   when a live migration starts and ends): the generation counter bump
   invalidates every source's fingerprint;
 * the **window** is too small: anything live on the event heap before
-  ``now + n * period`` (a NIC packet in flight, another process's
+  ``now + (n + 1) * period`` (a NIC packet in flight, another process's
   delay, a *live* armed timer) bounds the jump — only cancelled
-  :class:`~repro.sim.engine.TimerHandle` entries may be jumped over;
+  :class:`~repro.sim.engine.TimerHandle` entries may be jumped over,
+  and one stepped epoch that may re-arm a live entry runs before it;
 * the simulator's **rng state** changed since the fingerprint was
   confirmed (a draw mid-epoch means epochs are not reproducible).
 
@@ -293,10 +295,11 @@ class PeriodicSource:
             self._rng_state = rng_state
             return 0
         if window is not None:
-            # The skip target must stay strictly before the first live
-            # non-carrier entry: that event, and everything after it,
-            # runs micro-step at its natural absolute time.
-            n_window = (window - now - 1) // period
+            # The skip target must stay a whole epoch before the first
+            # live non-carrier entry: it runs micro-step at its natural
+            # time, after an epoch that may re-arm it (a safety timer
+            # pushed out every transaction).
+            n_window = (window - now - 1) // period - 1
             if n_window <= 0:
                 ff.window_blocked += 1
                 return 0

@@ -1,15 +1,14 @@
-"""Differential harness for fabric transits.
+"""Traces for the fabric transit cells of the shipped-vs-stepped
+differential (``tests/stepped.py``).
 
-A transit runs a hop directly when it is due strictly before
-``Simulator.horizon()`` and otherwise schedules it on the heap.  The
-harness runs one scenario twice, once as shipped and once with every
-step forced through ``call_at``, and returns both traces: every
+A transit runs a hop directly when it is due by
+``Simulator.run_ahead_limit()`` and otherwise schedules it on the heap,
+as it always does with fast-forward off.  A scenario's trace holds every
 delivery's cycle and order, every wire's busy-until and carried bytes,
 ``fabric.stats()`` and the cross-host table.  Equal traces mean running
 ahead changed nothing but host work.
 """
 
-from repro.cluster import fabric as fabric_module
 from repro.cluster.fabric import UndeliverableError
 
 
@@ -66,26 +65,6 @@ def step_events(sim, fabric, budget=3):
         sim.run(max_events=budget)
         snaps.append(snapshot(sim, fabric))
     return snaps
-
-
-def _through_heap(transit, when, step):
-    transit.fabric.sim.call_at(when, step)
-
-
-def run_both(monkeypatch, scenario):
-    """Run ``scenario()`` (returns ``(sim, trace)``) as shipped and with
-    every transit step sent through the heap.  Returns
-    ``(trace, heap_trace, events, heap_events)``."""
-    sim, trace = scenario()
-    with monkeypatch.context() as patch:
-        patch.setattr(fabric_module._Transit, "_then", _through_heap)
-        heap_sim, heap_trace = scenario()
-    return (
-        trace,
-        heap_trace,
-        sim.stats()["events_executed"],
-        heap_sim.stats()["events_executed"],
-    )
 
 
 def stop_and_wait(sim, fabric, src, dst, frames, size, kind="net", log=None):

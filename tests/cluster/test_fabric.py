@@ -10,12 +10,12 @@ from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
 from repro.sim import Simulator, default_costs
 from tests.cluster.fabric_trace import (
     record_deliveries,
-    run_both,
     snapshot,
     step_events,
     step_until,
     stop_and_wait,
 )
+from tests.stepped import shipped_and_stepped
 
 
 def make_fabric(num_hosts=2, seed=0):
@@ -211,18 +211,18 @@ def _flows(plan=None, admin_down=None, step=None):
             sim.call_at(start, lambda: fabric.admin_down.add(host))
             sim.call_at(end, lambda: fabric.admin_down.discard(host))
         steps = step(sim, fabric) if step is not None else sim.run()
-        return sim, (deliveries, failed, steps, snapshot(sim, fabric))
+        return deliveries, failed, steps, snapshot(sim, fabric)
 
     return scenario
 
 
 def test_transit_run_ahead_matches_heap_on_contending_flows(monkeypatch):
-    trace, heap_trace, events, heap_events = run_both(monkeypatch, _flows())
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows())
     assert trace == heap_trace
     deliveries, failed, _end, _state = trace
     assert len(deliveries) == 6 + 6 + 4 + 4 and failed == []
     # Running ahead is what saves the heap round trips.
-    assert events < heap_events
+    assert ahead["transit_hops_ahead"] > 0
 
 
 def test_transit_run_ahead_matches_heap_under_degrade_window(monkeypatch):
@@ -233,8 +233,9 @@ def test_transit_run_ahead_matches_heap_under_degrade_window(monkeypatch):
             )
         ]
     )
-    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(plan))
     assert trace == heap_trace
+    assert ahead["transit_hops_ahead"] > 0
     assert trace[3][4][FaultClass.FABRIC_DEGRADE] > 0
 
 
@@ -249,8 +250,9 @@ def test_transit_run_ahead_matches_heap_on_host_loss_mid_flight(monkeypatch):
             )
         ]
     )
-    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(plan))
     assert trace == heap_trace
+    assert ahead["transit_hops_ahead"] > 0
     _deliveries, failed, _end, state = trace
     assert any("lost in flight" in reason for *_rest, reason in failed)
     assert state[2]["undeliverable"] > 0
@@ -258,8 +260,9 @@ def test_transit_run_ahead_matches_heap_on_host_loss_mid_flight(monkeypatch):
 
 def test_transit_run_ahead_matches_heap_across_admin_down(monkeypatch):
     scenario = _flows(admin_down=("host1", 150_000, 600_000))
-    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, scenario)
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, scenario)
     assert trace == heap_trace
+    assert ahead["transit_hops_ahead"] > 0
     assert trace[1]  # some frames hit the dark host
 
 
@@ -267,16 +270,17 @@ def test_transit_run_ahead_matches_heap_across_admin_down(monkeypatch):
 def test_transit_run_ahead_matches_heap_when_stepped(monkeypatch, step):
     """State read at every ``run(until=)`` / ``run(max_events=)``
     return is the micro-stepped state."""
-    trace, heap_trace, _events, _heap_events = run_both(
-        monkeypatch, _flows(step=step)
-    )
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(step=step))
     assert trace == heap_trace
+    # No hop runs ahead under a max_events budget.
+    assert (ahead["transit_hops_ahead"] > 0) == (step is step_until)
     assert len(trace[2]) > 10
 
 
-def test_hop_tied_with_an_earlier_callback_runs_after_it():
+def hop_tie_cell():
     """A callback scheduled for exactly arrival + switch latency was
-    queued before the hop, so it runs first and sees the downlink idle."""
+    queued before the hop: (downlink busy-until it saw, delivery cycles,
+    the frame's cycles)."""
     sim, fabric = make_fabric()
     size = 1 << 20
     fabric.send(FabricFrame(src="host0", dst="host1", kind="net", size=size))
@@ -291,8 +295,16 @@ def test_hop_tied_with_an_earlier_callback_runs_after_it():
     done = []
     fabric.port("host1").receiver = lambda f: done.append(sim.now)
     sim.run()
+    return seen, done, fabric.frame_cycles(size)
+
+
+def test_hop_tied_with_an_earlier_callback_runs_after_it(monkeypatch):
+    """The callback runs first and sees the downlink idle."""
+    ahead, stepped, _ = shipped_and_stepped(monkeypatch, hop_tie_cell)
+    assert ahead == stepped
+    seen, done, cycles = ahead
     assert seen == [0]
-    assert done == [fabric.frame_cycles(size)]
+    assert done == [cycles]
 
 
 def test_finished_transfer_leaves_no_cyclic_garbage():

@@ -1,13 +1,13 @@
 """Dirtier run-ahead: batching changes host work, never simulated state.
 
 ``repro.core.migration.dirtier`` applies every burst whose write lands
-strictly before ``Simulator.horizon()`` in one step.  Every case below
-runs twice, with run-ahead and with the horizon patched to ``sim.now``
-(so each burst is stepped on its own), under fast-forward on and off.
-Both runs must end in the same simulated state: clock, migration
-result, every ``Metrics`` table, the fast-forward counters, the chain-id
-counter, the ordered page sets every pre-copy round drained and the
-pages the tenant ever touched.
+by ``Simulator.run_ahead_limit`` in one step.  Every case below is a
+cell of the shared shipped-vs-stepped differential (``tests/stepped.py``):
+with run-ahead, and with fast-forward off, where each burst is stepped
+on its own.  Both runs must end in the same simulated state: clock,
+migration result, every ``Metrics`` table, the chain-id counter, the
+ordered page sets every pre-copy round drained and the pages the tenant
+ever touched.
 """
 
 import math
@@ -23,8 +23,8 @@ from repro.bench.runner import run_migration_experiment
 from repro.core.migration import LiveMigration, dirtier
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace
-from repro.sim.engine import Simulator
 from repro.study import harness
+from tests.stepped import shipped_and_stepped
 
 VARIANTS = ("baseline", "dvh", "ooh", "dvh+ooh")
 BASE = 0x2000_0000
@@ -37,43 +37,30 @@ PERIOD = SPAN // PAGES
 
 @pytest.fixture(params=[True, False], ids=["ff", "no-ff"])
 def fast_forward(request, monkeypatch):
+    """The environment a case starts in, as in CI's two legs; the
+    differential sets its own on both sides, so both give one answer."""
     monkeypatch.setenv("REPRO_FAST_FORWARD", "1" if request.param else "0")
     return request.param
 
 
-def _probe(m: pytest.MonkeyPatch) -> dict:
-    """Spy on pre-copy drains and count ``write_range`` calls."""
-    seen = {"drains": [], "writes": 0}
+def _both(monkeypatch, run):
+    """(run-ahead state, stepped state, bursts merged) of ``run()``; each
+    state also lists the pages every pre-copy drain returned, in order."""
     drain = migration._drain
-    write_range = MemorySpace.write_range
+    drains = []
 
     def spy_drain(cpu_log, device_logs):
         drained = drain(cpu_log, device_logs)
-        seen["drains"].append(list(drained))
+        drains.append(list(drained))
         return drained
 
-    def spy_write(self, addr, size):
-        seen["writes"] += 1
-        return write_range(self, addr, size)
+    def cell():
+        drains.clear()
+        return run(), list(drains)
 
-    m.setattr(migration, "_drain", spy_drain)
-    m.setattr(MemorySpace, "write_range", spy_write)
-    return seen
-
-
-def _both(monkeypatch, run):
-    """(run-ahead state, per-burst state, run-ahead writes, per-burst
-    writes) of ``run()``."""
-    out = []
-    for stepped in (False, True):
-        with monkeypatch.context() as m:
-            seen = _probe(m)
-            if stepped:
-                m.setattr(Simulator, "horizon", lambda self, queued=True: self.now)
-            state = run()
-        out.append(((state, seen["drains"]), seen["writes"]))
-    (ahead, ahead_writes), (stepped, stepped_writes) = out
-    return ahead, stepped, ahead_writes, stepped_writes
+    monkeypatch.setattr(migration, "_drain", spy_drain)
+    ahead, stepped, skipped = shipped_and_stepped(monkeypatch, cell)
+    return ahead, stepped, skipped["dirtier_bursts_merged"]
 
 
 def _state(stack, result):
@@ -82,7 +69,6 @@ def _state(stack, result):
         result,
         stack.metrics.snapshot(),
         stack.machine._next_chain_id,
-        stack.sim.ff.stats(),
         list(stack.leaf_vm.memory.touched_pages),
     )
 
@@ -130,47 +116,43 @@ def test_study_migration_cell_identical(monkeypatch, fast_forward, variant):
         row = harness._migration_cell(variant, 0)
         return _state(stacks[-1], row)
 
-    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(monkeypatch, run)
     assert ahead == stepped
     assert ahead[0][1]["rounds"] > 1
-    # The run-ahead must actually engage (about 60x fewer writes).
-    assert ahead_writes * 10 < stepped_writes
+    assert merged > 0
 
 
 def test_migration_experiment_identical(monkeypatch, fast_forward):
-    ahead, stepped, _, _ = _both(monkeypatch, lambda: run_migration_experiment(seed=1))
+    ahead, stepped, _ = _both(monkeypatch, lambda: run_migration_experiment(seed=1))
     assert ahead == stepped
+
+
+def _migration_states(step):
+    """The state after every ``step(sim)`` until the migration is done,
+    then after a run to the end."""
+    stack, proc = _migrating()
+    states = []
+    while not proc.done:
+        step(stack.sim)
+        states.append(_state(stack, None))
+    stack.sim.run()
+    states.append(_state(stack, _mig_fields(proc.result)))
+    return states
 
 
 def test_run_until_stepping_identical(monkeypatch, fast_forward):
     """``run(until=)`` boundaries cut batches short: every boundary shows
     the per-burst state."""
-    cut = []
-    horizon = Simulator.horizon
-
-    def run():
-        stack, proc = _migrating()
-        states = []
-        while not proc.done:
-            stack.sim.run(until=stack.sim.now + 40 * COMPUTE + 12_345)
-            states.append(_state(stack, None))
-        stack.sim.run()
-        states.append(_state(stack, _mig_fields(proc.result)))
-        return states
-
-    def spy(self, queued=True):
-        h = horizon(self, queued)
-        if queued and self._until is not None and h == self._until + 1:
-            cut.append(h - 1 - self.now >= COMPUTE)
-        return h
-
-    with monkeypatch.context() as m:
-        m.setattr(Simulator, "horizon", spy)
-        ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(
+        monkeypatch,
+        lambda: _migration_states(
+            lambda sim: sim.run(until=sim.now + 40 * COMPUTE + 12_345)
+        ),
+    )
     assert ahead == stepped
-    assert ahead_writes < stepped_writes
-    # Some batches ended at the boundary, not at the next event.
-    assert any(cut)
+    _, _, whole = _both(monkeypatch, lambda: _migration_states(lambda sim: sim.run()))
+    # Some batches ended at a boundary, and the bursts after it stepped.
+    assert 0 < merged < whole
 
 
 def test_run_max_events_stepping_identical(monkeypatch, fast_forward):
@@ -179,19 +161,23 @@ def test_run_max_events_stepping_identical(monkeypatch, fast_forward):
     state."""
 
     def run():
-        stack, proc = _migrating()
+        stack, _proc = _migrating()
         states = []
+        work = stack.metrics.cycles["guest_work"]
         for _ in range(3_000):
             stack.sim.run(max_events=97)
             states.append(_state(stack, None))
-        return states
+        bursts = (stack.metrics.cycles["guest_work"] - work) // COMPUTE
+        return states, bursts
 
-    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(monkeypatch, run)
     assert ahead == stepped
-    assert ahead_writes == stepped_writes > PERIOD
+    assert merged == 0
+    # Past the first period, where run-ahead could otherwise start.
+    assert ahead[0][1] > PERIOD
 
 
-def _tie_run(ticks):
+def dirtier_tie_cell():
     """A dirtier beside a long sleeper, plus callbacks at exactly the
     cycles of some of its writes (scheduled first, so they run before
     the write at that cycle) that drain a dirty log of their own."""
@@ -206,7 +192,7 @@ def _tie_run(ticks):
     def tick():
         seen.append((sim.now, list(log.drain())))
 
-    for burst in ticks:
+    for burst in TIE_TICKS:
         sim.call_at(t0 + burst * COMPUTE, tick)
 
     def sleeper():
@@ -227,11 +213,9 @@ TIE_TICKS = (PERIOD + 24, PERIOD + 25, PERIOD + 60, 150)
 def test_tie_with_event_at_a_write_identical(monkeypatch, fast_forward):
     """Another event due at exactly a dirtier write's cycle runs first:
     the batch before it stops strictly short of that cycle."""
-    ahead, stepped, ahead_writes, stepped_writes = _both(
-        monkeypatch, lambda: _tie_run(TIE_TICKS)
-    )
+    ahead, stepped, merged = _both(monkeypatch, dirtier_tie_cell)
     assert ahead == stepped
-    assert ahead_writes < stepped_writes
+    assert merged > 0
     ticks = ahead[0][1]
     assert [when for when, _ in ticks] == [
         ticks[0][0] + (b - TIE_TICKS[0]) * COMPUTE for b in TIE_TICKS
@@ -239,22 +223,6 @@ def test_tie_with_event_at_a_write_identical(monkeypatch, fast_forward):
     # One write since the previous tick, the one at the tick's own cycle
     # still to come.
     assert len(ticks[1][1]) == PAGES
-
-
-def test_tie_case_catches_writes_at_the_horizon(monkeypatch):
-    """Mutation check: a run-ahead that also applies the write due *at*
-    the horizon (``<=`` instead of ``<``) changes the tie case."""
-    stepped, _, _, _ = _both(monkeypatch, lambda: _tie_run(TIE_TICKS))
-    horizon = Simulator.horizon
-
-    def inclusive(self, queued=True):
-        h = horizon(self, queued)
-        return h if h is None else h + 1
-
-    with monkeypatch.context() as m:
-        m.setattr(Simulator, "horizon", inclusive)
-        mutated = _tie_run(TIE_TICKS)
-    assert mutated != stepped[0]
 
 
 @pytest.mark.parametrize("case", ["float_compute", "float_total"])
@@ -272,9 +240,9 @@ def test_float_charges_refuse_runahead(monkeypatch, fast_forward, case):
         stack.sim.run()
         return _state(stack, _mig_fields(proc.result))
 
-    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(monkeypatch, run)
     assert ahead == stepped
-    assert ahead_writes == stepped_writes
+    assert merged == 0
 
 
 def test_attached_auditor_refuses_runahead(monkeypatch, fast_forward):
@@ -288,9 +256,9 @@ def test_attached_auditor_refuses_runahead(monkeypatch, fast_forward):
         report = auditor.finish()
         return _state(stack, (_mig_fields(proc.result), len(report.violations)))
 
-    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(monkeypatch, run)
     assert ahead == stepped
-    assert ahead_writes == stepped_writes
+    assert merged == 0
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +342,6 @@ def test_uneven_windows_identical(monkeypatch, pages, span):
         stack.sim.run()
         return _state(stack, _mig_fields(proc.result))
 
-    ahead, stepped, ahead_writes, stepped_writes = _both(monkeypatch, run)
+    ahead, stepped, merged = _both(monkeypatch, run)
     assert ahead == stepped
-    assert ahead_writes * 10 < stepped_writes
+    assert merged > 0

@@ -10,12 +10,12 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.sim import Simulator, default_costs
 from tests.cluster.fabric_trace import (
     record_deliveries,
-    run_both,
     snapshot,
     step_events,
     step_until,
     stop_and_wait,
 )
+from tests.stepped import shipped_and_stepped
 
 
 def make_fabric(racks=2, hosts_per_rack=2, spines=2, oversub=2.0, seed=0):
@@ -220,18 +220,18 @@ def _flows(plan=None, step=None):
             )
             sim.call_at(when, lambda frame=frame: fabric.send(frame))
         steps = step(sim, fabric) if step is not None else sim.run()
-        return sim, (deliveries, failed, steps, snapshot(sim, fabric))
+        return deliveries, failed, steps, snapshot(sim, fabric)
 
     return scenario
 
 
 def test_transit_run_ahead_matches_heap_on_shared_trunk(monkeypatch):
-    trace, heap_trace, events, heap_events = run_both(monkeypatch, _flows())
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows())
     assert trace == heap_trace
     deliveries, failed, _end, state = trace
     assert len(deliveries) == 5 + 5 + 4 + 6 + 2 and failed == []
     assert state[2]["trunk_bytes"] > 0
-    assert events < heap_events
+    assert ahead["transit_hops_ahead"] > 0
 
 
 def test_transit_run_ahead_matches_heap_across_trunk_partition(monkeypatch):
@@ -245,8 +245,9 @@ def test_transit_run_ahead_matches_heap_across_trunk_partition(monkeypatch):
             )
         ]
     )
-    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(plan))
     assert trace == heap_trace
+    assert ahead["transit_hops_ahead"] > 0
     assert any("partitioned" in reason for *_rest, reason in trace[1])
 
 
@@ -261,17 +262,18 @@ def test_transit_run_ahead_matches_heap_on_host_loss_mid_flight(monkeypatch):
             )
         ]
     )
-    trace, heap_trace, _events, _heap_events = run_both(monkeypatch, _flows(plan))
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(plan))
     assert trace == heap_trace
+    assert ahead["transit_hops_ahead"] > 0
     assert any("lost in flight" in reason for *_rest, reason in trace[1])
 
 
 @pytest.mark.parametrize("step", [step_until, step_events])
 def test_transit_run_ahead_matches_heap_when_stepped(monkeypatch, step):
-    trace, heap_trace, _events, _heap_events = run_both(
-        monkeypatch, _flows(step=step)
-    )
+    trace, heap_trace, ahead = shipped_and_stepped(monkeypatch, _flows(step=step))
     assert trace == heap_trace
+    # No hop runs ahead under a max_events budget.
+    assert (ahead["transit_hops_ahead"] > 0) == (step is step_until)
     assert len(trace[2]) > 10
 
 

@@ -2,11 +2,14 @@
 
 ``VCpu._trap_each`` hands the 2nd..Nth copies of a level-1 VMREAD/VMWRITE
 run that L0 handled directly to ``KvmHypervisor.repeat_l0_vmx``, which
-applies them in one step.  Every case below runs twice, batched and with
-batching vetoed (``repeatable_l0_vmx`` patched to return 0, so each copy
-is dispatched in full), and both runs must end in the same simulated
-state: clock, result, every ``Metrics`` table and the chain-id counter
-(and the same fast-forward decisions).
+applies them in one step.  Every case below is a cell of the shared
+shipped-vs-stepped differential (``tests/stepped.py``): batched, and
+with fast-forward off, where every copy is dispatched in full.  Both
+runs must end in the same simulated state: clock, result and every
+``Metrics`` table.  The chain-id counter joins it where no epoch is
+skipped (skipped epochs allocate no chain ids; every reader of them
+vetoes skipping).  That batching does not move fast-forward's epoch
+skipping is pinned per cell in ``tests/sim/test_fastforward.py``.
 """
 
 import pytest
@@ -19,7 +22,6 @@ from repro.bench.configs import (
 )
 from repro.bench.runner import DEFAULT_SCALES
 from repro.faults.chains import ChainTracker
-from repro.hv.kvm import KvmHypervisor
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.machine import Machine
 from repro.hw.ops import Op
@@ -27,48 +29,13 @@ from repro.hw.vmx import VmcsField
 from repro.sim import default_costs
 from repro.workloads.apps import run_app
 from repro.workloads.microbench import MICROBENCHMARKS, run_microbenchmark
+from tests.stepped import shipped_and_stepped
 
 TABLE3_ITERATIONS = 30
 
 
-def _veto(m: pytest.MonkeyPatch) -> None:
-    m.setattr(KvmHypervisor, "repeatable_l0_vmx", lambda self, left: 0)
-
-
-def _spy(m: pytest.MonkeyPatch) -> list:
-    """Record the ``k`` of every batch ``repeat_l0_vmx`` applies."""
-    batches: list = []
-    repeat = KvmHypervisor.repeat_l0_vmx
-
-    def spy(self, vcpu, exit_, k):
-        batches.append(k)
-        return repeat(self, vcpu, exit_, k)
-
-    m.setattr(KvmHypervisor, "repeat_l0_vmx", spy)
-    return batches
-
-
 def _state(stack, result):
-    # The fast-forward counters join the comparison: batching must not
-    # change which epochs a periodic source confirms or skips.
-    return (
-        stack.sim.now,
-        result,
-        stack.metrics.snapshot(),
-        stack.machine._next_chain_id,
-        stack.sim.ff.stats(),
-    )
-
-
-def _both(monkeypatch, run):
-    """(batched state, unbatched state, batches applied) of ``run()``."""
-    with monkeypatch.context() as m:
-        batches = _spy(m)
-        batched = run()
-    with monkeypatch.context() as m:
-        _veto(m)
-        unbatched = run()
-    return batched, unbatched, batches
+    return stack.sim.now, result, stack.metrics.snapshot()
 
 
 def _config(configs, name):
@@ -77,6 +44,8 @@ def _config(configs, name):
 
 @pytest.fixture(params=[True, False], ids=["ff", "no-ff"])
 def fast_forward(request, monkeypatch):
+    """The environment a case starts in, as in CI's two legs; the
+    differential sets its own on both sides, so both give one answer."""
     monkeypatch.setenv("REPRO_FAST_FORWARD", "1" if request.param else "0")
     return request.param
 
@@ -90,12 +59,12 @@ def test_table3_cell_identical(monkeypatch, fast_forward, bench, config_name):
         stack = build_stack(config)
         return _state(stack, run_microbenchmark(stack, bench, TABLE3_ITERATIONS))
 
-    batched, unbatched, batches = _both(monkeypatch, run)
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
     assert batched == unbatched
     if config.levels >= 2 and "DVH" not in config_name:
         # Every forwarded exit's guest-hypervisor handler issues a
         # VMREAD run at level 1: these cells must actually batch.
-        assert sum(batches) > 0
+        assert ahead["exits_batched"] > 0
 
 
 @pytest.mark.parametrize(
@@ -115,9 +84,9 @@ def test_figure_app_identical(monkeypatch, fast_forward, configs, config_name, a
         stack = build_stack(config)
         return _state(stack, run_app(stack, app, scale=scale))
 
-    batched, unbatched, batches = _both(monkeypatch, run)
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
     assert batched == unbatched
-    assert sum(batches) > 0
+    assert ahead["exits_batched"] > 0
 
 
 @pytest.mark.parametrize(
@@ -135,9 +104,9 @@ def test_other_platform_cells_identical(monkeypatch, fast_forward, config):
         stack = build_stack(config)
         return _state(stack, run_microbenchmark(stack, "Hypercall", TABLE3_ITERATIONS))
 
-    batched, unbatched, batches = _both(monkeypatch, run)
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
     assert batched == unbatched
-    assert sum(batches) > 0
+    assert ahead["exits_batched"] > 0
 
 
 def _hypercalls(stack, count):
@@ -164,47 +133,79 @@ def test_root_runs_take_one_chain_id_per_copy(monkeypatch):
             yield from l1.execute(Op.VMWRITE, count=9, value=0x55, **access)
             return (yield from l1.execute(Op.VMREAD, count=9, **access))
 
-        return _state(stack, stack.sim.run_process(main(), "root-runs"))
+        result = stack.sim.run_process(main(), "root-runs")
+        return _state(stack, (result, stack.machine._next_chain_id))
 
-    batched, unbatched, batches = _both(monkeypatch, run)
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
     assert batched == unbatched
-    assert batched[1] == 0x55
-    assert batches == [8, 8]
+    assert batched[1][0] == 0x55
+    assert ahead["exits_batched"] == 8 + 8
+
+
+def vmread_tie_cell():
+    """A root run of nine level-1 VMREADs driven by ``run(until=)`` to one
+    cycle before its last copy ends, with the field rewritten at that
+    return.  Stepped, the last copy has read the field by then; a batch
+    that reached the end of the run would read it after the rewrite."""
+
+    def start():
+        stack = build_stack(StackConfig(levels=2))
+        stack.settle()
+        vcpu, vmcs = stack.ctx(0).chain_vcpu(1), stack.ctx(0).vmcs
+
+        def main():
+            value = yield from vcpu.execute(
+                Op.VMREAD, count=9, vmcs=vmcs, field=VmcsField.PROC_CONTROLS
+            )
+            return value, stack.sim.now
+
+        return stack, vmcs, stack.sim.spawn(main(), "vmreads")
+
+    stack, _vmcs, proc = start()
+    stack.sim.run()
+    end = proc.result[1]
+    stack, vmcs, proc = start()
+    stack.sim.run(until=end - 1)
+    vmcs.write(VmcsField.PROC_CONTROLS, 0x77)
+    stack.sim.run()
+    return _state(stack, proc.result)
+
+
+def test_vmread_tie_at_a_run_until_return_identical(monkeypatch):
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, vmread_tie_cell)
+    assert batched == unbatched
+    assert batched[1][0] != 0x77
+    # Eight copies batched in the run that finds the end, seven in the
+    # run stopped short of it.
+    assert ahead["exits_batched"] == 8 + 7
+
+
+def _hypercall_states(step):
+    """The state after every ``step(sim)`` while two L3 hypercalls run."""
+    stack = build_stack(StackConfig(levels=3))
+    stack.settle()
+    proc = _hypercalls(stack, 2)
+    states = []
+    while not proc.done:
+        step(stack.sim)
+        states.append(_state(stack, None))
+    return states
 
 
 def test_run_until_boundaries_identical(monkeypatch):
     """Stepping with ``run(until=)`` stops mid-run of a VMREAD batch;
     every boundary must show the micro-stepped state."""
-    granted = []
-
-    def run():
-        stack = build_stack(StackConfig(levels=3))
-        stack.settle()
-        proc = _hypercalls(stack, 2)
-        states = []
-        while not proc.done:
-            stack.sim.run(until=stack.sim.now + 997)
-            states.append(_state(stack, None))
-        return states
-
-    with monkeypatch.context() as m:
-        repeatable = KvmHypervisor.repeatable_l0_vmx
-
-        def record(self, left):
-            k = repeatable(self, left)
-            granted.append((left, k))
-            return k
-
-        m.setattr(KvmHypervisor, "repeatable_l0_vmx", record)
-        batches = _spy(m)
-        batched = run()
-    with monkeypatch.context() as m:
-        _veto(m)
-        unbatched = run()
+    batched, unbatched, ahead = shipped_and_stepped(
+        monkeypatch,
+        lambda: _hypercall_states(lambda sim: sim.run(until=sim.now + 997)),
+    )
     assert batched == unbatched
-    assert sum(batches) > 0
-    # The horizon cut some batches short of the copies that were left.
-    assert any(k < left for left, k in granted)
+    _, _, whole = shipped_and_stepped(
+        monkeypatch, lambda: _hypercall_states(lambda sim: sim.run())
+    )
+    # The boundaries cut some batches short: the copies left were
+    # dispatched in full.
+    assert 0 < ahead["exits_batched"] < whole["exits_batched"]
 
 
 def test_run_max_events_boundaries_identical(monkeypatch):
@@ -218,25 +219,20 @@ def test_run_max_events_boundaries_identical(monkeypatch):
         stack.settle()
         proc = _hypercalls(stack, 2)
         states = []
-        before = len(batches)
+        before = stack.sim.exits_batched
         while not proc.done:
             stack.sim.run(max_events=37)
             states.append(_state(stack, None))
-        budgeted.append(len(batches) - before)
+        budgeted.append(stack.sim.exits_batched - before)
         proc = _hypercalls(stack, 1)
         stack.sim.run()
         states.append(_state(stack, proc.done))
         return states
 
-    with monkeypatch.context() as m:
-        batches = _spy(m)
-        batched = run()
-    with monkeypatch.context() as m:
-        _veto(m)
-        unbatched = run()
+    batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
     assert batched == unbatched
-    assert budgeted[0] == 0
-    assert sum(batches) > 0
+    assert budgeted == [0, 0]
+    assert ahead["exits_batched"] > 0
 
 
 @pytest.mark.parametrize("ff", [True, False], ids=["ff", "no-ff"])
@@ -257,8 +253,8 @@ def test_float_charges_fall_back_to_per_copy_dispatch(monkeypatch, ff):
         return _state(stack, run_microbenchmark(stack, "Hypercall", TABLE3_ITERATIONS))
 
     for run in (float_costs, float_total):
-        batched, unbatched, batches = _both(monkeypatch, run)
-        assert batches == []
+        batched, unbatched, ahead = shipped_and_stepped(monkeypatch, run)
+        assert ahead["exits_batched"] == 0
         assert batched == unbatched
 
 
@@ -285,8 +281,7 @@ def test_observers_see_every_copy(monkeypatch, observer):
             frames = sum(seen.exits.values())
         return _state(stack, frames), stack.metrics.total_exits() - before
 
-    (batched, exits), (unbatched, _), batches = _both(monkeypatch, run)
-    assert batches == []
+    (batched, exits), (unbatched, _), ahead = shipped_and_stepped(monkeypatch, run)
+    assert ahead["exits_batched"] == 0
     assert batched == unbatched
     assert batched[1] == exits > 300
-

@@ -51,9 +51,11 @@ def test_check_mode_fails_below_floor(measured, monkeypatch, capsys):
 
 def test_exit_path_simulates_every_exit():
     """One L3 hypercall is 332 exits (1 from L3, 17 from L2, 314 from
-    L1): a trap-path speed-up may only cut host time, not exits."""
+    L1): a trap-path speed-up may only cut host time, not exits.  With
+    fast-forward off, every exit is dispatched in full."""
     stats = perf_engine.bench_exit_path(iterations=1)
     assert stats["exits"] == 332
+    assert stats["dispatches"] == stats["exits"]
     assert stats["exits_per_host_s"] > 0
 
 

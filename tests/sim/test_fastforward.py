@@ -62,6 +62,9 @@ def test_table3_micro_ops_byte_identical(bench, monkeypatch):
         (2, "virtio", DvhFeatures.full()),
         (2, "vp", DvhFeatures.full()),
         (1, "virtio", DvhFeatures.none()),
+        # Figure 9's L3 + DVH-VP cell: a skip that ended within one
+        # period of the safety timer let a stale arm fire.
+        (3, "vp", DvhFeatures.vp_only()),
     ],
 )
 def test_fig7_netperf_rr_byte_identical(levels, io_model, dvh, monkeypatch):
