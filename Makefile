@@ -64,9 +64,10 @@ scenarios-smoke:
 	REPRO_FAST_FORWARD=0 PYTHONPATH=src python -m repro scenarios run --count 10 --seed 1 --json > /tmp/scen_run_noff.json
 	diff /tmp/scen_run_serial.json /tmp/scen_run_noff.json
 
-# Reachability report (see tools/reachability.py): the functions of
-# src/repro that no CLI result path calls.  An upper bound on dead code;
-# it reports and never fails.
+# Reachability check (see tools/reachability.py): every function of
+# src/repro is entered by a CLI result path or allowlisted with a reason.
+# Wired into CI; exits 1 on an unreached function outside the allowlist,
+# a stale or now-reached allowlist entry, or a path that crashes.
 reach:
 	PYTHONPATH=src python tools/reachability.py --summary
 

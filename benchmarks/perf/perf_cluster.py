@@ -31,12 +31,12 @@ def bench_boot() -> Dict[str, object]:
     """Boot a 4-host cluster (8 full hypervisor stacks' worth of build
     work) and place the standard fleet."""
     from repro.cluster import Cluster
-    from repro.scenarios import mixed_tenant_specs
+    from repro.scenarios import mixed_tenant_draws
 
     t0 = perf_counter()
     cluster = Cluster(num_hosts=4, seed=SEED, policy="spread")
-    for spec in mixed_tenant_specs(6):
-        cluster.place(spec)
+    for draw in mixed_tenant_draws(6):
+        cluster.place(draw.to_tenant_spec())
     wall = perf_counter() - t0
     return {
         "wall_s": wall,

@@ -26,7 +26,7 @@ import sys
 from time import perf_counter
 from typing import Dict, Optional
 
-from repro.bench.runner import run_figure7, run_table3
+from repro.bench.runner import run_figure, run_table3
 
 #: Wall time of ``PYTHONPATH=src python -m pytest -x -q`` on the seed
 #: tree (before the engine fast path and hot-path optimization), on the
@@ -58,7 +58,7 @@ def bench_table3_slice() -> Dict[str, float]:
 
 def bench_app_figure_slice() -> Dict[str, object]:
     t0 = perf_counter()
-    run_figure7(apps=FIGURE_APPS)
+    run_figure("7", apps=FIGURE_APPS)
     return {"figure": "7", "apps": FIGURE_APPS, "wall_s": perf_counter() - t0}
 
 

@@ -11,14 +11,14 @@ The paper's qualitative results:
 
 import pytest
 
-from repro.bench import format_figure, run_figure10
+from repro.bench import format_figure, run_figure
 from repro.workloads.apps import app_names
 
 
 @pytest.mark.parametrize("app", app_names())
 def test_fig10_row(benchmark, save_result, app):
     result = benchmark.pedantic(
-        lambda: run_figure10(apps=[app]), rounds=1, iterations=1
+        lambda: run_figure("10", apps=[app]), rounds=1, iterations=1
     )
     save_result(f"fig10_{app}", format_figure(result))
     row = result.overheads[app]

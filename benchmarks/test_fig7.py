@@ -12,14 +12,14 @@ The paper's qualitative results this harness must reproduce:
 
 import pytest
 
-from repro.bench import format_figure, run_figure7
+from repro.bench import format_figure, run_figure
 from repro.workloads.apps import app_names
 
 
 @pytest.mark.parametrize("app", app_names())
 def test_fig7_row(benchmark, save_result, app):
     result = benchmark.pedantic(
-        lambda: run_figure7(apps=[app]), rounds=1, iterations=1
+        lambda: run_figure("7", apps=[app]), rounds=1, iterations=1
     )
     save_result(f"fig7_{app}", format_figure(result))
     row = result.overheads[app]

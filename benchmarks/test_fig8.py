@@ -10,7 +10,7 @@ The paper's attribution this harness must reproduce:
 
 import pytest
 
-from repro.bench import format_figure, run_figure8
+from repro.bench import format_figure, run_figure
 from repro.workloads.apps import app_names
 
 STEPS = [
@@ -26,7 +26,7 @@ STEPS = [
 @pytest.mark.parametrize("app", app_names())
 def test_fig8_row(benchmark, save_result, app):
     result = benchmark.pedantic(
-        lambda: run_figure8(apps=[app]), rounds=1, iterations=1
+        lambda: run_figure("8", apps=[app]), rounds=1, iterations=1
     )
     save_result(f"fig8_{app}", format_figure(result))
     row = result.overheads[app]

@@ -11,14 +11,14 @@ The paper's qualitative results:
 
 import pytest
 
-from repro.bench import format_figure, run_figure9
+from repro.bench import format_figure, run_figure
 from repro.workloads.apps import app_names
 
 
 @pytest.mark.parametrize("app", app_names())
 def test_fig9_row(benchmark, save_result, app):
     result = benchmark.pedantic(
-        lambda: run_figure9(apps=[app]), rounds=1, iterations=1
+        lambda: run_figure("9", apps=[app]), rounds=1, iterations=1
     )
     save_result(f"fig9_{app}", format_figure(result))
     row = result.overheads[app]

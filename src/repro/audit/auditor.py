@@ -123,13 +123,6 @@ class Auditor:
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
-    def attach(self, subject) -> "Auditor":
-        """Attach to a machine, stack, or cluster (duck-typed)."""
-        if hasattr(subject, "hosts") and hasattr(subject, "fabric"):
-            return self.attach_cluster(subject)
-        if hasattr(subject, "machine") and hasattr(subject, "vms"):
-            return self.attach_stack(subject)
-        return self.attach_machine(subject)
 
     def attach_machine(self, machine) -> "Auditor":
         machine.audit = self

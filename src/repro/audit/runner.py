@@ -74,10 +74,6 @@ class AuditRun:
     def ok(self) -> bool:
         return all(s.ok for s in self.scenarios)
 
-    @property
-    def failures(self) -> List[AuditScenario]:
-        return [s for s in self.scenarios if not s.ok]
-
 
 # ----------------------------------------------------------------------
 # Scenario family 1: single-machine migration matrix

@@ -13,10 +13,6 @@ from repro.bench.runner import (
     MigrationRow,
     Table3Result,
     run_figure,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure10,
     run_migration_experiment,
     run_table3,
 )
@@ -38,10 +34,6 @@ __all__ = [
     "MigrationRow",
     "Table3Result",
     "run_figure",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
     "run_migration_experiment",
     "run_table3",
     "PAPER_TABLE3",

@@ -24,10 +24,6 @@ __all__ = [
     "FigureResult",
     "MigrationRow",
     "run_table3",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
     "run_figure",
     "run_migration_experiment",
     "DEFAULT_SCALES",
@@ -135,26 +131,6 @@ def run_figure(
         if native_result is not None:
             result.native[app] = native_result
     return result
-
-
-def run_figure7(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
-    """Application performance, six configurations (Figure 7)."""
-    return run_figure("7", apps, scales, jobs, seed)
-
-
-def run_figure8(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
-    """Incremental DVH breakdown (Figure 8)."""
-    return run_figure("8", apps, scales, jobs, seed)
-
-
-def run_figure9(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
-    """Application performance in an L3 VM (Figure 9)."""
-    return run_figure("9", apps, scales, jobs, seed)
-
-
-def run_figure10(apps=None, scales=None, jobs: int = 1, seed: int = 0) -> FigureResult:
-    """Xen as guest hypervisor on KVM (Figure 10)."""
-    return run_figure("10", apps, scales, jobs, seed)
 
 
 # ----------------------------------------------------------------------

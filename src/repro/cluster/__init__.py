@@ -121,18 +121,8 @@ class Fleet:
                 return h
         raise KeyError(f"no tenant named {tenant_name!r}")
 
-    def tenants(self) -> Dict[str, Tenant]:
-        out: Dict[str, Tenant] = {}
-        for h in self.hosts:
-            out.update(h.tenants)
-        return out
-
     def log(self, message: str) -> None:
         self.events.append(f"{self.sim.now:>14} {message}")
-
-    def trace(self) -> str:
-        """The full event trace — byte-identical for identical seeds."""
-        return "\n".join(self.events)
 
     @staticmethod
     def _sorted_table(table: Dict) -> Dict[str, object]:

@@ -78,10 +78,6 @@ class FabricPort:
         self.receiver: Optional[Callable[[FabricFrame], None]] = None
         self.frames = {"tx": 0, "rx": 0}
 
-    @property
-    def bytes_carried(self) -> Dict[str, int]:
-        return self.wire.bytes_carried
-
 
 class _Transit:
     """One frame's trip along its route: ``arrive`` at the far end of hop

@@ -278,10 +278,6 @@ class ClusterHost:
         return self._mem_committed
 
     @property
-    def mem_reserved(self) -> int:
-        return self._mem_reserved
-
-    @property
     def mem_free(self) -> int:
         return self.mem_total - self._mem_committed - self._mem_reserved
 
@@ -289,10 +285,6 @@ class ClusterHost:
     def cycle_load(self) -> int:
         """Committed steady-state CPU demand across tenants."""
         return self._cycle_load
-
-    @property
-    def load_reserved(self) -> int:
-        return self._load_reserved
 
     def fits(self, spec: TenantSpec) -> bool:
         """Memory AND cycle-load headroom: a tenant must find both its
@@ -452,11 +444,3 @@ class ClusterHost:
         fresh = self.admit(tenant.spec)
         fresh.migrations = tenant.migrations + 1
         return fresh
-
-    def describe(self) -> str:
-        names = ",".join(sorted(self._tenants)) or "-"
-        return (
-            f"{self.name}: {len(self._tenants)} tenants "
-            f"[{names}] mem {self.mem_committed // GB}/"
-            f"{self.mem_total // GB} GB load {self.cycle_load}"
-        )

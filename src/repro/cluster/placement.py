@@ -43,9 +43,6 @@ class PlacementPolicy:
     #: Registry key (subclasses set it).
     name = "base"
 
-    def key(self, host: ClusterHost):
-        raise NotImplementedError
-
 
 class BinPackPolicy(PlacementPolicy):
     """Fill the fullest feasible host first (consolidation: frees whole

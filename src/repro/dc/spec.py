@@ -211,10 +211,6 @@ class TopologySpec:
     spines: int = spec_field(POS_INT, 2)
     oversubscription: float = spec_field(POSITIVE, 4.0)
 
-    @property
-    def num_hosts(self) -> int:
-        return self.racks * self.hosts_per_rack
-
 
 @dataclass(frozen=True)
 class HostSpec:

@@ -74,10 +74,6 @@ class ChainTracker:
     # ------------------------------------------------------------------
     # Invariants and reporting
     # ------------------------------------------------------------------
-    @property
-    def chain_count(self) -> int:
-        return len(self.exits)
-
     def chain_slack(self, cid: int) -> int:
         return self.exits[cid] - self.handled[cid] - self.forwards[cid]
 
@@ -106,11 +102,3 @@ class ChainTracker:
                     f"(slack {slack}, hlt slack {hlt_slack})"
                 )
         return out
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "chains": self.chain_count,
-            "exits": sum(self.exits.values()),
-            "forwards": sum(self.forwards.values()),
-            "max_depth": max(self.max_depth.values(), default=0),
-        }

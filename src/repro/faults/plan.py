@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["FaultClass", "FaultSpec", "FaultPlan"]
 
@@ -228,9 +228,6 @@ class FaultPlan:
     def spec_for(self, kind: str) -> Optional[FaultSpec]:
         return self._by_kind.get(kind)
 
-    def kinds(self) -> Set[str]:
-        return set(self._by_kind)
-
     def faulted_mechanisms(self) -> Tuple[str, ...]:
         """DVH mechanisms a ``dvh_cap_fault`` spec knocks out."""
         spec = self.spec_for(FaultClass.DVH_CAP_FAULT)
@@ -242,9 +239,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
 
     def describe(self) -> str:
         """One line per spec, for reports."""

@@ -126,10 +126,6 @@ class NativeBlkDriver:
         self.ssd.submit(BlockRequest(op=op, size=size, payload=req_id), complete)
         return req_id
 
-    def reap_completions(self, ctx=None) -> Generator:
-        yield 0
-        return list(self._completed)
-
     def is_complete(self, req_id: int) -> bool:
         return req_id in self._completed
 
@@ -150,9 +146,8 @@ class HostBlkBackend:
         self.user_vm = user_vm
         self._wake = self.machine.sim.event("blk-wake")
         self._done: List[Tuple[int, BlockRequest]] = []
-        #: Migration support hooks (set via the PCI migration capability).
+        #: Migration support hook (set via the PCI migration capability).
         self.dirty_log = None
-        self.paused = False
         device.on_kick = self._on_kick
         l0.backends[device] = self
         self._running = False
@@ -170,21 +165,12 @@ class HostBlkBackend:
         self._wake = self.machine.sim.event("blk-wake")
         ev.trigger()
 
-    def pause(self) -> None:
-        """Stop processing (migration stop-and-copy)."""
-        self.paused = True
-
-    def resume(self) -> None:
-        """Resume processing and drain anything queued while paused."""
-        self.paused = False
-        self._signal()
-
     def _run(self) -> Generator:
         c = self.machine.costs
         queue = self.device.queues[0]
         while True:
             had_work = False
-            while not self.paused:
+            while True:
                 item = queue.pop_avail()
                 if item is None:
                     break
@@ -195,7 +181,7 @@ class HostBlkBackend:
                 self.machine.ssd.submit(
                     req, lambda r, d=desc_id: self._complete(d, r)
                 )
-            while self._done and not self.paused:
+            while self._done:
                 desc_id, req = self._done.pop(0)
                 had_work = True
                 yield c.vhost_per_packet // 2

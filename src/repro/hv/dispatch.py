@@ -136,22 +136,6 @@ class ExitContext:
     def note_hop(self) -> None:
         self.hops += 1
 
-    def chain(self) -> List["ExitContext"]:
-        """Ancestry from the chain root down to this frame."""
-        out: List[ExitContext] = []
-        node: Optional[ExitContext] = self
-        while node is not None:
-            out.append(node)
-            node = node.parent
-        out.reverse()
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ExitContext #{self.chain_id}.{self.depth} "
-            f"{self.exit_.reason.value} L{self.origin_level} hops={self.hops}>"
-        )
-
 
 def _host_owner(vcpu: Any, exit_: Exit) -> int:
     """Shadow-EPT maintenance is the host hypervisor's job."""

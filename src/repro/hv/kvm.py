@@ -613,9 +613,6 @@ class KvmHypervisor:
                 cap.ooh_grants = ooh.configured_names()
         guest_hv.capability = cap
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name}>"
-
 
 # ======================================================================
 # L0 emulation handlers

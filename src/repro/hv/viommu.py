@@ -16,7 +16,7 @@ interrupt support in the virtual IOMMU ... which is missing in QEMU").
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hw.ept import PageTable, Perm
 from repro.hw.ops import Op
@@ -91,6 +91,3 @@ class VirtualIommu(PciDevice):
         # Register writes are handled in program(); the trap cost is what
         # matters here.
         return
-
-    def mmio_read(self, addr: int):
-        return 0

@@ -117,15 +117,6 @@ class VirtioDriver:
     def irq_dest(self):
         return self._queue_dest[0][0]
 
-    @irq_dest.setter
-    def irq_dest(self, ctx) -> None:
-        for pair in list(self._queue_dest):
-            self._queue_dest[pair] = (ctx, self._queue_dest[pair][1])
-
-    @property
-    def rx_vector(self) -> int:
-        return self._queue_dest[0][1]
-
     @property
     def costs(self):
         return self._machine.costs
@@ -197,14 +188,6 @@ class VirtioDriver:
             )
         return out
 
-    def poll_all(self, ctx=None) -> Generator:
-        """Poll every queue (single-threaded backend helper)."""
-        out: List[Tuple[int, Any]] = []
-        for pair in range(self.device.num_queue_pairs):
-            got = yield from self.poll_rx(pair, ctx=ctx)
-            out.extend(got)
-        return out
-
 
 class NativeNicDriver:
     """Bare-metal NIC driver for the native baseline (multiqueue)."""
@@ -224,9 +207,6 @@ class NativeNicDriver:
     def bind_queue(self, pair: int, ctx, vector: int) -> None:
         self._queue_dest[pair] = (ctx, vector)
         self._rx.setdefault(pair, [])
-
-    def queue_dest(self, pair: int):
-        return self._queue_dest[pair]
 
     def _on_rx(self, packet: Packet) -> None:
         q = packet.queue_hint if packet.queue_hint in self._queue_dest else 0
@@ -290,9 +270,6 @@ class VfNicDriver:
         self._queue_dest[pair] = (ctx, vector)
         self._rx.setdefault(pair, [])
 
-    def queue_dest(self, pair: int):
-        return self._queue_dest[pair]
-
     def _on_rx(self, packet: Packet) -> None:
         """VF hardware RX: IOMMU-translated DMA + VT-d posted interrupt."""
         machine = self.machine
@@ -349,13 +326,6 @@ class VfNicDriver:
             yield from ctx.compute(
                 int(len(out) * c.driver_per_packet + c.guest_per_byte * min(total, 65536))
             )
-        return out
-
-    def poll_all(self, ctx=None) -> Generator:
-        out: List[Tuple[int, Any]] = []
-        for pair in list(self._rx):
-            got = yield from self.poll_rx(pair, ctx=ctx)
-            out.extend(got)
         return out
 
 

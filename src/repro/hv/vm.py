@@ -125,9 +125,6 @@ class VirtualMachine:
                 return False
         return True
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<VM {self.name} L{self.level} vcpus={len(self.vcpus)}>"
-
 
 class VCpu(ExecutionContext):
     """A virtual CPU, pinned 1:1 to a physical CPU (paper §4 methodology).
@@ -182,21 +179,8 @@ class VCpu(ExecutionContext):
         return self.vm.machine
 
     @property
-    def memory(self):
-        """The guest-physical address space this vCPU addresses."""
-        return self.vm.memory
-
-    @property
-    def host_hv(self):
-        return self.vm.machine.host_hv
-
-    @property
     def costs(self):
         return self.vm.machine.costs
-
-    def chain(self) -> List["VCpu"]:
-        """vCPUs from L1 down to this one: [vcpu_L1, ..., self]."""
-        return list(self._chain)
 
     def chain_vcpu(self, level: int) -> "VCpu":
         """The vCPU of the level-``level`` VM on this chain."""
@@ -331,12 +315,6 @@ class VCpu(ExecutionContext):
                 device.mmio_write(info.get("addr", 0), info.get("value"))
         return None
 
-    def _make_exit(self, op: Op, info: dict) -> Exit:
-        return Exit(
-            reason=_exit_reason(op, info), op=op, from_level=self.level,
-            info=info, vcpu=self,
-        )
-
     # ------------------------------------------------------------------
     # ExecutionContext: timers / IPIs / idle
     # ------------------------------------------------------------------
@@ -380,6 +358,3 @@ class VCpu(ExecutionContext):
         self.metrics.charge("guest_work", costs.guest_irq_entry)
         yield costs.guest_irq_entry + costs.eoi_virtualized
         self.lapic.eoi()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<VCpu {self.name} pcpu={self.pcpu.idx}>"

@@ -74,15 +74,15 @@ class PhysicalCpu:
         ev.trigger()
         return True
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<pcpu{self.idx}{' halted' if self.halted else ''}>"
-
 
 class ExecutionContext:
     """What guest code sees: compute, privileged ops, timers, IPIs, idle.
 
-    All methods that consume simulated time are generators to be driven
-    with ``yield from``.
+    :class:`NativeContext` and :class:`repro.hv.vm.VCpu` provide
+    ``compute``, ``execute``, ``read_tsc``, ``program_timer``,
+    ``send_ipi``, ``wait_for_interrupt`` and ``irq_work``; those that
+    consume simulated time are generators to be driven with
+    ``yield from``.
     """
 
     #: Virtualization level: 0 = bare metal, 1 = L1 guest, 2 = nested...
@@ -95,43 +95,6 @@ class ExecutionContext:
     #: invocation; privileged operations executed while it is set trap
     #: into *child* frames of the same exit chain (exit multiplication).
     exit_context: Optional[Any] = None
-
-    def compute(self, cycles: int) -> Generator:
-        """Unprivileged guest work."""
-        raise NotImplementedError
-
-    def execute(self, op: Op, count: int = 1, **info: Any) -> Generator:
-        """Execute a privileged operation (may trap)."""
-        raise NotImplementedError
-
-    def mem_write(self, addr: int, size: int) -> None:
-        """Plain guest memory write (no trap; feeds dirty tracking)."""
-        raise NotImplementedError
-
-    def mem_write_ranges(self, ranges) -> None:
-        """Several plain writes as one batch of ``(addr, size)`` ranges
-        (see :meth:`MemorySpace.write_ranges`)."""
-        raise NotImplementedError
-
-    def read_tsc(self) -> int:
-        """Guest-visible TSC (hardware applies VMCS offsets, no trap)."""
-        raise NotImplementedError
-
-    def program_timer(self, deadline_tsc: int, vector: int = TIMER_VECTOR) -> Generator:
-        """Arm the LAPIC TSC-deadline timer (WRMSR — traps in a VM)."""
-        raise NotImplementedError
-
-    def send_ipi(self, dest_index: int, vector: int) -> Generator:
-        """Write the ICR to interrupt a sibling CPU (traps in a VM)."""
-        raise NotImplementedError
-
-    def wait_for_interrupt(self) -> Generator:
-        """HLT until an interrupt is pending; acks and returns the vector."""
-        raise NotImplementedError
-
-    def irq_work(self) -> Generator:
-        """Guest IRQ entry/dispatch/EOI software path."""
-        raise NotImplementedError
 
 
 class NativeContext(ExecutionContext):
@@ -170,9 +133,6 @@ class NativeContext(ExecutionContext):
 
     def mem_write(self, addr: int, size: int) -> None:
         self.memory.write_range(addr, size)
-
-    def mem_write_ranges(self, ranges) -> None:
-        self.memory.write_ranges(ranges)
 
     def read_tsc(self) -> int:
         return self.cpu.tsc

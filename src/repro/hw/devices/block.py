@@ -45,9 +45,3 @@ class SsdDevice(PciDevice):
         self._busy_until = done
         self.sim.call_at(done, lambda: on_complete(request))
         return done
-
-    def mmio_write(self, addr: int, value: Any) -> None:
-        return
-
-    def mmio_read(self, addr: int) -> Any:
-        return 0

@@ -80,11 +80,6 @@ class Wire:
         self.bytes_carried[direction] += on_wire
         return done + self.latency
 
-    def busy_until(self, inbound: bool) -> int:
-        """When the given direction's current backlog finishes
-        serializing (<= now means the direction is idle)."""
-        return self._busy_until["in" if inbound else "out"]
-
 
 class PhysicalNic(PciDevice):
     """The host's physical NIC (PF) with SR-IOV support."""
@@ -158,13 +153,6 @@ class PhysicalNic(PciDevice):
         packet.inbound = False
         return self.wire.transmit(packet, deliver, wire_size=wire_size)
 
-    def mmio_write(self, addr: int, value: Any) -> None:
-        # PF register writes are host-setup only; no behaviour needed.
-        return
-
-    def mmio_read(self, addr: int) -> Any:
-        return 0
-
 
 class VirtualFunction(PciDevice):
     """An SR-IOV virtual function — assignable to a (nested) VM.
@@ -185,9 +173,6 @@ class VirtualFunction(PciDevice):
     def mmio_write(self, addr: int, value: Any) -> None:
         if self.on_doorbell is not None:
             self.on_doorbell()
-
-    def mmio_read(self, addr: int) -> Any:
-        return 0
 
 
 class RemoteClient:

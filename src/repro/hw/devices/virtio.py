@@ -186,15 +186,6 @@ class Virtqueue:
         """Buffers posted by the driver and not yet consumed."""
         return self.avail_idx - self.last_avail
 
-    @property
-    def used_pending(self) -> int:
-        """Completions not yet reaped by the driver."""
-        return self.used_idx - self.last_used
-
-    @property
-    def free_descriptors(self) -> int:
-        return len(self._free) + self._unused
-
 
 class VirtioDevice(PciDevice):
     """A virtio PCI device (net or blk).
@@ -246,10 +237,6 @@ class VirtioDevice(PciDevice):
         return self.queues[2 * pair + 1]
 
     @property
-    def rx(self) -> Virtqueue:
-        return self.rx_q(0)
-
-    @property
     def tx(self) -> Virtqueue:
         return self.tx_q(0)
 
@@ -263,9 +250,6 @@ class VirtioDevice(PciDevice):
             return  # notification lost in flight
         if self.on_kick is not None:
             self.on_kick(int(value))
-
-    def mmio_read(self, addr: int) -> Any:
-        return 0
 
     @property
     def notify_addr(self) -> int:

@@ -66,7 +66,6 @@ class PageTable:
         self.name = name
         self._starts: List[int] = []
         self._runs: List[Run] = []
-        self._count = 0
 
     def map(
         self, pfn: int, target_pfn: int, perm: Perm = Perm.RWX, npages: int = 1
@@ -96,7 +95,6 @@ class PageTable:
                 new.append((end, start + n - end, target + end - start, p))
         runs[lo:hi] = new
         starts[lo:hi] = [run[0] for run in new]
-        self._count += sum(run[1] for run in new) - sum(run[1] for run in old)
 
     # ------------------------------------------------------------------
     # Translation
@@ -168,13 +166,6 @@ class PageTable:
         """Every mapping as ``(pfn, npages, target_pfn, perm)``, sorted
         by pfn."""
         return list(self._runs)
-
-    def __len__(self) -> int:
-        """Mapped pages (not extents)."""
-        return self._count
-
-    def __contains__(self, pfn: int) -> bool:
-        return self.lookup(pfn) is not None
 
 
 def compose(outer: PageTable, inner: PageTable, name: str = "shadow") -> PageTable:

@@ -75,14 +75,6 @@ class Iommu:
         for key in [k for k in self.irt if k[0] == device.bdf]:
             del self.irt[key]
 
-    def domain_of(self, device: PciDevice) -> Optional[PageTable]:
-        return self.domains.get(device.bdf)
-
-    def map(
-        self, device: PciDevice, iova_pfn: int, target_pfn: int, perm: Perm = Perm.RW
-    ) -> None:
-        self.attach(device).map(iova_pfn, target_pfn, perm)
-
     def translate(self, device: PciDevice, iova: int, write: bool = False) -> int:
         """Translate a device DMA address; raises IommuFault on miss."""
         if self.fault_hook is not None and self.fault_hook(device, iova, write):
@@ -103,11 +95,3 @@ class Iommu:
     # ------------------------------------------------------------------
     def set_irte(self, device: PciDevice, msi_index: int, entry: Irte) -> None:
         self.irt[(device.bdf, msi_index)] = entry
-
-    def remap_interrupt(self, device: PciDevice, msi_index: int) -> Irte:
-        entry = self.irt.get((device.bdf, msi_index))
-        if entry is None:
-            raise IommuFault(
-                f"{self.name}: no IRTE for {device.name} msi{msi_index}"
-            )
-        return entry

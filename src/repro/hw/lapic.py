@@ -89,6 +89,3 @@ class Lapic:
         """The armed deadline elapsed: latch the timer vector."""
         self.timer_deadline = None
         self.set_irr(self.timer_vector)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Lapic {self.apic_id} irr={sorted(self.irr)}>"

@@ -135,9 +135,6 @@ class Machine:
         self.metrics.record_interrupt("native", "direct")
         cpu.wake()
 
-    def cpu(self, idx: int) -> PhysicalCpu:
-        return self.cpus[idx]
-
     # ------------------------------------------------------------------
     # Exit chains and span tracing
     # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ its first page (one dict probe on the space and one per attached log;
 of two runs from the same page the longer is kept, so a workload
 re-dirtying the same windows adds nothing).  Pending runs are merged
 into the owner's sorted run list when something reads the pages
-(``MemorySpace.touched_pages``, ``DirtyLog.pages`` / ``drain`` /
-``len``), or once ``MAX_PENDING_RUNS`` of them accumulate, which bounds
-the extra memory per space and per log.  The merge bisects each pending
+(``MemorySpace.touched_pages``, ``DirtyLog.drain`` / ``len``), or once
+``MAX_PENDING_RUNS`` of them accumulate, which bounds the extra memory
+per space and per log.  The merge bisects each pending
 run into the list and splices it in place (see ``_splice``), so it never
 sorts the list or enumerates a page.  Readers get :class:`PageRuns`, a
 read-only set whose ``len``, ``in``, unions and differences work on
@@ -115,10 +115,6 @@ class PageRuns(AbstractSet):
         b = self._b[:]
         _cut(b, zip(other._b[::2], other._b[1::2]))
         return _of(b)
-
-    def __repr__(self) -> str:
-        b = self._b
-        return f"<PageRuns {self._n} pages in runs {list(zip(b[::2], b[1::2]))}>"
 
 
 def _of(b: List[int]) -> PageRuns:
@@ -309,13 +305,6 @@ class DirtyLog:
         """Log page frames ``lo`` up to (not including) ``hi`` as dirty."""
         if hi > lo:
             _record(self, lo, hi)
-
-    @property
-    def pages(self) -> PageRuns:
-        """The currently logged dirty pages, as a snapshot."""
-        if self._runs:
-            _fold(self)
-        return _of(self._b[:])
 
     def drain(self) -> PageRuns:
         """Return and clear the currently logged dirty pages."""

@@ -92,6 +92,3 @@ class Exit:
     info: Dict[str, Any] = field(default_factory=dict)
     #: The vCPU object that took the exit (set by the CPU machinery).
     vcpu: Optional[Any] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Exit {self.reason.value} L{self.from_level}>"

@@ -106,27 +106,11 @@ class PciDevice:
                 return cap
         return None
 
-    def has_capability(self, cap_id: CapabilityId) -> bool:
-        return self.find_capability(cap_id) is not None
-
-    # ------------------------------------------------------------------
-    # Device behaviour hooks (overridden by concrete devices)
-    # ------------------------------------------------------------------
-    def mmio_write(self, addr: int, value: Any) -> None:
-        """Handle a (non-trapping or emulated) MMIO write to a BAR."""
-        raise NotImplementedError
-
-    def mmio_read(self, addr: int) -> Any:
-        raise NotImplementedError
-
     def bar_of(self, addr: int) -> Optional[Bar]:
         for bar in self.bars:
             if bar.contains(addr):
                 return bar
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name} bdf={self.bdf}>"
 
 
 class PciBus:

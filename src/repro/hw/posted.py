@@ -57,9 +57,3 @@ class PiDescriptor:
     @property
     def has_pending(self) -> bool:
         return bool(self.pir)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PiDescriptor {self.owner_name} pir={sorted(self.pir)} "
-            f"on={self.on} pcpu={self.dest_pcpu}>"
-        )

@@ -235,14 +235,7 @@ class Vmcs:
         self._base_tsc_offset = offset
         self.fields[VmcsField.TSC_OFFSET] = offset
 
-    @property
-    def base_tsc_offset(self) -> int:
-        return self._base_tsc_offset
-
     def is_shadowed(self, fieldname: VmcsField) -> bool:
         """Whether a guest hypervisor's access to ``fieldname`` on this
         vmcs12 is absorbed by VMCS shadowing (no trap)."""
         return self.controls.shadow_vmcs and fieldname in SHADOWED_FIELDS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Vmcs {self.name} owner=L{self.owner_level}>"

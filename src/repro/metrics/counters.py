@@ -193,11 +193,6 @@ class Metrics:
         quantity DVH is designed to eliminate (paper Section 3)."""
         return sum(self.forwards.values())
 
-    def forwards_to_level(self, level: int) -> int:
-        return sum(
-            n for (_, _, owner), n in self.forwards.items() if owner == level
-        )
-
     def total_faults(self) -> int:
         return sum(self.faults.values())
 

@@ -34,7 +34,6 @@ __all__ = [
     "SUB",
     "bucket_index",
     "bucket_lo",
-    "bucket_hi",
     "exact_percentile",
     "Histogram",
     "RequestCapture",
@@ -66,11 +65,6 @@ def bucket_lo(index: int) -> int:
         return index
     exp = (index >> SUB_BITS) - 1
     return ((index & (SUB - 1)) + SUB) << exp
-
-
-def bucket_hi(index: int) -> int:
-    """Largest value mapping to ``index`` (inclusive)."""
-    return bucket_lo(index + 1) - 1
 
 
 def exact_percentile(values: Sequence[int], p: float) -> int:
@@ -196,17 +190,6 @@ class Histogram:
         digests."""
         return {idx: self.counts[idx] for idx in sorted(self.counts)}
 
-    def __len__(self) -> int:
-        return self.total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.total:
-            return "<Histogram empty>"
-        return (
-            f"<Histogram n={self.total} mean={self.mean():,.0f}cy "
-            f"p99={self.percentile(99.0):,}cy>"
-        )
-
 
 class RequestCapture:
     """The one capture API every engine feeds request lifecycles through.
@@ -230,10 +213,3 @@ class RequestCapture:
         queueing included."""
         name = series if series is not None else self.series
         self.metrics.record_latency(name, complete - enqueue)
-
-    def histogram(self, series: Optional[str] = None) -> Histogram:
-        """The captured latency histogram for ``series`` (default: this
-        capture's own series), rebuilt from the Metrics tables."""
-        return self.metrics.latency_histogram(
-            series if series is not None else self.series
-        )

@@ -100,12 +100,6 @@ class Span:
     def subtree_size(self) -> int:
         return 1 + sum(c.subtree_size() for c in self.children)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Span #{self.chain_id}.{self.depth} L{self.level} "
-            f"{self.reason}->{self.handler or '?'} {self.total():,.0f}cy>"
-        )
-
 
 class SpanCollector:
     """Builds span trees and aggregates closed spans.

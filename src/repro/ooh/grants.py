@@ -33,7 +33,7 @@ class) downgrades the feature to forwarding, counted in metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.hw.ops import ExitReason
@@ -119,9 +119,6 @@ class GrantSet:
             values[name] = True
         return cls(**values)
 
-    def with_(self, **overrides: bool) -> "GrantSet":
-        return replace(self, **overrides)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -195,9 +192,6 @@ class GrantTable:
             self._configured.add(name)
             self._active.add(name)
 
-    def configured(self, feature: str) -> bool:
-        return feature in self._configured
-
     def active(self, feature: str) -> bool:
         return feature in self._active
 
@@ -217,9 +211,6 @@ class GrantTable:
 
     def configured_names(self) -> Tuple[str, ...]:
         return tuple(f for f in OOH_FEATURES if f in self._configured)
-
-    def active_names(self) -> Tuple[str, ...]:
-        return tuple(f for f in OOH_FEATURES if f in self._active)
 
     # ------------------------------------------------------------------
     def feature_for(self, reason: ExitReason) -> Optional[str]:
@@ -251,9 +242,3 @@ class GrantTable:
         granted or forwarded bucket."""
         if self.metrics is not None:
             self.metrics.record_ooh(feature, granted, n)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<GrantTable active={sorted(self._active)} "
-            f"configured={sorted(self._configured)}>"
-        )

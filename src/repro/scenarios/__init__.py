@@ -31,7 +31,6 @@ from repro.scenarios.generator import (
     fuzz_specs,
     generate_specs,
     mixed_tenant_draws,
-    mixed_tenant_specs,
     scenario_seed,
 )
 from repro.scenarios.runner import (
@@ -63,7 +62,6 @@ __all__ = [
     "fuzz_specs",
     "generate_specs",
     "mixed_tenant_draws",
-    "mixed_tenant_specs",
     "run_machine",
     "run_scenario",
     "run_scenarios",

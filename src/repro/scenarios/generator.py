@@ -10,7 +10,7 @@ run digests).
 
 This module is the single source of stimulus shapes.  A ``faults fuzz``
 campaign is :func:`fuzz_specs` output, the canonical cluster tenant
-fleet is :func:`mixed_tenant_specs`, and the ``repro audit`` matrix runs
+fleet is :func:`mixed_tenant_draws`, and the ``repro audit`` matrix runs
 :func:`generate_specs` and :func:`fuzz_specs` output.
 
 Constraint validation is *reused*, never duplicated: every generated
@@ -44,7 +44,6 @@ __all__ = [
     "fuzz_specs",
     "generate_specs",
     "mixed_tenant_draws",
-    "mixed_tenant_specs",
     "scenario_seed",
 ]
 
@@ -152,11 +151,6 @@ def mixed_tenant_draws(
         )
         for i in range(count)
     )
-
-
-def mixed_tenant_specs(count: int) -> List:
-    """The canonical (unrotated) fleet as real ``TenantSpec`` values."""
-    return [draw.to_tenant_spec() for draw in mixed_tenant_draws(count)]
 
 
 # ----------------------------------------------------------------------

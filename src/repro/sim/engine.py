@@ -109,16 +109,6 @@ class Event:
             sim._seq = seq
             self._waiters = []
 
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.triggered:
-            self.sim._resume(proc, self.value)
-        else:
-            self._waiters.append(proc)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "set" if self.triggered else "pending"
-        return f"<Event {self.name or hex(id(self))} {state}>"
-
 
 class Process:
     """A running generator, scheduled by the simulator."""
@@ -153,10 +143,6 @@ class Process:
         else:
             self._joiners.append(proc)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else "running"
-        return f"<Process {self.name} {state}>"
-
 
 class TimerHandle:
     """A cancellable scheduled callback (see :meth:`Simulator.timer_at`).
@@ -178,14 +164,6 @@ class TimerHandle:
 
     def cancel(self) -> None:
         self.fn = None
-
-    @property
-    def active(self) -> bool:
-        return self.fn is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "armed" if self.fn is not None else "cancelled"
-        return f"<TimerHandle @{self.when} {state}>"
 
 
 class Simulator:
@@ -252,11 +230,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Time helpers
     # ------------------------------------------------------------------
-    @property
-    def now_seconds(self) -> float:
-        """Current simulated time in seconds."""
-        return self.now / self.freq_hz
-
     def cycles(self, seconds: float) -> int:
         """Convert seconds to cycles of the simulated clock."""
         return int(round(seconds * self.freq_hz))

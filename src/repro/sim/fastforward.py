@@ -315,12 +315,6 @@ class PeriodicSource:
         ff.macro_events += 1
         return n
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PeriodicSource {self.name} period={self._period} "
-            f"streak={self._delta_streak} skipped={self.epochs_skipped}>"
-        )
-
 
 class FastForward:
     """Per-simulator fast-forward manager: the attached machine's
@@ -415,10 +409,3 @@ class FastForward:
             "ff_window_blocked": self.window_blocked,
             "ff_invalidations": dict(self.invalidations),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
-        return (
-            f"<FastForward {state} skipped={self.epochs_skipped} "
-            f"macro={self.macro_events}>"
-        )

@@ -35,7 +35,7 @@ def make_stack(levels=2):
 # ----------------------------------------------------------------------
 def test_clean_audited_migration_is_green():
     stack = make_stack()
-    auditor = Auditor().attach(stack)
+    auditor = Auditor().attach_stack(stack)
     mig = LiveMigration(
         stack.machine, stack.leaf_vm, devices=[stack.net.device]
     )
@@ -54,7 +54,7 @@ def test_audit_does_not_perturb_the_migration():
     def run(audited):
         stack = make_stack()
         if audited:
-            Auditor().attach(stack)
+            Auditor().attach_stack(stack)
         mig = LiveMigration(
             stack.machine, stack.leaf_vm, devices=[stack.net.device]
         )
@@ -68,7 +68,7 @@ def test_reverted_teardown_trips_the_auditor(monkeypatch):
         LiveMigration, "_teardown", lambda self, cpu_log, backends: None
     )
     stack = make_stack()
-    auditor = Auditor().attach(stack)
+    auditor = Auditor().attach_stack(stack)
     mig = LiveMigration(
         stack.machine, stack.leaf_vm, devices=[stack.net.device]
     )
@@ -86,7 +86,7 @@ def test_stale_log_from_a_leaked_attempt_is_flagged_at_start():
     """The stacked-dirty-log leak: a log left behind by a previous
     attempt is caught the moment the next migration starts."""
     stack = make_stack()
-    auditor = Auditor().attach(stack)
+    auditor = Auditor().attach_stack(stack)
     stack.leaf_vm.memory.attach_dirty_log(DirtyLog("leaked-prior-attempt"))
     mig = LiveMigration(
         stack.machine, stack.leaf_vm, devices=[stack.net.device]

@@ -15,7 +15,6 @@ from repro.bench.configs import (
 )
 from repro.bench.runner import (
     run_figure,
-    run_figure7,
     run_migration_experiment,
     run_table3,
 )
@@ -60,7 +59,7 @@ def test_run_figure_dispatch():
 
 
 def test_run_figure7_single_app():
-    result = run_figure7(apps=["hackbench"], scales={0: 0.1, 1: 0.1, 2: 0.1})
+    result = run_figure("7", apps=["hackbench"], scales={0: 0.1, 1: 0.1, 2: 0.1})
     assert set(result.overheads) == {"hackbench"}
     row = result.overheads["hackbench"]
     assert set(row) == set(result.configs)
@@ -106,8 +105,8 @@ def _figure_bytes(result) -> bytes:
 def test_figure_parallel_results_byte_identical_to_serial():
     """Same seed, serial vs --jobs N: byte-identical FigureResult."""
     scales = {0: 0.1, 1: 0.1, 2: 0.1}
-    serial = run_figure7(apps=["netperf_rr"], scales=scales)
-    parallel = run_figure7(apps=["netperf_rr"], scales=scales, jobs=2)
+    serial = run_figure("7", apps=["netperf_rr"], scales=scales)
+    parallel = run_figure("7", apps=["netperf_rr"], scales=scales, jobs=2)
     assert _figure_bytes(parallel) == _figure_bytes(serial)
 
 

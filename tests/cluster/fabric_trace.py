@@ -25,8 +25,8 @@ def snapshot(sim, fabric):
         sim.now,
         [
             (
-                wire.busy_until(inbound=False),
-                wire.busy_until(inbound=True),
+                wire._busy_until["out"],
+                wire._busy_until["in"],
                 dict(wire.bytes_carried),
             )
             for wire in wires(fabric)

@@ -285,12 +285,12 @@ def hop_tie_cell():
     size = 1 << 20
     fabric.send(FabricFrame(src="host0", dst="host1", kind="net", size=size))
     uplink = fabric.port("host0").wire
-    arrival = uplink.busy_until(inbound=False) + uplink.latency
+    arrival = uplink._busy_until["out"] + uplink.latency
     downlink = fabric.port("host1").wire
     seen = []
     sim.call_at(
         arrival + fabric.costs.fabric_switch_latency,
-        lambda: seen.append(downlink.busy_until(inbound=True)),
+        lambda: seen.append(downlink._busy_until["in"]),
     )
     done = []
     fabric.port("host1").receiver = lambda f: done.append(sim.now)

@@ -33,13 +33,13 @@ def other_host(cluster, tenant_name):
 
 def place_vp(cluster, name="t"):
     cluster.place(TenantSpec(name=name, io_model="vp", memory_gb=8))
-    return cluster.tenants()[name]
+    return cluster.host_of(name).tenants[name]
 
 
 def assert_clean(cluster, tenant_name):
     """No migration-held resource leaked: dirty logs gone, device
     logging off, backends running."""
-    tenant = cluster.tenants()[tenant_name]
+    tenant = cluster.host_of(tenant_name).tenants[tenant_name]
     host = cluster.host_of(tenant_name)
     assert tenant.vm.memory._dirty_logs == set()
     for device in tenant.devices:

@@ -47,8 +47,8 @@ def assert_no_reservations(cluster):
     """No reservation is left behind, and each host's committed totals
     still equal the sums over the tenants it holds."""
     for host in cluster.hosts:
-        assert host.mem_reserved == 0, host.name
-        assert host.load_reserved == 0, host.name
+        assert host._mem_reserved == 0, host.name
+        assert host._load_reserved == 0, host.name
         tenants = host.tenants.values()
         assert host.mem_committed == sum(t.memory_bytes for t in tenants), host.name
         assert host.cycle_load == sum(t.spec.load for t in tenants), host.name
@@ -86,7 +86,7 @@ def test_async_migrate_reserves_then_releases(io_model, partition_end, outcome):
     def probe():
         # One cycle in, the migration is in flight (or already refused).
         yield 1
-        seen["in_flight"] = dst.mem_reserved
+        seen["in_flight"] = dst._mem_reserved
 
     cluster.sim.spawn(control_plane(), "control")
     cluster.sim.spawn(probe(), "probe")

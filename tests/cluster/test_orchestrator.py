@@ -28,7 +28,7 @@ def test_vp_tenant_migrates_within_downtime_limit():
     assert record.result.bytes_transferred > 0
     # The tenant moved: source books cleared, destination charged.
     assert cluster.host_of("t").name == dst.name
-    assert cluster.tenants()["t"].migrations == 1
+    assert dst.tenants["t"].migrations == 1
 
 
 def test_virtio_tenant_migrates_too():
@@ -61,7 +61,7 @@ def test_migration_traffic_consumes_fabric_bandwidth():
     src, dst = record.src, record.dst
     metered = cluster.fabric.metrics.cross_host[(src, dst, "migration")]
     assert metered == record.result.bytes_transferred
-    assert cluster.fabric.port(src).bytes_carried["out"] >= metered
+    assert cluster.fabric.port(src).wire.bytes_carried["out"] >= metered
 
 
 def test_dirtying_workload_forces_precopy_rounds():

@@ -135,7 +135,7 @@ def test_fits_rejects_on_cycle_load_even_with_memory_free():
 def test_fits_counts_migration_reservations():
     (host,) = lazy_hosts(["a"])
     host.reserve(TenantSpec(name="inbound", memory_gb=4, load=5_000))
-    assert host.mem_reserved > 0
+    assert host._mem_reserved > 0
     assert not host.fits(
         TenantSpec(name="t", memory_gb=1, load=host.load_capacity - 4_000)
     )

@@ -14,7 +14,7 @@ def test_admission_places_every_arrival():
     control = dc.control
     assert len(control.admitted) == SMALL.tenants.count
     assert control.rejected == []
-    assert len(dc.tenants()) == SMALL.tenants.count
+    assert sum(len(h.tenants) for h in dc.hosts) == SMALL.tenants.count
     for line in dc.events:
         if " admit " in line:
             assert "rejected" not in line
@@ -125,5 +125,5 @@ def test_summary_includes_control_report_and_digest():
     summary = dc.summary()
     assert summary["control"]["admitted"] == SMALL.tenants.count
     assert len(summary["digest"]) == 64
-    assert summary["hosts_total"] == SMALL.topology.num_hosts
+    assert summary["hosts_total"] == SMALL.topology.racks * SMALL.topology.hosts_per_rack
     assert summary["fabric"]["trunk_bytes"] > 0

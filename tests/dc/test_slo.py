@@ -25,7 +25,7 @@ def test_telemetry_samples_every_tenant(study):
     assert control.slo_ticks > 0
     assert control.slo_samples > 0
     series = study.fabric.metrics.latency_series()
-    assert set(series) == set(study.tenants())
+    assert set(series) == {name for h in study.hosts for name in h.tenants}
 
 
 def test_gate_migrates_worst_breacher(study):
@@ -51,7 +51,7 @@ def test_breaching_passthrough_is_pinned_not_migrated(study):
 def test_percentile_table_orders_io_models(study):
     """The headline: virtio tail > vp (DVH) tail > passthrough tail."""
     table = study.control.tenant_percentiles()
-    assert set(table) == set(study.tenants())
+    assert set(table) == {name for h in study.hosts for name in h.tenants}
     by_model = {}
     for row in table.values():
         by_model.setdefault(row["io_model"], []).append(row["p99_cycles"])

@@ -36,7 +36,7 @@ def test_builtin_specs_parse_and_describe():
         spec = DCSpec.from_dict(data)
         assert spec.name == name
         assert spec.version == SPEC_VERSION
-        assert spec.topology.num_hosts >= 6
+        assert spec.topology.racks * spec.topology.hosts_per_rack >= 6
         assert name in spec.describe()
 
 
@@ -251,5 +251,5 @@ def test_json_spec_round_trips():
         )
     )
     assert spec.name == "jsonspec"
-    assert spec.topology.num_hosts == 12
+    assert spec.topology.racks * spec.topology.hosts_per_rack == 12
     assert spec.tenants.mix == {"vp": 1}

@@ -287,7 +287,7 @@ def test_cross_rack_hop_tied_with_an_earlier_callback_runs_after_it():
     uplink = fabric.port("r0h0").wire
     trunk_serialization = int(size * 8 / fabric.trunk_bps * sim.freq_hz)
     spine_arrival = (
-        uplink.busy_until(inbound=False)
+        uplink._busy_until["out"]
         + uplink.latency
         + costs.fabric_switch_latency
         + trunk_serialization
@@ -297,7 +297,7 @@ def test_cross_rack_hop_tied_with_an_earlier_callback_runs_after_it():
     seen = []
     sim.call_at(
         spine_arrival + costs.spine_switch_latency,
-        lambda: seen.append(down_trunk.busy_until(inbound=True)),
+        lambda: seen.append(down_trunk._busy_until["in"]),
     )
     done = []
     fabric.port("r1h0").receiver = lambda f: done.append(sim.now)

@@ -42,7 +42,6 @@ def test_empty_plan():
     plan = FaultPlan.empty()
     assert plan.is_empty
     assert len(plan) == 0
-    assert plan.kinds() == set()
     assert plan.describe() == "(empty plan)"
     assert plan.faulted_mechanisms() == ()
 
@@ -51,7 +50,7 @@ def test_random_plan_deterministic():
     a = FaultPlan.random(1234)
     b = FaultPlan.random(1234)
     assert a.describe() == b.describe()
-    assert a.kinds() == b.kinds()
+    assert a.specs == b.specs
 
 
 def test_random_plan_seed_sensitivity():
@@ -64,7 +63,7 @@ def test_random_plan_respects_class_pool():
     pool = (FaultClass.NIC_DROP, FaultClass.IRQ_DROP)
     for seed in range(10):
         plan = FaultPlan.random(seed, classes=pool)
-        assert plan.kinds() <= set(pool)
+        assert {spec.kind for spec in plan.specs} <= set(pool)
         assert not plan.is_empty
 
 
@@ -81,7 +80,7 @@ def test_spec_lookup_and_iteration():
     plan = FaultPlan(specs)
     assert plan.spec_for(FaultClass.NIC_DROP).rate == 0.2
     assert plan.spec_for(FaultClass.MIG_LOSS) is None
-    assert list(plan) == specs
+    assert list(plan.specs) == specs
     assert "nic_drop" in plan.describe()
 
 

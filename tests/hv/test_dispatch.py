@@ -16,6 +16,7 @@ from repro.hw.ops import (
     Op,
 )
 from repro.workloads.microbench import run_microbenchmark
+from tests.exits import make_exit
 
 
 # ----------------------------------------------------------------------
@@ -25,26 +26,26 @@ def test_root_frames_get_fresh_chain_ids():
     stack = build_stack(StackConfig(levels=1))
     leaf = stack.ctx(0)
     machine = stack.machine
-    e1 = leaf._make_exit(Op.VMCALL, {})
-    e2 = leaf._make_exit(Op.VMCALL, {})
+    e1 = make_exit(leaf, Op.VMCALL, {})
+    e2 = make_exit(leaf, Op.VMCALL, {})
     a = ExitContext(e1, leaf, None, machine)
     b = ExitContext(e2, leaf, None, machine)
     assert a.chain_id != b.chain_id
     assert a.depth == b.depth == 0
     assert a.origin_level == 1
-    assert a.chain() == [a]
+    assert a.parent is None
 
 
 def test_child_frames_inherit_chain_and_deepen():
     stack = build_stack(StackConfig(levels=2))
     leaf = stack.ctx(0)
     machine = stack.machine
-    root = ExitContext(leaf._make_exit(Op.VMCALL, {}), leaf, None, machine)
-    mid = ExitContext(leaf._make_exit(Op.VMREAD, {}), leaf, root, machine)
-    deep = ExitContext(leaf._make_exit(Op.VMWRITE, {}), leaf, mid, machine)
+    root = ExitContext(make_exit(leaf, Op.VMCALL, {}), leaf, None, machine)
+    mid = ExitContext(make_exit(leaf, Op.VMREAD, {}), leaf, root, machine)
+    deep = ExitContext(make_exit(leaf, Op.VMWRITE, {}), leaf, mid, machine)
     assert mid.chain_id == root.chain_id == deep.chain_id
     assert (root.depth, mid.depth, deep.depth) == (0, 1, 2)
-    assert deep.chain() == [root, mid, deep]
+    assert (deep.parent, mid.parent, root.parent) == (mid, root, None)
 
 
 def test_make_exit_reason_for_every_op():
@@ -70,26 +71,26 @@ def test_make_exit_reason_for_every_op():
     }
     assert set(expected) == set(Op)
     for op, reason in expected.items():
-        exit_ = leaf._make_exit(op, {})
+        exit_ = make_exit(leaf, op, {})
         assert (exit_.reason, exit_.op, exit_.from_level, exit_.vcpu) == (
             reason, op, 1, leaf
         ), op
     with pytest.raises(ValueError, match="unhandled op"):
-        leaf._make_exit("not-an-op", {})
+        make_exit(leaf, "not-an-op", {})
 
 
 def test_make_exit_decodes_wrmsr_by_msr_index():
     leaf = build_stack(StackConfig(levels=1)).ctx(0)
 
     def reason(msr):
-        return leaf._make_exit(Op.WRMSR, {"msr": msr}).reason
+        return make_exit(leaf, Op.WRMSR, {"msr": msr}).reason
 
     assert reason(MSR_TSC_DEADLINE) is ExitReason.APIC_TIMER
     assert reason(MSR_X2APIC_ICR) is ExitReason.APIC_ICR
     assert reason(MSR_X2APIC_EOI) is ExitReason.MSR_WRITE
     # RDMSR of an x2APIC register is an MSR read, whatever the index.
     assert (
-        leaf._make_exit(Op.RDMSR, {"msr": MSR_TSC_DEADLINE}).reason
+        make_exit(leaf, Op.RDMSR, {"msr": MSR_TSC_DEADLINE}).reason
         is ExitReason.MSR_READ
     )
 
@@ -132,7 +133,7 @@ def test_dvh_chain_is_a_single_frame():
 def test_l1_exits_always_route_to_l0():
     stack = build_stack(StackConfig(levels=1))
     leaf = stack.ctx(0)
-    exit_ = leaf._make_exit(Op.VMCALL, {})
+    exit_ = make_exit(leaf, Op.VMCALL, {})
     assert DEFAULT_REGISTRY.route(leaf, exit_) == 0
 
 
@@ -142,8 +143,8 @@ def test_route_notify_only_icr_to_senders_manager():
     )
     leaf = stack.ctx(0)
     target = stack.ctx(1)
-    exit_ = leaf._make_exit(
-        Op.WRMSR,
+    exit_ = make_exit(
+        leaf, Op.WRMSR,
         {
             "msr": MSR_X2APIC_ICR,
             "notify_only": True,
@@ -167,10 +168,10 @@ def test_route_mmio_follows_device_provider_not_strings():
         for d in stack.vms[-1].bus.devices
         if getattr(d, "provider_level", None) == 0
     )
-    exit_ = leaf._make_exit(Op.MMIO_WRITE, {"device": device, "addr": 0})
+    exit_ = make_exit(leaf, Op.MMIO_WRITE, {"device": device, "addr": 0})
     assert DEFAULT_REGISTRY.route(leaf, exit_) == 0
     # No device at all: plain emulated MMIO belongs to the VM's manager.
-    exit_ = leaf._make_exit(Op.MMIO_WRITE, {"device": None, "addr": 0})
+    exit_ = make_exit(leaf, Op.MMIO_WRITE, {"device": None, "addr": 0})
     assert DEFAULT_REGISTRY.route(leaf, exit_) == leaf.level - 1
 
 

@@ -75,7 +75,7 @@ def test_timer_reprogram_cancels_previous():
 
 def test_guest_tsc_offsets_differ_per_level():
     stack = make(levels=3)
-    tscs = [v.read_tsc() for v in stack.ctx(0).chain()]
+    tscs = [v.read_tsc() for v in stack.ctx(0)._chain]
     assert len(set(tscs)) == 3  # distinct offsets at each level
 
 

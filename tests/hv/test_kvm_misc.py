@@ -8,6 +8,7 @@ from repro.hv.stack import StackConfig, build_stack
 from repro.hw.machine import Machine
 from repro.hw.ops import ExitReason, Op
 from repro.hw.vmx import ExecControl
+from tests.exits import make_exit
 
 
 def test_constructor_level_vm_consistency():
@@ -57,7 +58,7 @@ def test_dispatch_exit_only_at_l0():
     stack = build_stack(StackConfig(levels=2))
     hv1 = stack.hvs[1]
     leaf = stack.ctx(0)
-    exit_ = leaf._make_exit(Op.VMCALL, {})
+    exit_ = make_exit(leaf, Op.VMCALL, {})
     with pytest.raises(AssertionError):
         # Guest hypervisors never take hardware exits directly (§2).
         next(hv1.dispatch_exit(leaf, exit_))

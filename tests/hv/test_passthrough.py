@@ -100,8 +100,8 @@ def test_doorbell_causes_no_exit():
 def test_iommu_domain_has_composed_mappings():
     stack = make(levels=2)
     vf = stack.net.vf
-    domain = stack.machine.iommu.domain_of(vf)
-    assert domain is not None and len(domain) > 0
+    domain = stack.machine.iommu.domains.get(vf.bdf)
+    assert domain is not None and domain.extents()
     from repro.hv.virtio_backend import RX_POOL_BASE
 
     pfn = RX_POOL_BASE >> 12
@@ -110,7 +110,7 @@ def test_iommu_domain_has_composed_mappings():
 
 def test_interrupts_posted_via_vtd():
     stack = make()
-    entry = stack.machine.iommu.remap_interrupt(stack.net.vf, 0)
+    entry = stack.machine.iommu.irt[(stack.net.vf.bdf, 0)]
     assert entry.mode == IrteMode.POSTED
     assert entry.pi_descriptor is stack.ctx(0).pi_desc
 

@@ -107,11 +107,11 @@ def test_migration_capability_present_on_l0_devices():
     from repro.hw.pci import CapabilityId
 
     vp = build_stack(StackConfig(levels=2, io_model="vp", dvh=DvhFeatures.vp_only()))
-    assert vp.net.device.has_capability(CapabilityId.MIGRATION)
+    assert vp.net.device.find_capability(CapabilityId.MIGRATION) is not None
     virtio = build_stack(StackConfig(levels=2, io_model="virtio"))
     # The L0-provided device of the cascade carries it; the L1-provided
     # leaf device does not (its state is the guest hypervisor's problem).
-    assert not virtio.net.device.has_capability(CapabilityId.MIGRATION)
+    assert virtio.net.device.find_capability(CapabilityId.MIGRATION) is None
 
 
 def test_deterministic_builds():

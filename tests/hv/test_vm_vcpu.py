@@ -17,7 +17,7 @@ def make(levels=2, io="virtio", dvh=None, **kw):
 def test_vcpu_chain_structure():
     stack = make(levels=3)
     leaf = stack.ctx(0)
-    chain = leaf.chain()
+    chain = list(leaf._chain)
     assert [v.level for v in chain] == [1, 2, 3]
     assert chain[-1] is leaf
     assert chain[0].parent is None
@@ -47,7 +47,7 @@ def test_vm_levels_and_managers():
 def test_total_tsc_offset_sums_chain():
     stack = make(levels=2)
     leaf = stack.ctx(0)
-    expected = sum(v.vmcs.read(VmcsField.TSC_OFFSET) for v in leaf.chain())
+    expected = sum(v.vmcs.read(VmcsField.TSC_OFFSET) for v in leaf._chain)
     assert leaf.total_tsc_offset() == expected
     assert expected != 0  # offsets are deliberately nonzero
 

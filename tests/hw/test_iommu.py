@@ -31,7 +31,7 @@ def test_translate_requires_domain():
 def test_map_and_translate():
     iommu = Iommu()
     dev = make_device()
-    iommu.map(dev, iova_pfn=0x10, target_pfn=0x99, perm=Perm.RW)
+    iommu.attach(dev).map(0x10, 0x99, Perm.RW)
     addr = (0x10 << PAGE_SHIFT) + 4
     assert iommu.translate(dev, addr) == (0x99 << PAGE_SHIFT) + 4
     assert iommu.translate(dev, addr, write=True) == (0x99 << PAGE_SHIFT) + 4
@@ -48,7 +48,7 @@ def test_unmapped_iova_faults():
 def test_readonly_mapping_blocks_dma_write():
     iommu = Iommu()
     dev = make_device()
-    iommu.map(dev, 0x10, 0x99, perm=Perm.R)
+    iommu.attach(dev).map(0x10, 0x99, Perm.R)
     iommu.translate(dev, 0x10 << PAGE_SHIFT)  # read ok
     with pytest.raises(IommuFault):
         iommu.translate(dev, 0x10 << PAGE_SHIFT, write=True)
@@ -57,7 +57,7 @@ def test_readonly_mapping_blocks_dma_write():
 def test_domains_are_isolated_between_devices():
     iommu = Iommu()
     a, b = make_device("a"), make_device("b")
-    iommu.map(a, 0x10, 0x99)
+    iommu.attach(a).map(0x10, 0x99, Perm.RW)
     iommu.attach(b)
     with pytest.raises(IommuFault):
         iommu.translate(b, 0x10 << PAGE_SHIFT)
@@ -66,13 +66,12 @@ def test_domains_are_isolated_between_devices():
 def test_detach_removes_domain_and_irtes():
     iommu = Iommu()
     dev = make_device()
-    iommu.map(dev, 0x10, 0x99)
+    iommu.attach(dev).map(0x10, 0x99, Perm.RW)
     iommu.set_irte(dev, 0, Irte(mode=IrteMode.REMAPPED, vector=0x40))
     iommu.detach(dev)
     with pytest.raises(IommuFault):
         iommu.translate(dev, 0x10 << PAGE_SHIFT)
-    with pytest.raises(IommuFault):
-        iommu.remap_interrupt(dev, 0)
+    assert (dev.bdf, 0) not in iommu.irt
 
 
 def test_interrupt_posting_entry():
@@ -80,7 +79,7 @@ def test_interrupt_posting_entry():
     dev = make_device()
     pid = PiDescriptor("vcpu3")
     iommu.set_irte(dev, 1, Irte(mode=IrteMode.POSTED, vector=0x41, pi_descriptor=pid))
-    entry = iommu.remap_interrupt(dev, 1)
+    entry = iommu.irt[(dev.bdf, 1)]
     assert entry.mode == IrteMode.POSTED
     assert entry.pi_descriptor is pid
     assert entry.vector == 0x41

@@ -136,7 +136,7 @@ def test_remote_client_rx_under_saturated_wire():
     assert [p for _, p in got] == list(range(10))  # in order, none lost
     assert [t for t, _ in got] == [8000 * (i + 1) + 500 for i in range(10)]
     # The backlog is visible while queued, drained afterwards.
-    assert wire.busy_until(inbound=True) == 80000
+    assert wire._busy_until["in"] == 80000
     assert sim.now >= 80000
 
 
@@ -163,5 +163,5 @@ def test_wire_bytes_carried_meters_on_wire_size():
     sim.run()
     assert wire.bytes_carried["in"] == 1500  # on-wire, not goodput
     assert wire.bytes_carried["out"] == 1000  # default: goodput == wire
-    assert wire.busy_until(inbound=True) == 12000
-    assert wire.busy_until(inbound=False) == 8000
+    assert wire._busy_until["in"] == 12000
+    assert wire._busy_until["out"] == 8000

@@ -11,8 +11,8 @@ def test_capability_walk():
     dev.add_capability(Capability(CapabilityId.PCIE, {}))
     cap = dev.find_capability(CapabilityId.MSIX)
     assert cap is not None and cap.registers["table_size"] == 4
-    assert dev.has_capability(CapabilityId.PCIE)
-    assert not dev.has_capability(CapabilityId.MIGRATION)
+    assert dev.find_capability(CapabilityId.PCIE) is not None
+    assert dev.find_capability(CapabilityId.MIGRATION) is None
 
 
 def test_duplicate_capability_rejected():

@@ -27,7 +27,7 @@ def test_l4_stack_builds_and_chains():
     stack = build_stack(StackConfig(levels=4))
     assert [hv.level for hv in stack.hvs] == [0, 1, 2, 3]
     leaf = stack.ctx(0)
-    assert [v.level for v in leaf.chain()] == [1, 2, 3, 4]
+    assert [v.level for v in leaf._chain] == [1, 2, 3, 4]
 
 
 def test_exit_multiplication_keeps_compounding_at_l4():

@@ -91,6 +91,5 @@ def test_query_helpers_agree_with_tables():
     assert m.exits_from_level(2) == 2
     assert m.exits_for_reason("hlt") == 1
     assert m.guest_hv_interventions() == 1
-    assert m.forwards_to_level(1) == 1
     assert m.total_faults() == 2
     assert m.total_recoveries() == 1

@@ -10,7 +10,12 @@ from repro.metrics import (
     RequestCapture,
     exact_percentile,
 )
-from repro.metrics.hist import SUB, bucket_hi, bucket_index, bucket_lo
+from repro.metrics.hist import SUB, bucket_index, bucket_lo
+
+
+def bucket_hi(index):
+    """Largest value mapping to ``index`` (inclusive)."""
+    return bucket_lo(index + 1) - 1
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +80,7 @@ def test_histogram_mean_is_exact():
     for v in values:
         h.record(v)
     assert h.mean() == sum(values) / len(values)
-    assert len(h) == 500
+    assert h.total == 500
 
 
 def test_histogram_percentile_within_bucket_error():
@@ -151,7 +156,7 @@ def test_capture_records_latency_not_service_time():
     m = Metrics()
     cap = RequestCapture(m, series="rr")
     cap.observe(enqueue=100, complete=400)
-    h = cap.histogram()
+    h = m.latency_histogram("rr")
     assert h.total == 1
     assert h.sum == 300  # complete - enqueue, queueing delay included
 
@@ -188,7 +193,7 @@ def test_single_bucket_percentiles_are_the_bucket():
 def test_empty_count_above_is_zero_not_phantom():
     h = Histogram()
     assert h.count_above(0) == 0
-    assert len(h) == 0
+    assert h.total == 0
     assert h.snapshot() == {}
 
 

@@ -8,11 +8,12 @@ from repro.hw.lapic import IPI_RESCHEDULE_VECTOR, TIMER_VECTOR
 from repro.hw.ops import MSR_X2APIC_ICR, ExitReason, Op
 from repro.ooh.grants import GrantSet
 from repro.workloads.microbench import run_microbenchmark
+from tests.exits import make_exit
 
 
 def _icr_exit(leaf, dest=1, vector=32):
-    return leaf._make_exit(
-        Op.WRMSR, {"msr": MSR_X2APIC_ICR, "dest": dest, "vector": vector}
+    return make_exit(
+        leaf, Op.WRMSR, {"msr": MSR_X2APIC_ICR, "dest": dest, "vector": vector}
     )
 
 

@@ -37,10 +37,10 @@ def assert_totals_match_books(host):
     reservations = host._reservations.values()
     assert host.mem_committed == sum(t.memory_bytes for t in tenants)
     assert host.cycle_load == sum(t.spec.load for t in tenants)
-    assert host.mem_reserved == sum(s.memory_gb * GB for s in reservations)
-    assert host.load_reserved == sum(s.load for s in reservations)
+    assert host._mem_reserved == sum(s.memory_gb * GB for s in reservations)
+    assert host._load_reserved == sum(s.load for s in reservations)
     assert host.mem_free == (
-        host.mem_total - host.mem_committed - host.mem_reserved
+        host.mem_total - host.mem_committed - host._mem_reserved
     )
 
 

@@ -73,7 +73,7 @@ def test_zero_fault_plan_is_identity(workload_seed, config_index):
 def test_random_plans_always_valid(seed):
     plan = FaultPlan.random(seed)
     assert not plan.is_empty
-    for spec in plan:
+    for spec in plan.specs:
         assert spec.kind in FaultClass.ALL
         assert 0.0 <= spec.rate <= 1.0
         assert spec.count >= 0

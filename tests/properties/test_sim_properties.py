@@ -63,7 +63,7 @@ def test_dirty_log_is_exactly_the_touched_pages(writes):
             continue
         mem.write_range(addr, size)
         expected.update(pages_in_range(addr, size))
-    assert log.pages == expected
+    assert log.drain() == expected
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=20))

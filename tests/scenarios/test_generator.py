@@ -12,7 +12,7 @@ from repro.scenarios import (
     dvh_name,
     fuzz_specs,
     generate_specs,
-    mixed_tenant_specs,
+    mixed_tenant_draws,
     scenario_seed,
 )
 
@@ -107,7 +107,7 @@ def test_grants_never_dirty_on_passthrough():
 
 def test_mixed_tenant_specs_formula():
     """The canonical fleet bytes must be exactly the historic formula's."""
-    spec = mixed_tenant_specs(6)[1]
+    spec = mixed_tenant_draws(6)[1].to_tenant_spec()
     assert (spec.name, spec.io_model, spec.memory_gb, spec.load) == (
         "t1",
         "vp",

@@ -8,7 +8,6 @@ from repro.sim import Event, SimulationError, Simulator
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0
-    assert sim.now_seconds == 0.0
 
 
 def test_call_after_ordering():

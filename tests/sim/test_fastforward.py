@@ -196,10 +196,10 @@ def test_table3_host_work_pinned(monkeypatch):
 
 def test_figure7_netperf_rr_host_work_pinned(monkeypatch):
     """Figure 7's netperf RR cells, native first, in the figure's order."""
-    from repro.bench.runner import run_figure7
+    from repro.bench.runner import run_figure
 
     rows = _source_counts(
-        monkeypatch, lambda: run_figure7(apps=["netperf_rr"], seed=0)
+        monkeypatch, lambda: run_figure("7", apps=["netperf_rr"], seed=0)
     )
     assert rows == [
         ("rr:netperf_rr", 5, 1, 114, 1),
@@ -337,7 +337,7 @@ def test_hist_capture_rides_fast_forward_byte_identical(monkeypatch):
         runs[ff] = (
             result.latencies,
             _digest(stack),
-            stack.metrics.latency_histogram("rr").snapshot(),
+            stack.metrics.latency_histogram("rr").counts,
             stack.sim.ff.epochs_skipped,
         )
     assert runs[True][:3] == runs[False][:3]
