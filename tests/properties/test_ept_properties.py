@@ -8,10 +8,10 @@ from repro.hw.ept import EptViolation, PageTable, Perm, compose
 pfns = st.integers(min_value=0, max_value=(1 << 36) - 1)
 perms = st.sampled_from([Perm.R, Perm.RW, Perm.RWX, Perm.R | Perm.X])
 
+
 def mapped_pages(table):
     """Pages ``table`` maps (not extents)."""
     return sum(npages for _pfn, npages, _target, _perm in table.extents())
-
 
 
 #: Overlapping multi-page runs ``(pfn, npages, target_pfn, perm)`` in a
