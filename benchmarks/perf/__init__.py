@@ -2,8 +2,10 @@
 
 Unlike :mod:`benchmarks` proper (which measures *simulated* cycles),
 this package measures how fast the simulator itself runs on the host:
-engine events per second and the wall time of fixed experiment slices.
-Results land in ``BENCH_engine.json`` / ``BENCH_experiments.json`` at
-the repository root (``make bench-perf`` regenerates both), giving a
-baseline to diff against when the engine or hot paths change.
+``perf_engine.py`` times one case per mechanism (engine events, exits,
+dirty writes, placements, bursts, fabric frames, stack builds, netperf
+RR transactions) and ``--check`` floors each rate.  Its recorded run
+lands in ``BENCH_engine.json`` at the repository root (``make
+bench-perf`` regenerates it).  Speed claims are measured with
+``hostbench/``, not here.
 """

@@ -22,7 +22,14 @@ second, the rate the dirtier's run-ahead sets.  A seventh, **fabric
 frames**, runs stop-and-wait cross-rack flows on a small spine-leaf
 fabric and reports delivered frames per host second.  An eighth,
 **stack build**, builds a fleet host's system stack (an L2 virtio
-stack) over and over and reports stacks built per host second.
+stack) over and over and reports stacks built per host second.  A
+ninth, **request capture**, runs netperf RR transactions on an L2 vp
+stack with DVH (Figure 7's "Nested VM + DVH" RR cell) with per-request
+latency capture off and on, and reports capture-off transactions per
+host second.
+
+These floors are the repository's per-mechanism host-time gates; speed
+claims are measured with ``hostbench/`` instead.
 
 Run directly to print and optionally record results::
 
@@ -30,8 +37,8 @@ Run directly to print and optionally record results::
     PYTHONPATH=src python benchmarks/perf/perf_engine.py --check
 
 ``--check`` enforces conservative events/sec, exits/sec, writes/sec,
-drained pages/sec, placements/sec, bursts/sec, frames/sec and
-stacks/sec floors (for CI smoke).  With ``--baseline
+drained pages/sec, placements/sec, bursts/sec, frames/sec, stacks/sec
+and netperf RR txns/sec floors (for CI smoke).  With ``--baseline
 BENCH_engine.json`` each floor is raised to the recorded throughput
 divided by ``--max-slowdown``, so a real engine or trap-path regression
 trips even on hosts fast enough to clear the absolute floor.
@@ -80,6 +87,11 @@ MIN_FABRIC_FRAMES_PER_SEC = 7_000.0
 #: Conservative floor for fleet-host stack builds, about 10x under what
 #: a 2020s-era core sustains.
 MIN_STACKS_PER_SEC = 200.0
+
+#: Conservative floor for netperf RR transactions with capture off (the
+#: Figure 7 RR cell's path), about 10x under the 3.5k-6.4k a 2-core
+#: x86-64 sandbox sustains.
+MIN_RR_TXNS_PER_SEC = 350.0
 
 
 def bench_ping_pong(pairs: int = 4, rounds: int = 20_000) -> Dict[str, float]:
@@ -456,16 +468,17 @@ def main(argv=None) -> int:
         f"{MIN_DIRTY_PAGES_DRAINED_PER_SEC:,.0f} drained pages/s, fleet placement "
         f"{MIN_PLACEMENTS_PER_SEC:,.0f} placements/s, the migration "
         f"dirtier {MIN_DIRTIER_BURSTS_PER_SEC:,.0f} bursts/s, fabric "
-        f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s and stack "
-        f"builds {MIN_STACKS_PER_SEC:,.0f} stacks/s",
+        f"frames {MIN_FABRIC_FRAMES_PER_SEC:,.0f} frames/s, stack "
+        f"builds {MIN_STACKS_PER_SEC:,.0f} stacks/s and netperf RR "
+        f"{MIN_RR_TXNS_PER_SEC:,.0f} txns/s",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="JSON",
         help="with --check: also require ping-pong, exit-path, dirty-write, "
-        "fleet-place, migration-dirtier, fabric-frame and stack-build "
-        "throughput within "
+        "fleet-place, migration-dirtier, fabric-frame, stack-build and "
+        "netperf RR throughput within "
         "--max-slowdown of this recorded baseline",
     )
     parser.add_argument(
@@ -634,6 +647,7 @@ def check(
             "frames/s",
         ),
         ("stack_build", "stacks_per_host_s", MIN_STACKS_PER_SEC, "stacks/s"),
+        ("request_capture", "off_txns_per_host_s", MIN_RR_TXNS_PER_SEC, "txns/s"),
     )
     for name, key, floor, unit in floors:
         rate = results[name][key]

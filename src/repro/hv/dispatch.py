@@ -137,11 +137,6 @@ class ExitContext:
         self.hops += 1
 
 
-def _host_owner(vcpu: Any, exit_: Exit) -> int:
-    """Shadow-EPT maintenance is the host hypervisor's job."""
-    return 0
-
-
 def _manager_owner(vcpu: Any, exit_: Exit) -> int:
     """Hypercalls, VMX instructions, CPUID, MSRs: the VM's own manager."""
     return vcpu.level - 1
@@ -164,11 +159,7 @@ class ExitHandlerRegistry:
         self.l0: List[Tuple[L0Handler, bool]] = list(l0)
         self.guest: List[GuestHandler] = list(guest)
         self.owners: List[Owner] = [
-            DVH_OWNERS.get(
-                reason,
-                _host_owner if reason is ExitReason.EPT_VIOLATION else _manager_owner,
-            )
-            for reason in ExitReason
+            DVH_OWNERS.get(reason, _manager_owner) for reason in ExitReason
         ]
         #: The OoH feature whose grant gates each reason, or None.
         self.gates: List[Optional[str]] = [

@@ -635,13 +635,6 @@ def _l0_trivial(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
     return None
 
 
-def _l0_ept_violation(hv: KvmHypervisor, ectx: ExitContext) -> Generator:
-    c = hv.costs
-    ectx.charge("l0_emul", c.ept_violation_fix)
-    yield c.ept_violation_fix
-    return None
-
-
 def _vmcs_access(op: Op, info: Dict[str, Any]) -> Any:
     """The vmcs12 access a trapped VMREAD/VMWRITE performs: the value
     read, or None after a write."""
@@ -964,7 +957,6 @@ def _guest_trivial(hv, ctx: VCpu, ectx: ExitContext, guest_vmcs: Vmcs) -> Genera
 # get the trivial handlers.
 _L0_HANDLERS = {
     ExitReason.VMCALL: (_l0_hypercall, False),
-    ExitReason.EPT_VIOLATION: (_l0_ept_violation, False),
     ExitReason.VMX_INSTRUCTION: (_l0_vmx, False),
     ExitReason.APIC_TIMER: (_l0_timer, True),
     ExitReason.APIC_ICR: (_l0_ipi, True),

@@ -3,9 +3,9 @@
 Assigning a device to a (nested) VM means: unbind it from the current
 driver, map its BAR windows into the VM without trapping, build the IOMMU
 DMA mappings from device-visible IOVAs (the VM's guest-physical addresses)
-to host-physical addresses — composed across every nesting level — and
-point the device's interrupts at the VM's vCPU through VT-d posted
-interrupts.
+to host-physical addresses — composed across every nesting level.  The
+VF's driver (:class:`repro.hv.virtio_backend.VfNicDriver`) then delivers
+its interrupts to the VM's vCPU as VT-d posted interrupts.
 
 This is also the machinery virtual-passthrough reuses unchanged in the
 guest hypervisors ("what the guest hypervisor does with virtual-passthrough
@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.hw.ept import PageTable, Perm, Run
-from repro.hw.iommu import Irte, IrteMode
 from repro.hw.mem import PAGE_SHIFT
 from repro.hw.pci import PciDevice
 
@@ -129,17 +128,6 @@ def assign_physical_device(
     machine.metrics.charge(
         "setup", costs.shadow_iommu_map_page * leaf_vm.level * pages
     )
-    # VT-d posted interrupts straight to the leaf's first vCPU.
-    if leaf_vm.vcpus:
-        machine.iommu.set_irte(
-            device,
-            0,
-            Irte(
-                mode=IrteMode.POSTED,
-                vector=0x40,
-                pi_descriptor=leaf_vm.vcpus[0].pi_desc,
-            ),
-        )
     # Physical passthrough couples the VM to the hardware: flag the whole
     # chain as unmigratable.
     vm = leaf_vm

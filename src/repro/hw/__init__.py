@@ -2,7 +2,7 @@
 
 from repro.hw.cpu import ExecutionContext, NativeContext, PhysicalCpu
 from repro.hw.ept import EptViolation, PageTable, Perm, compose
-from repro.hw.iommu import Iommu, IommuFault, Irte, IrteMode
+from repro.hw.iommu import Iommu, IommuFault
 from repro.hw.lapic import Lapic, TIMER_VECTOR
 from repro.hw.machine import Machine
 from repro.hw.mem import PAGE_SIZE, DirtyLog, MemorySpace
@@ -21,8 +21,6 @@ __all__ = [
     "compose",
     "Iommu",
     "IommuFault",
-    "Irte",
-    "IrteMode",
     "Lapic",
     "TIMER_VECTOR",
     "Machine",

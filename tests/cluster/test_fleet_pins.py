@@ -1,9 +1,10 @@
 """Hex pins for the fleet layer's simulated output.
 
 Other cluster tests check that two runs agree; these check that a run
-agrees with known bytes: the scenario engine's cluster run, one
-cross-host migration, the CLI's dc, slo and 200-host fleet digests,
-and the orchestrator's failed-attempt, backoff and evacuation paths.  A change
+agrees with known bytes: the scenario engine's cluster run, a spread
+boot, two cross-host migrations, the CLI's dc, slo and 200-host fleet
+digests (with the fleet's control-plane and fabric figures), and the
+orchestrator's failed-attempt, backoff and evacuation paths.  A change
 that moves any of these digests changes simulated output and must say
 so.
 """
@@ -19,27 +20,51 @@ from repro.faults.plan import FaultClass, FaultPlan, FaultSpec
 from repro.scenarios import ScenarioSpec, mixed_tenant_draws, run_scenario
 
 
+#: The 200-host fleet run's figures besides its digest, by dotted path
+#: into its ``--json`` output.
+FLEET_FIGURES = {
+    "sim_cycles": 249_252_639,
+    "hosts_booted": 3,
+    "fabric.trunk_bytes": 649_129_984,
+    "control.admitted": 40,
+    "control.pinned_per_wave": [3, 0, 0, 0, 0, 0, 0, 0],
+    "control.upgraded_total": 197,
+    "control.rebalance_moves": 2,
+}
+
+
+def _field(out, path):
+    for part in path.split("."):
+        out = out[part]
+    return out
+
+
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, figures",
     [
         (
             ["dc", "demo", "--json"],
             "563ff852322ba774e54301d1d4643ef35d740bde93bb38c82e23145974155442",
+            {},
         ),
         (
             ["dc", "run", "--spec", "slo", "--json"],
             "effd3aea3616a3501fe31ade49607a99d1a05e729ce2822ce92b33ac8675a690",
+            {},
         ),
         (
             ["dc", "run", "--spec", "fleet", "--json"],
             "4c5eaa929cdea7631fa2fc9ad012c3c39ebbcb399d84c9f1982e07fa2b23a2a9",
+            FLEET_FIGURES,
         ),
     ],
     ids=["dc-demo", "slo", "fleet"],
 )
-def test_cli_digest_pins(capsys, argv, digest):
+def test_cli_digest_pins(capsys, argv, digest, figures):
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["digest"] == digest
+    out = json.loads(capsys.readouterr().out)
+    assert {path: _field(out, path) for path in figures} == figures
+    assert out["digest"] == digest
 
 
 def test_cluster_scenario_pin():
@@ -69,6 +94,36 @@ def test_single_migration_pin():
     assert (record.src, record.outcome, record.attempts) == ("host0", "ok", 1)
     assert cluster.digest() == (
         "d7277e93843041020ae8b08528465a310fb0d3ee4f869c2e6749ca435ad85a16"
+    )
+
+
+def test_spread_boot_pin():
+    """Four hosts place the six-tenant mix spread: two hosts take two
+    tenants, and the clock reads 920 cycles once all six are placed."""
+    cluster = Cluster(num_hosts=4, seed=0, policy="spread")
+    for draw in mixed_tenant_draws(6):
+        cluster.place(draw.to_tenant_spec())
+    assert cluster.sim.now == 920
+    assert sorted(len(h.tenants) for h in cluster.hosts) == [1, 1, 2, 2]
+    assert cluster.digest() == (
+        "e25710cfec8db2f0f9aba20b27b2e185fc04bc726fea0e3919552b98e8665bae"
+    )
+
+
+def test_dirtying_migration_pin():
+    """A vp tenant re-dirtying 128 pages moves host0 -> host1 over the
+    fabric in one pre-copy round."""
+    cluster = Cluster(num_hosts=2, seed=0, policy="spread")
+    cluster.place(
+        TenantSpec(name="t", io_model="vp", memory_gb=8, dirty_pages=128)
+    )
+    assert cluster.host_of("t").name == "host0"
+    record = cluster.migrate("t", "host1")
+    assert round(record.result.downtime_s * 1e3, 3) == 1.763
+    assert record.result.rounds == 1
+    assert cluster.fabric.metrics.cross_host_bytes("migration") == 18_877_440
+    assert cluster.digest() == (
+        "b51c7a67b9408a5969f0cb4019e6ccb59cc319e2b0c473bddf7a1fb7ca4da442"
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for physical device assignment (Figure 2b) and its limits."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.features import DvhFeatures
@@ -13,8 +15,10 @@ from repro.hv.passthrough import (
 )
 from repro.hv.stack import StackConfig, build_stack
 from repro.hw.ept import Perm
-from repro.hw.iommu import IrteMode
+from repro.hw.lapic import VIRTIO_VECTOR_BASE
 from repro.hw.ops import Op
+from repro.workloads.apps import NETPERF_RR
+from repro.workloads.engines import run_rr
 
 
 def make(levels=2, io="passthrough"):
@@ -108,11 +112,22 @@ def test_iommu_domain_has_composed_mappings():
     assert domain.translate(pfn) == resolve_through_chain(stack.leaf_vm, pfn)
 
 
-def test_interrupts_posted_via_vtd():
+def test_interrupts_posted_via_vtd(monkeypatch):
+    """Each VF receive interrupt is posted straight into the leaf vCPU's
+    posted-interrupt descriptor, one per request."""
     stack = make()
-    entry = stack.machine.iommu.irt[(stack.net.vf.bdf, 0)]
-    assert entry.mode == IrteMode.POSTED
-    assert entry.pi_descriptor is stack.ctx(0).pi_desc
+    pi_desc = stack.ctx(0).pi_desc
+    posted = []
+    post = pi_desc.post
+
+    def recording_post(vector):
+        posted.append(vector)
+        return post(vector)
+
+    monkeypatch.setattr(pi_desc, "post", recording_post)
+    run_rr(stack, replace(NETPERF_RR, txns=5))
+    assert stack.metrics.interrupts[("vf", "posted")] == 5
+    assert posted.count(VIRTIO_VECTOR_BASE) == 5
 
 
 def test_hardware_coupling_marks_whole_chain():

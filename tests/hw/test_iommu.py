@@ -1,12 +1,11 @@
-"""Unit tests for the IOMMU: DMA domains and interrupt remapping."""
+"""Unit tests for the IOMMU's DMA domains."""
 
 import pytest
 
 from repro.hw.ept import Perm
-from repro.hw.iommu import Iommu, IommuFault, Irte, IrteMode
+from repro.hw.iommu import Iommu, IommuFault
 from repro.hw.mem import PAGE_SHIFT
 from repro.hw.pci import PciDevice
-from repro.hw.posted import PiDescriptor
 
 
 def make_device(name="dev"):
@@ -61,25 +60,3 @@ def test_domains_are_isolated_between_devices():
     iommu.attach(b)
     with pytest.raises(IommuFault):
         iommu.translate(b, 0x10 << PAGE_SHIFT)
-
-
-def test_detach_removes_domain_and_irtes():
-    iommu = Iommu()
-    dev = make_device()
-    iommu.attach(dev).map(0x10, 0x99, Perm.RW)
-    iommu.set_irte(dev, 0, Irte(mode=IrteMode.REMAPPED, vector=0x40))
-    iommu.detach(dev)
-    with pytest.raises(IommuFault):
-        iommu.translate(dev, 0x10 << PAGE_SHIFT)
-    assert (dev.bdf, 0) not in iommu.irt
-
-
-def test_interrupt_posting_entry():
-    iommu = Iommu()
-    dev = make_device()
-    pid = PiDescriptor("vcpu3")
-    iommu.set_irte(dev, 1, Irte(mode=IrteMode.POSTED, vector=0x41, pi_descriptor=pid))
-    entry = iommu.irt[(dev.bdf, 1)]
-    assert entry.mode == IrteMode.POSTED
-    assert entry.pi_descriptor is pid
-    assert entry.vector == 0x41

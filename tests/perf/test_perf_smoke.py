@@ -1,10 +1,10 @@
 """Quick host-performance smoke checks (tier-1 safe: small inputs).
 
-The real baselines live in ``BENCH_engine.json`` / ``BENCH_experiments.json``
-(regenerated by ``make bench-perf``); these tests only assert that the
-benchmarks run and that the engine clears a floor low enough for any
-plausible CI host.  The ``--check`` tests judge one measurement of the
-whole suite, taken once per session.
+``perf_engine.py`` holds the host-time floors; its recorded run lives in
+``BENCH_engine.json`` (regenerated by ``make bench-perf``).  These tests
+only assert that the cases run and that the engine clears a floor low
+enough for any plausible CI host.  The ``--check`` tests judge one
+measurement of the whole suite, taken once per session.
 """
 
 import sys
@@ -105,3 +105,9 @@ def test_check_mode_fails_below_stack_build_floor(measured, monkeypatch, capsys)
     monkeypatch.setattr(perf_engine, "MIN_STACKS_PER_SEC", sys.float_info.max)
     assert perf_engine.check(measured) == 1
     assert "stack_build" in capsys.readouterr().err
+
+
+def test_check_mode_fails_below_rr_floor(measured, monkeypatch, capsys):
+    monkeypatch.setattr(perf_engine, "MIN_RR_TXNS_PER_SEC", sys.float_info.max)
+    assert perf_engine.check(measured) == 1
+    assert "request_capture" in capsys.readouterr().err

@@ -87,8 +87,6 @@ ALLOWLIST: Dict[str, str] = {
     "hw/ept.py:PageTable.extents": "compose's input",
     "hv/passthrough.py:resolve_through_chain": "hostbench wraps it by name",
     # Exit-table entries: every reason has a handler and an owner.
-    "hv/kvm.py:_l0_ept_violation": "L0 handler for EPT_VIOLATION, which no stack raises",
-    "hv/dispatch.py:_host_owner": "owner of EPT_VIOLATION exits, which no stack raises",
     # Error paths: they run only when something is wrong.
     "hw/ept.py:EptViolation.__init__": "error path: a translation faults",
     "dc/spec.py:_no_constant": "error path: a spec file holds NaN or Infinity",
@@ -124,7 +122,6 @@ ALLOWLIST: Dict[str, str] = {
     "hw/pci.py:PciBus.unplug": "tests/hw/test_pci.py::test_unplug",
     "hw/pci.py:PciBus.device_at": "tests/hw/test_pci.py::test_device_at_address_routing",
     "hw/pci.py:PciBus.find": "tests/hw/test_pci.py::test_enumerate_and_find",
-    "hw/iommu.py:Iommu.detach": "tests/hw/test_iommu.py::test_detach_removes_domain_and_irtes",
     "hw/cpu.py:NativeContext.mem_write": "tests/hw/test_cpu_native.py::test_mem_write_marks_host_pages",
     "hw/lapic.py:Lapic.on_wake": "tests/hw/test_lapic.py::test_wake_callback_on_irr",
     "ooh/grants.py:GrantTable.restore": "tests/ooh/test_grants.py restore tests",
